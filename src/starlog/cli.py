@@ -28,7 +28,7 @@ from .errors import (
     StarlogError,
     Vanishing,
 )
-from .expr import Neg, StarMul, StarSeries, eval_many, stem_complex, evaluate
+from .expr import Neg, StarMul, StarSeries, eval_stem_many, evaluate, slice_values, stem_complex
 from .logarithm import RESIDUAL_ACCEPT, BranchSpec, check_conditions, log_star
 from .parse import parse_expr, to_source
 from .quaternion import VERIFY_UNITS, format_quaternion, parse_quaternion
@@ -144,12 +144,13 @@ def _sup_rel(got: np.ndarray, want: np.ndarray) -> float:
 
 def _write_grid_csv(path, expr, domain: BasicDomainSpec) -> int:
     zs = domain.node_z
+    stem = eval_stem_many(expr, zs)
     count = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for unit in VERIFY_UNITS:
-            vals = eval_many(expr, zs, unit)
+            vals = slice_values(stem, unit)
             for z, v in zip(zs, vals):
                 writer.writerow(
                     [z.real, z.imag, unit.x, unit.y, unit.z, v[0], v[1], v[2], v[3]]
@@ -207,10 +208,10 @@ def _cmd_exp_star(args, report: Report) -> int:
     tree = parse_expr(args.expr)
     domain = _load_domain(args.domain)
     image = exp_star(tree)
+    stem = eval_stem_many(image, domain.node_z)
     sup = 0.0
     for unit in VERIFY_UNITS:
-        vals = eval_many(image, domain.node_z, unit)
-        sup = max(sup, float(np.linalg.norm(vals, axis=1).max()))
+        sup = max(sup, float(np.linalg.norm(slice_values(stem, unit), axis=1).max()))
     print(f"sup |exp_star| on grid: {sup:.6e}")
     if args.grid_out:
         count = _write_grid_csv(args.grid_out, image, domain)
@@ -284,11 +285,12 @@ def _suite_exp(domain: BasicDomainSpec, report: Report) -> None:
         closed = exp_star(f)
 
         start = time.perf_counter()
-        series = StarSeries("exp", f)
+        series = eval_stem_many(StarSeries("exp", f), zs)
+        want = eval_stem_many(closed, zs)
         worst = 0.0
         for unit in VERIFY_UNITS:
             worst = max(
-                worst, _sup_rel(eval_many(series, zs, unit), eval_many(closed, zs, unit))
+                worst, _sup_rel(slice_values(series, unit), slice_values(want, unit))
             )
         report.add(
             f"exp-series[{src}]",
@@ -300,10 +302,10 @@ def _suite_exp(domain: BasicDomainSpec, report: Report) -> None:
         )
 
         start = time.perf_counter()
-        inverse = StarMul(closed, exp_star(Neg(f)))
+        inverse = eval_stem_many(StarMul(closed, exp_star(Neg(f))), zs)
         worst = 0.0
         for unit in VERIFY_UNITS:
-            vals = eval_many(inverse, zs, unit)
+            vals = slice_values(inverse, unit)
             one = np.zeros_like(vals)
             one[:, 0] = 1.0
             worst = max(worst, _sup_rel(vals, one))
@@ -364,11 +366,11 @@ def _suite_log(domain: BasicDomainSpec, report: Report) -> None:
     def angle_roundtrip():
         f_expr = parse_expr("(0.5 + 0.25*q^2)*i")
         result = log_star(exp_star(f_expr), domain)
+        got = eval_stem_many(result.f, zs)
+        want = eval_stem_many(f_expr, zs)
         worst = result.residual
         for unit in VERIFY_UNITS:
-            worst = max(
-                worst, _sup_rel(eval_many(result.f, zs, unit), eval_many(f_expr, zs, unit))
-            )
+            worst = max(worst, _sup_rel(slice_values(got, unit), slice_values(want, unit)))
         return worst
 
     run("log-roundtrip[scalar]", scalar_roundtrip)

@@ -114,6 +114,8 @@ class BasicDomainSpec:
     def __init__(self, rects=(), discs=(), kind: str = "slice", h: float | None = None):
         if kind not in ("slice", "product"):
             raise DomainError(f"kind must be 'slice' or 'product', got {kind!r}")
+        if h is not None and not 0.0 < float(h) < math.inf:
+            raise DomainError(f"grid step h must be finite and > 0, got {h!r}")
         self.rects = tuple(Rect(*r) if not isinstance(r, Rect) else r for r in rects)
         self.discs = tuple(Disc(*d) if not isinstance(d, Disc) else d for d in discs)
         self.shapes = self.rects + self.discs
@@ -128,7 +130,7 @@ class BasicDomainSpec:
         if self.xmax <= self.xmin or self.ymax <= self.ymin:
             raise DomainError("domain leaf is empty")
         diam = max(self.xmax - self.xmin, self.ymax - self.ymin)
-        self.h = float(h) if h else diam / DEFAULT_GRID_DIVISIONS
+        self.h = diam / DEFAULT_GRID_DIVISIONS if h is None else float(h)
         self._build_grid()
 
     # -- construction -------------------------------------------------

@@ -1,10 +1,13 @@
 """Expression trees for slice functions and their stem evaluation.
 
-A node evaluates to a stem (A, B) of quaternion values over complex leaf
-points z = x + iy; the slice function value at x + Jy is A + J B.  Stems obey
-the reflection symmetry A(conj z) = A(z), B(conj z) = -B(z), which the
-evaluator applies globally: batches are normalized to the upper half plane
-and the B sign restored afterwards, so contours may dip below the axis.
+A node evaluates to its stem over complex leaf points z = x + iy, held as one
+(n, 4) complex array C = A + iB: column l is the l-th quaternion component, A
+and B are ``C.real`` and ``C.imag``, and the slice function value at x + Jy is
+A + J B.  The i of the stem is central, so the star product of two stems is
+the Hamilton product with complex coefficients: ``quaternion.qmul`` applied to
+complex arrays.  Stems obey the reflection symmetry C(conj z) = conj(C(z)),
+which the evaluator applies globally: batches are normalized to the upper half
+plane and conjugated back afterwards, so contours may dip below the axis.
 
 Nodes carry a structural slice-preserving flag (real stem components, exact
 zeros in the vector part); scalar branch functions may only be applied to
@@ -27,7 +30,7 @@ from .errors import (
     SlicePreservingRequired,
     UnitFnOnRealAxis,
 )
-from .quaternion import Quaternion, qconj, qmul, qscalar, split
+from .quaternion import Quaternion, qconj, qmul, split
 
 logger = logging.getLogger(__name__)
 
@@ -261,18 +264,31 @@ class QuotientBySP(SliceExpr):
 # evaluation
 
 
-def eval_stem_many(expr: SliceExpr, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the stem over complex points; returns (A, B) with shape (n, 4)."""
+def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
+    """Evaluate the stem over complex points as one (n, 4) complex array C.
+
+    Column l holds the l-th quaternion component, so C = A + iB with A and B
+    the real stem halves ``C.real`` and ``C.imag``.
+    """
     flat = np.asarray(zs, dtype=complex).ravel()
-    sign = np.where(flat.imag < 0, -1.0, 1.0)
     zhat = flat.real + 1j * np.abs(flat.imag)
-    A, B = _eval(expr, zhat, {})
-    return A, B * sign[:, None]
+    C = _eval(expr, zhat, {})
+    return np.where((flat.imag < 0)[:, None], C.conj(), C)
+
+
+def slice_values(C: np.ndarray, unit: Quaternion) -> np.ndarray:
+    """Values A + unit*B on the slice of ``unit``, from a stem C = A + iB."""
+    return C.real + qmul(unit.to_array()[None, :], C.imag)
+
+
+def sup_parts(C: np.ndarray) -> float:
+    """Largest entry of |A| and |B| over a stem array C = A + iB."""
+    return float(max(np.abs(C.real).max(), np.abs(C.imag).max()))
 
 
 def eval_stem(expr: SliceExpr, z: complex) -> StemValue:
-    A, B = eval_stem_many(expr, [z])
-    return StemValue(Quaternion.from_array(A[0]), Quaternion.from_array(B[0]))
+    c = eval_stem_many(expr, [z])[0]
+    return StemValue(Quaternion.from_array(c.real), Quaternion.from_array(c.imag))
 
 
 def evaluate(expr: SliceExpr, q) -> Quaternion:
@@ -296,16 +312,14 @@ def evaluate(expr: SliceExpr, q) -> Quaternion:
 
 def eval_many(expr: SliceExpr, zs, unit: Quaternion) -> np.ndarray:
     """Values A + unit*B over a batch of leaf points, as an (n, 4) array."""
-    A, B = eval_stem_many(expr, zs)
-    return A + qmul(unit.to_array()[None, :], B)
+    return slice_values(eval_stem_many(expr, zs), unit)
 
 
 def stem_complex(expr: SliceExpr, zs) -> np.ndarray:
     """Leaf form a + ib of a slice-preserving expression over a batch."""
     if not expr.slice_preserving:
         raise SlicePreservingRequired("leaf form exists only for slice-preserving expressions")
-    A, B = eval_stem_many(expr, zs)
-    return A[:, 0] + 1j * B[:, 0]
+    return eval_stem_many(expr, zs)[:, 0]
 
 
 def is_slice_preserving(expr: SliceExpr, domain=None) -> bool:
@@ -317,10 +331,9 @@ def is_slice_preserving(expr: SliceExpr, domain=None) -> bool:
     """
     structural = expr.slice_preserving
     if domain is not None and domain.n_nodes:
-        A, B = eval_stem_many(expr, domain.node_z)
-        vec = max(np.abs(A[:, 1:]).max(), np.abs(B[:, 1:]).max())
-        scale = 1.0 + max(np.abs(A).max(), np.abs(B).max())
-        numeric = vec <= SP_GRID_TOL * scale
+        C = eval_stem_many(expr, domain.node_z)
+        vec = sup_parts(C[:, 1:])
+        numeric = vec <= SP_GRID_TOL * (1.0 + sup_parts(C))
         if numeric != structural:
             logger.warning(
                 "slice-preserving flag %s disagrees with grid check %s (sup vec %.2e)",
@@ -331,86 +344,67 @@ def is_slice_preserving(expr: SliceExpr, domain=None) -> bool:
     return structural
 
 
-# stem pairs behave like complex numbers over the quaternions:
-# (A1 + iB1)(A2 + iB2) with i central
+def _scalar(values: np.ndarray) -> np.ndarray:
+    """Stem with ``values`` as its scalar component and a zero vector part."""
+    out = np.zeros(values.shape + (4,), dtype=complex)
+    out[..., 0] = values
+    return out
 
 
-def _cmul(p, q):
-    A1, B1 = p
-    A2, B2 = q
-    return qmul(A1, A2) - qmul(B1, B2), qmul(A1, B2) + qmul(B1, A2)
+def _negligible(term: np.ndarray, total: np.ndarray) -> bool:
+    norm = np.linalg.norm
+    return norm(term, axis=-1).max() <= SERIES_TOL * (1.0 + norm(total, axis=-1).max())
 
 
-def _stem_norm(p) -> np.ndarray:
-    A, B = p
-    return np.sqrt(np.sum(A * A, axis=-1) + np.sum(B * B, axis=-1))
-
-
-def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
+def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> np.ndarray:
     key = id(expr)
     hit = cache.get(key)
     if hit is not None:
         return hit
     n = z.size
-    zeros = np.zeros((n, 4))
 
     if isinstance(expr, Const):
-        A = np.repeat(expr.value.to_array()[None, :], n, axis=0)
-        out = (A, zeros.copy())
+        out = np.broadcast_to(expr.value.to_array(), (n, 4)).astype(complex)
     elif isinstance(expr, VarQ):
-        out = (qscalar(z.real), qscalar(z.imag))
+        out = _scalar(z)
     elif isinstance(expr, UnitFn):
         if (z.imag == 0).any():
             raise UnitFnOnRealAxis("the unit function I has no value on the real axis")
-        out = (zeros.copy(), qscalar(np.ones(n)))
+        out = _scalar(np.full(n, 1j))
     elif isinstance(expr, Add):
-        A1, B1 = _eval(expr.left, z, cache)
-        A2, B2 = _eval(expr.right, z, cache)
-        out = (A1 + A2, B1 + B2)
+        out = _eval(expr.left, z, cache) + _eval(expr.right, z, cache)
     elif isinstance(expr, Neg):
-        A, B = _eval(expr.child, z, cache)
-        out = (-A, -B)
+        out = -_eval(expr.child, z, cache)
     elif isinstance(expr, StarMul):
-        out = _cmul(_eval(expr.left, z, cache), _eval(expr.right, z, cache))
+        out = qmul(_eval(expr.left, z, cache), _eval(expr.right, z, cache))
     elif isinstance(expr, IntPow):
         base = _eval(expr.child, z, cache)
-        acc = (qscalar(np.ones(n)), zeros.copy())
+        acc = _scalar(np.ones(n))
         m = expr.n
         while m:
             if m & 1:
-                acc = _cmul(acc, base)
+                acc = qmul(acc, base)
             m >>= 1
             if m:
-                base = _cmul(base, base)
+                base = qmul(base, base)
         out = acc
     elif isinstance(expr, RegConj):
-        A, B = _eval(expr.child, z, cache)
-        out = (qconj(A), qconj(B))
+        out = qconj(_eval(expr.child, z, cache))
     elif isinstance(expr, Component):
-        A, B = _eval(expr.child, z, cache)
-        out = (qscalar(A[:, expr.index]), qscalar(B[:, expr.index]))
+        out = _scalar(_eval(expr.child, z, cache)[:, expr.index])
     elif isinstance(expr, VectPart):
-        A, B = _eval(expr.child, z, cache)
-        A = A.copy()
-        B = B.copy()
-        A[:, 0] = 0.0
-        B[:, 0] = 0.0
-        out = (A, B)
+        out = _eval(expr.child, z, cache).copy()
+        out[:, 0] = 0.0
     elif isinstance(expr, Symm):
-        A, B = _eval(expr.child, z, cache)
-        c = A + 1j * B
-        s = np.sum(c * c, axis=-1)
-        out = (qscalar(s.real), qscalar(s.imag))
+        C = _eval(expr.child, z, cache)
+        out = _scalar(np.sum(C * C, axis=-1))
     elif isinstance(expr, ScalarApply):
-        A, B = _eval(expr.child, z, cache)
-        w = SCALAR_FUNCTIONS[expr.fn](A[:, 0] + 1j * B[:, 0], expr.k)
-        w = np.asarray(w, dtype=complex)
-        out = (qscalar(w.real), qscalar(w.imag))
+        w = SCALAR_FUNCTIONS[expr.fn](_eval(expr.child, z, cache)[:, 0], expr.k)
+        out = _scalar(np.asarray(w, dtype=complex))
     elif isinstance(expr, StarSeries):
         out = _star_series(expr, _eval(expr.child, z, cache))
     elif isinstance(expr, GridFieldExpr):
-        w = np.asarray(expr.fld.sample(z), dtype=complex)
-        out = (qscalar(w.real), qscalar(w.imag))
+        out = _scalar(np.asarray(expr.fld.sample(z), dtype=complex))
     elif isinstance(expr, QuotientBySP):
         out = _eval_quotient(expr, z, cache)
     else:
@@ -420,35 +414,30 @@ def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> tuple[np.ndarray, np.n
     return out
 
 
-def _star_series(expr: StarSeries, F) -> tuple[np.ndarray, np.ndarray]:
-    n = F[0].shape[0]
-    one = (qscalar(np.ones(n)), np.zeros((n, 4)))
+def _star_series(expr: StarSeries, F: np.ndarray) -> np.ndarray:
+    one = _scalar(np.ones(F.shape[0]))
     if expr.kind == "exp":
-        total = one
-        term = one
+        total = term = one
         for m in range(1, expr.max_terms):
-            term = _cmul(term, F)
-            term = (term[0] / m, term[1] / m)
-            total = (total[0] + term[0], total[1] + term[1])
-            if np.max(_stem_norm(term)) <= SERIES_TOL * (1.0 + np.max(_stem_norm(total))):
+            term = qmul(term, F) / m
+            total = total + term
+            if _negligible(term, total):
                 return total
         raise NoConvergence("exp star series did not converge")
-    F2 = _cmul(F, F)
+    F2 = qmul(F, F)
     term = one if expr.kind == "cos" else F
     total = term
     for m in range(1, expr.max_terms):
         lo = 2 * m - 1 if expr.kind == "cos" else 2 * m
-        term = _cmul(term, F2)
-        term = (-term[0] / (lo * (lo + 1)), -term[1] / (lo * (lo + 1)))
-        total = (total[0] + term[0], total[1] + term[1])
-        if np.max(_stem_norm(term)) <= SERIES_TOL * (1.0 + np.max(_stem_norm(total))):
+        term = -qmul(term, F2) / (lo * (lo + 1))
+        total = total + term
+        if _negligible(term, total):
             return total
     raise NoConvergence(f"{expr.kind} star series did not converge")
 
 
-def _eval_quotient(expr: QuotientBySP, z: np.ndarray, cache: dict):
+def _eval_quotient(expr: QuotientBySP, z: np.ndarray, cache: dict) -> np.ndarray:
     coeffs = np.asarray(expr.coeffs, dtype=float)
-    denom = np.polyval(coeffs, z)
     dist = np.full(z.shape, np.inf)
     for r in expr.zeros:
         dist = np.minimum(dist, np.abs(z - r))
@@ -456,28 +445,18 @@ def _eval_quotient(expr: QuotientBySP, z: np.ndarray, cache: dict):
             dist = np.minimum(dist, np.abs(z - np.conj(complex(r))))
     near = dist < expr.patch_radius
 
-    A, B = _eval(expr.child, z, cache)
-    safe_d = np.where(near, 1.0, denom)
-    inv = 1.0 / safe_d
-    alpha, beta = inv.real[:, None], inv.imag[:, None]
-    A_out = alpha * A - beta * B
-    B_out = alpha * B + beta * A
+    denom = np.where(near, 1.0, np.polyval(coeffs, z))
+    out = _eval(expr.child, z, cache) / denom[:, None]
 
     if near.any():
-        # removable singularity: mean over a circle avoiding every zero
-        idx = np.nonzero(near)[0]
+        # removable singularity: mean over a circle avoiding every zero,
+        # one batch for the rings of all near nodes
         R = 2.0 * expr.patch_radius
         theta = 2.0 * np.pi * (np.arange(PATCH_POINTS) + 0.37) / PATCH_POINTS
-        ring = np.exp(1j * theta)
-        for i in idx:
-            pts = z[i] + R * ring
-            Ar, Br = eval_stem_many(expr.child, pts)
-            dr = np.polyval(coeffs, pts)
-            invr = 1.0 / dr
-            ar, br = invr.real[:, None], invr.imag[:, None]
-            A_out[i] = np.mean(ar * Ar - br * Br, axis=0)
-            B_out[i] = np.mean(ar * Br + br * Ar, axis=0)
-    return A_out, B_out
+        pts = (z[near, None] + R * np.exp(1j * theta)).ravel()
+        ring = eval_stem_many(expr.child, pts) / np.polyval(coeffs, pts)[:, None]
+        out[near] = ring.reshape(-1, PATCH_POINTS, 4).mean(axis=1)
+    return out
 
 
 # convenient singletons for building expressions

@@ -42,9 +42,10 @@ from .expr import (
     ScalarApply,
     SliceExpr,
     const,
-    eval_many,
     eval_stem_many,
+    slice_values,
     stem_complex,
+    sup_parts,
 )
 from .lifts import _adjacency, derived_field, lift_angle, lift_log, lift_mu
 from .quaternion import VERIFY_UNITS
@@ -141,10 +142,10 @@ class LogResult:
 
 def _abs_range(g: SliceExpr, domain: BasicDomainSpec) -> tuple[float, float]:
     """(min, max) of |g| over grid nodes and the standard check units."""
+    C = eval_stem_many(g, domain.node_z)
     lo, hi = math.inf, 0.0
     for unit in VERIFY_UNITS:
-        vals = eval_many(g, domain.node_z, unit)
-        mags = np.linalg.norm(vals, axis=1)
+        mags = np.linalg.norm(slice_values(C, unit), axis=1)
         lo = min(lo, float(mags.min()))
         hi = max(hi, float(mags.max()))
     return lo, hi
@@ -169,28 +170,21 @@ def _scalar_stem(g: SliceExpr):
     return F
 
 
-def _comp3(expr: SliceExpr, zs) -> np.ndarray:
-    """Vector components of the stem as an (n, 3) complex array."""
-    A, B = eval_stem_many(expr, zs)
-    return A[:, 1:] + 1j * B[:, 1:]
-
-
 def _sp_ratio(num: SliceExpr, den: SliceExpr, zs) -> np.ndarray:
     """Slice-preserving ratio rho with num = rho * den, via least squares.
 
     Exact when the two expressions are linearly dependent over the
     slice-preserving functions, which the callers have already established.
     """
-    cn = _comp3(num, zs)
-    cd = _comp3(den, zs)
+    cn = eval_stem_many(num, zs)[:, 1:]
+    cd = eval_stem_many(den, zs)[:, 1:]
     weight = (np.abs(cd) ** 2).sum(axis=1)
     return (cn * np.conj(cd)).sum(axis=1) / weight
 
 
 def _check_unit(w: SliceExpr, domain: BasicDomainSpec) -> None:
     """A class representative must square to -1: scalar part 0, w^s = 1."""
-    A, B = eval_stem_many(w, domain.node_z)
-    scal = max(float(np.abs(A[:, 0]).max()), float(np.abs(B[:, 0]).max()))
+    scal = sup_parts(eval_stem_many(w, domain.node_z)[:, 0])
     sym_vals = stem_complex(symmetrization(w), domain.node_z)
     defect = float(np.abs(sym_vals - 1.0).max())
     if scal > _UNIT_TOL or defect > _UNIT_TOL:
@@ -230,11 +224,11 @@ def _positive_trace(g: SliceExpr, domain: BasicDomainSpec) -> tuple[bool | None,
     reals = domain.real_nodes
     if reals.size == 0:
         return None, {}
-    A, B = eval_stem_many(g, domain.node_z[reals])
-    off_axis = max(float(np.abs(A[:, 1:]).max()), float(np.abs(B).max()))
-    scale = 1.0 + float(np.abs(A).max())
+    C = eval_stem_many(g, domain.node_z[reals])
+    off_axis = max(float(np.abs(C.real[:, 1:]).max()), float(np.abs(C.imag).max()))
+    scale = 1.0 + float(np.abs(C.real).max())
     real_ok = off_axis <= 1e-9 * scale
-    vals = A[:, 0]
+    vals = C.real[:, 0]
     ok = bool(real_ok and vals.min() > 0.0)
     return ok, {"trace_min": float(vals.min()), "trace_off_axis": off_axis}
 
@@ -513,11 +507,12 @@ def _fold_route(g, domain, branch, report):
 
 def residual_sup(f: SliceExpr, g: SliceExpr, domain: BasicDomainSpec) -> float:
     """sup |exp_star(f) - g| / (1 + |g|) over grid nodes and check units."""
-    E = exp_star(f)
+    E = eval_stem_many(exp_star(f), domain.node_z)
+    G = eval_stem_many(g, domain.node_z)
     worst = 0.0
     for unit in VERIFY_UNITS:
-        ev = eval_many(E, domain.node_z, unit)
-        gv = eval_many(g, domain.node_z, unit)
+        ev = slice_values(E, unit)
+        gv = slice_values(G, unit)
         num = np.linalg.norm(ev - gv, axis=1)
         den = 1.0 + np.linalg.norm(gv, axis=1)
         worst = max(worst, float((num / den).max()))

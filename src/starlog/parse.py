@@ -17,6 +17,7 @@ tree reproduces it exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -151,7 +152,10 @@ class _Parser:
     def primary(self) -> SliceExpr:
         tok = self.take()
         if tok.kind == "num":
-            return Const(Quaternion.coerce(float(tok.text)))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {tok.text} is not finite", tok.pos)
+            return Const(Quaternion.coerce(value))
         if tok.text == "(":
             node = self.sum()
             self.expect(")")

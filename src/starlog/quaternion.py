@@ -1,8 +1,9 @@
 """Quaternions, imaginary units and the splitting q = x + Iy.
 
 Scalar arithmetic lives on the frozen :class:`Quaternion`; the evaluator works
-on stacked ``(..., 4)`` float arrays through the ``q*``-prefixed helpers, with
-components ordered (1, i, j, k).
+on stacked ``(..., 4)`` arrays through the ``q*``-prefixed helpers, with
+components ordered (1, i, j, k).  ``qmul`` and ``qconj`` also serve the
+complex stem arrays A + iB.
 """
 
 from __future__ import annotations
@@ -183,13 +184,6 @@ def qconj(a: np.ndarray) -> np.ndarray:
 
 def qabs(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))
-
-
-def qscalar(values: np.ndarray) -> np.ndarray:
-    """Embed a real array as quaternion arrays with zero vector part."""
-    out = np.zeros(values.shape + (4,))
-    out[..., 0] = values
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,15 @@ from .errors import (
     SlicePreservingRequired,
     Vanishing,
 )
-from .expr import GridFieldExpr, QuotientBySP, SliceExpr, StarMul, eval_stem_many, stem_complex
+from .expr import (
+    GridFieldExpr,
+    QuotientBySP,
+    SliceExpr,
+    StarMul,
+    eval_stem_many,
+    stem_complex,
+    sup_parts,
+)
 from .lifts import derived_field, lift_log
 from .quaternion import Quaternion
 
@@ -251,15 +259,9 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
 # classification of the vectorial part
 
 
-def _component_values(expr: SliceExpr, zs) -> np.ndarray:
-    A, B = eval_stem_many(expr, np.asarray(zs, dtype=complex))
-    return A[:, 1:] + 1j * B[:, 1:]
-
-
 def _component_order(expr: SliceExpr, comp: int, z: complex, ftol: float) -> int:
     def F(zs):
-        A, B = eval_stem_many(expr, np.asarray(zs, dtype=complex))
-        return A[:, comp] + 1j * B[:, comp]
+        return eval_stem_many(expr, zs)[:, comp]
 
     half = 1e-4 * (1.0 + abs(z))
     for shrink in (1.0, 0.37, 0.11, 2.9):
@@ -275,9 +277,9 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
     """Describe the vectorial part of ``g``: identically zero, null
     symmetrization, or a zero set split into real, spherical and isolated kinds."""
     gv = vect_part(g)
-    A, B = eval_stem_many(g, domain.node_z)
-    full_scale = float(max(np.abs(A).max(), np.abs(B).max()))
-    comps = _component_values(gv, domain.node_z)
+    C = eval_stem_many(g, domain.node_z)
+    full_scale = sup_parts(C)
+    comps = C[:, 1:]  # the vector part of g has the same components
     comp_sup = np.abs(comps).max(axis=0)
     vect_scale = float(comp_sup.max())
 
@@ -299,15 +301,15 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
     ftol = 1e-12 * vect_scale
     classified: list[ClassifiedZero] = []
     for sz in find_zeros_sp(sym, domain):
-        A1, B1 = eval_stem_many(gv, [sz.z])
-        av, bv = A1[0, 1:], B1[0, 1:]
+        c = eval_stem_many(gv, [sz.z])[0]
+        av, bv = c.real[1:], c.imag[1:]
         point_tol = 1e-9 * (1.0 + vect_scale)
         if sz.z.imag == 0.0:
             order = min(_component_order(gv, 1 + i, sz.z, ftol) for i in live)
             classified.append(
                 ClassifiedZero(sz.z, sz.multiplicity, "real", order, Quaternion.coerce(sz.z.real))
             )
-        elif max(np.abs(av).max(), np.abs(bv).max()) <= point_tol:
+        elif sup_parts(c[1:]) <= point_tol:
             order = min(_component_order(gv, 1 + i, sz.z, ftol) for i in live)
             classified.append(ClassifiedZero(sz.z, sz.multiplicity, "spherical", order, None))
         else:
@@ -319,7 +321,7 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
                     f"zero direction at {sz.z} is not an imaginary unit: {axis}"
                 )
             loc = Quaternion.coerce(sz.z.real) + axis * sz.z.imag
-            val = Quaternion.from_array(A1[0]) + axis * Quaternion.from_array(B1[0])
+            val = Quaternion.from_array(c.real) + axis * Quaternion.from_array(c.imag)
             if abs(val) > 1e-8 * (1.0 + vect_scale):
                 raise ClassificationError(
                     f"predicted zero point {loc} does not annihilate the vectorial part"
@@ -362,8 +364,8 @@ def factor_minimal(gv: SliceExpr, report: VectorialClassReport, domain: BasicDom
     quotient = QuotientBySP(gv, tuple(coeffs), tuple(patch), PATCH_CELLS * domain.h)
 
     lam = np.polyval(coeffs, domain.node_z)
-    want = _component_values(gv, domain.node_z)
-    got = _component_values(quotient, domain.node_z) * lam[:, None]
+    want = eval_stem_many(gv, domain.node_z)[:, 1:]
+    got = eval_stem_many(quotient, domain.node_z)[:, 1:] * lam[:, None]
     err = np.abs(got - want).max()
     if err > 1e-9 * (1.0 + report.vect_scale):
         raise FactorResidual(f"factored product deviates by {err:.3e}")
@@ -401,8 +403,8 @@ def linearly_dependent(
     their two-by-two minors on the grid, so a varying slice-preserving ratio
     still counts as dependent.
     """
-    c1 = _component_values(vect_part(e1), domain.node_z)
-    c2 = _component_values(vect_part(e2), domain.node_z)
+    c1 = eval_stem_many(e1, domain.node_z)[:, 1:]
+    c2 = eval_stem_many(e2, domain.node_z)[:, 1:]
     s1 = float(np.abs(c1).max())
     s2 = float(np.abs(c2).max())
     if s1 <= 1e-300 or s2 <= 1e-300:

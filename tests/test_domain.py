@@ -89,6 +89,9 @@ def test_bad_kind_and_empty():
         BasicDomainSpec(rects=[(0, 1, 0, 1)], kind="weird")
     with pytest.raises(DomainError):
         BasicDomainSpec(kind="slice")
+    for h in (0, -0.1, math.inf, math.nan):
+        with pytest.raises(DomainError, match="grid step"):
+            BasicDomainSpec(rects=[(-1, 1, 0, 1)], h=h)
 
 
 def test_json_roundtrip(tmp_path):

@@ -108,6 +108,12 @@ def test_syntax_errors_carry_position():
         parse_expr("q^2^3")
     with pytest.raises(ExprSyntaxError):
         parse_expr("(q + 1")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("1e999*q")
+    assert err.value.pos == 0
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("q - 1e999")
+    assert err.value.pos == 4
 
 
 def test_unknown_name_position():

@@ -47,8 +47,8 @@ def sample_points(n=12):
 
 
 def stems_close(f, g, zs, tol):
-    A1, B1 = eval_stem_many(f, zs)
-    A2, B2 = eval_stem_many(g, zs)
+    c1, c2 = eval_stem_many(f, zs), eval_stem_many(g, zs)
+    A1, B1, A2, B2 = c1.real, c1.imag, c2.real, c2.imag
     scale = 1.0 + max(np.abs(A1).max(), np.abs(B1).max())
     return (
         np.max(np.abs(A1 - A2)) <= tol * scale
@@ -119,8 +119,8 @@ class TestNonAdditivity:
         sum_exp = eval_stem_many(exp_star(f + g), zs)
         prod_exp = eval_stem_many(star_mul(exp_star(f), exp_star(g)), zs)
         # exp_*(f)*exp_*(g) = (-1)(-1) = 1 while exp_*(f+g) = cos(sqrt2 pi) + ...
-        assert np.allclose(prod_exp[0][:, 0], 1.0, atol=1e-12)
-        gap = np.abs(sum_exp[0][:, 0] - 1.0)
+        assert np.allclose(prod_exp.real[:, 0], 1.0, atol=1e-12)
+        gap = np.abs(sum_exp.real[:, 0] - 1.0)
         assert np.min(gap) > 0.5
 
 
@@ -141,11 +141,13 @@ class TestTrig:
         zs = sample_points()
         q_vals = stem_complex(Q, zs)
         # (qi)*(qi) = -q^2, so the star power series give hyperbolic functions
-        A, B = eval_stem_many(StarSeries("cos", f), zs)
+        C = eval_stem_many(StarSeries("cos", f), zs)
+        A, B = C.real, C.imag
         assert np.allclose(A[:, 0] + 1j * B[:, 0], np.cosh(q_vals), atol=1e-12)
         assert np.max(np.abs(A[:, 1:])) < 1e-12
         assert np.max(np.abs(B[:, 1:])) < 1e-12
-        A, B = eval_stem_many(StarSeries("sin", f), zs)
+        C = eval_stem_many(StarSeries("sin", f), zs)
+        A, B = C.real, C.imag
         assert np.allclose(A[:, 1] + 1j * B[:, 1], np.sinh(q_vals), atol=1e-12)
         assert np.max(np.abs(A[:, [0, 2, 3]])) < 1e-12
 

@@ -188,7 +188,8 @@ def test_factor_spherical_zero(slice_rect):
     report = classify_vectorial(g, slice_rect)
     coeffs, quotient = factor_minimal(gv, report, slice_rect)
     assert np.allclose(coeffs, [1.0, 0.0, 1.0], atol=1e-12)
-    A, B = eval_stem_many(quotient, slice_rect.node_z)
+    C = eval_stem_many(quotient, slice_rect.node_z)
+    A, B = C.real, C.imag
     assert np.abs(A[:, 1] - 1.0).max() <= 1e-10
     assert np.abs(B).max() <= 1e-10
     assert np.abs(A[:, [0, 2, 3]]).max() <= 1e-10
@@ -200,7 +201,7 @@ def test_factor_mixed_real_and_spherical():
     report = classify_vectorial(g, dom)
     coeffs, quotient = factor_minimal(vect_part(g), report, dom)
     assert np.allclose(coeffs, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
-    A, B = eval_stem_many(quotient, dom.node_z)
+    A = eval_stem_many(quotient, dom.node_z).real
     assert np.abs(A[:, 1] - 1.0).max() <= 1e-9
 
 
@@ -235,7 +236,8 @@ def test_normalize_linear_vector(product_rect):
 def test_normalize_on_slice_gives_real_axis_units():
     dom = BasicDomainSpec(rects=[(0.4, 1.4, 0.0, 0.9)], kind="slice")
     w, _ = normalize(Q * CI, dom)
-    A, B = eval_stem_many(w, dom.node_z[dom.real_nodes])
+    C = eval_stem_many(w, dom.node_z[dom.real_nodes])
+    A, B = C.real, C.imag
     assert np.abs(A[:, 1] - 1.0).max() <= 1e-12
     assert np.abs(B).max() <= 1e-12
 
