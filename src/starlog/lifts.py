@@ -5,16 +5,18 @@ construction: log lifts snap to Log(u) + 2 pi i k and mu lifts end on a
 Newton-polished root, so verification at nodes sees no continuation drift.
 Between nodes the fields interpolate bicubically and refuse to extrapolate.
 
-Continuation runs breadth first over the grid graph.  Each edge advances the
-lifted coordinate by a principal step; when the step exceeds the safety angle
-pi/4 the edge is bisected adaptively (re-evaluating the target at midpoints)
-up to a depth limit.
+One continuation engine serves the log, angle and mu lifts.  It walks the
+breadth-first tree of the grid graph level by level: all (parent, child)
+edges of a level advance the lifted coordinate in one batched step (a
+principal log step, or a Newton step towards a root of mu).  Only the edges
+whose step fails, because it turns by more than the safety angle pi/4 or
+Newton does not settle, are bisected, with the target evaluated at their
+midpoints in one batched call per round, up to a depth limit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,46 +119,139 @@ def _cubic_weights(t: float) -> np.ndarray:
     )
 
 
-def _adjacency(domain: BasicDomainSpec) -> list[list[int]]:
-    idx = domain.node_index
-    adj: list[list[int]] = [[] for _ in range(domain.n_nodes)]
-    mask = domain.mask
-    pairs = []
-    right = mask[:, :-1] & mask[:, 1:]
-    pairs.append((idx[:, :-1][right], idx[:, 1:][right]))
-    up = mask[:-1, :] & mask[1:, :]
-    pairs.append((idx[:-1, :][up], idx[1:, :][up]))
-    for a, b in pairs:
-        for m, n in zip(a, b):
-            adj[m].append(n)
-            adj[n].append(m)
-    return adj
+def grid_neighbours(domain: BasicDomainSpec) -> np.ndarray:
+    """Neighbour table of the grid graph: one row per node, -1 where absent.
+
+    Columns hold the left, right, down and up neighbours, in that order.
+    """
+    idx = np.pad(domain.node_index, 1, constant_values=-1)
+    inner = idx[1:-1, 1:-1] >= 0
+    return np.stack(
+        [
+            idx[1:-1, :-2][inner],
+            idx[1:-1, 2:][inner],
+            idx[:-2, 1:-1][inner],
+            idx[2:, 1:-1][inner],
+        ],
+        axis=1,
+    )
 
 
-def _bfs(domain: BasicDomainSpec, base_node: int, base_value: complex, advance):
-    """Continue values over the grid graph; advance(n1, v1, n2) -> (v2, depth, step)."""
-    values = np.full(domain.n_nodes, np.nan, dtype=complex)
-    values[base_node] = base_value
-    adj = _adjacency(domain)
-    max_depth = 0
-    max_step = 0.0
-    queue = deque([base_node])
+def bfs_levels(domain: BasicDomainSpec, base_node: int):
+    """Yield (parents, children) for each level of the breadth-first tree from base_node.
+
+    The tree is the one a FIFO queue builds when each parent scans its
+    neighbours left, right, down, up: children come in the order the queue
+    discovers them, and each belongs to the first parent that reaches it.
+    """
+    nbr = grid_neighbours(domain)
     seen = np.zeros(domain.n_nodes, dtype=bool)
     seen[base_node] = True
-    while queue:
-        n1 = queue.popleft()
-        for n2 in adj[n1]:
-            if seen[n2]:
-                continue
-            v2, depth, step = advance(n1, values[n1], n2)
-            values[n2] = v2
-            max_depth = max(max_depth, depth)
-            max_step = max(max_step, step)
-            seen[n2] = True
-            queue.append(n2)
+    frontier = np.array([base_node])
+    while frontier.size:
+        cand = nbr[frontier].ravel()
+        parents = np.repeat(frontier, 4)
+        keep = cand >= 0
+        keep[keep] = ~seen[cand[keep]]
+        cand, parents = cand[keep], parents[keep]
+        _, first = np.unique(cand, return_index=True)
+        first.sort()
+        frontier = cand[first]
+        seen[frontier] = True
+        if frontier.size:
+            yield parents[first], frontier
     if not seen.all():
         raise LiftStep("grid graph is not connected; domain validation should have caught this")
+
+
+def _continue(domain, base_node, base_value, t_nodes, target, step, settle, stalled, vanished=None):
+    """Continue a lifted coordinate over the grid, one breadth-first level at a time.
+
+    ``step(v, ta, tb) -> (vb, ok)`` advances values from targets ta to tb on a
+    batch of edges, and ``settle(v_parent, v_child, t_child)`` gives the
+    stored child values and the step sizes.  Edges whose step fails are
+    bisected by :func:`_bisect`, with ``target`` evaluated at their midpoints.
+    Returns the node values, the deepest bisection and the largest step.
+    """
+    values = np.full(domain.n_nodes, np.nan, dtype=complex)
+    values[base_node] = base_value
+    zs = domain.node_z
+    max_depth = 0
+    max_step = 0.0
+    for par, ch in bfs_levels(domain, base_node):
+        v_par = values[par]
+        v, ok = step(v_par, t_nodes[par], t_nodes[ch])
+        if not ok.all():
+            bad = np.nonzero(~ok)[0]
+            p, c = par[bad], ch[bad]
+            v[bad], depth = _bisect(
+                (zs[p], t_nodes[p], v_par[bad]),
+                (zs[c], t_nodes[c]),
+                target,
+                step,
+                stalled,
+                vanished,
+            )
+            max_depth = max(max_depth, int(depth.max()))
+        values[ch], sizes = settle(v_par, v, t_nodes[ch])
+        max_step = max(max_step, float(sizes.max()))
     return values, max_depth, max_step
+
+
+def _bisect(start, end, target, step, stalled, vanished):
+    """Walk the edges whose direct step failed through adaptive midpoints.
+
+    ``start`` holds the (z, t, value) arrays at the parents and ``end`` the
+    (z, t) arrays at the children.  An edge halves its current segment until
+    the step from its current point succeeds, then heads for the next
+    pending endpoint, as the recursion walk(a, b) = walk(a, m), walk(m, b)
+    would; its depth only grows along the walk.  An edge still failing at
+    MAX_DEPTH raises ``stalled(za, zb, tb, depth)``; when ``vanished`` is
+    given, a midpoint where the target is zero or not finite raises
+    ``vanished(za, zm)``.  The edges advance in lock step with one target
+    call per round, and when several fail, the first in order raises, as a
+    walk over one edge after another would.  Returns the values and depths.
+    """
+    z, t, v = (a.copy() for a in start)
+    n = z.size
+    stack_z = np.empty((n, MAX_DEPTH + 1), dtype=complex)  # pending endpoints
+    stack_t = np.empty_like(stack_z)
+    stack_z[:, 0], stack_t[:, 0] = end
+    top = np.zeros(n, dtype=int)
+    depth = np.zeros(n, dtype=int)
+    errors: dict[int, Exception] = {}
+    failing = np.arange(n)  # edges whose last step failed
+    pending = failing[:0]  # edges that stepped and have endpoints left
+    while failing.size or pending.size:
+        deep = depth[failing] >= MAX_DEPTH
+        for e in failing[deep]:
+            errors[e] = stalled(z[e], stack_z[e, top[e]], stack_t[e, top[e]], depth[e])
+        split = failing[~deep]
+        if split.size:
+            zm = 0.5 * (z[split] + stack_z[split, top[split]])
+            tm = np.asarray(target(zm), dtype=complex)
+            top[split] += 1
+            depth[split] += 1
+            stack_z[split, top[split]] = zm
+            stack_t[split, top[split]] = tm
+            if vanished is not None:
+                bad = (tm == 0) | ~np.isfinite(tm)
+                for e, zm_e in zip(split[bad], zm[bad]):
+                    errors[e] = vanished(z[e], zm_e)
+                split = split[~bad]
+        active = np.concatenate([split, pending])
+        t_next = stack_t[active, top[active]]
+        vb, ok = step(v[active], t[active], t_next)
+        moved = active[ok]
+        z[moved] = stack_z[moved, top[moved]]
+        t[moved] = t_next[ok]
+        v[moved] = vb[ok]
+        top[moved] -= 1
+        failing = active[~ok]
+        pending = moved[top[moved] >= 0]
+    if errors:
+        raise errors[min(errors)]
+    return v, depth
 
 
 # ---------------------------------------------------------------------------
@@ -186,43 +281,35 @@ def lift_log(
     if base_value is None:
         base_value = complex(np.log(t_nodes[base_node]))
     else:
-        base_value = _snap_log(complex(base_value), complex(t_nodes[base_node]))
+        base_value = complex(_snap_log(complex(base_value), t_nodes[base_node]))
 
-    def u_scalar(z: complex) -> complex:
-        return complex(np.asarray(u(np.array([z], dtype=complex)))[0])
+    def stalled(za, zb, tb, depth):
+        return LiftStep(f"{name}: step too large between {za} and {zb} at depth {depth}")
 
-    zs = domain.node_z
+    def vanished(za, zb):
+        return Vanishing(f"{name}: target vanishes near {za}..{zb}")
 
-    def advance(n1, v1, n2):
-        t2 = complex(t_nodes[n2])
-        v2, depth = _log_walk(
-            u_scalar, zs[n1], complex(t_nodes[n1]), complex(v1), zs[n2], t2, 0, name
-        )
-        step = abs(v2.imag - complex(v1).imag)
-        return _snap_log(v2, t2), depth, step
-
-    values, max_depth, max_step = _bfs(domain, base_node, base_value, advance)
+    values, max_depth, max_step = _continue(
+        domain, base_node, base_value, t_nodes, u, _log_step, _log_settle, stalled, vanished
+    )
     return LiftedScalarField(domain, values, "log", base_node, max_depth, max_step, name)
 
 
-def _log_walk(u_scalar, za, ta, va, zb, tb, depth, name):
-    if ta == 0 or tb == 0 or not (np.isfinite(ta) and np.isfinite(tb)):
-        raise Vanishing(f"{name}: target vanishes near {za}..{zb}")
+def _log_step(v, ta, tb):
+    """Principal steps Log(tb / ta), accepted below the safety angle."""
     delta = np.log(tb / ta)
-    if abs(delta.imag) < SAFETY:
-        return va + delta, depth
-    if depth >= MAX_DEPTH:
-        raise LiftStep(f"{name}: step too large between {za} and {zb} at depth {depth}")
-    zm = 0.5 * (za + zb)
-    tm = u_scalar(zm)
-    vm, d1 = _log_walk(u_scalar, za, ta, va, zm, tm, depth + 1, name)
-    return _log_walk(u_scalar, zm, tm, vm, zb, tb, d1, name)
+    return v + delta, np.abs(delta.imag) < SAFETY
 
 
-def _snap_log(v: complex, t: complex) -> complex:
-    principal = complex(np.log(t))
-    k = round((v.imag - principal.imag) / TWO_PI)
-    return principal + 1j * TWO_PI * k
+def _log_settle(v_parent, v, t):
+    """Snap continued values onto Log(t) + 2 pi i k; a step is its change in angle."""
+    return _snap_log(v, t), np.abs(v.imag - v_parent.imag)
+
+
+def _snap_log(v, t):
+    principal = np.log(t)
+    k = np.rint((v.imag - principal.imag) / TWO_PI) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return principal + 1j * (TWO_PI * k)
 
 
 # ---------------------------------------------------------------------------
@@ -286,76 +373,78 @@ def lift_mu(
         raise BranchPointHit(f"{name}: t attains -1 near {z_bad}")
 
     base_node = domain.nearest_node(seed)
-    t0 = complex(t_nodes[base_node])
-    g0 = complex(np.arccos(t0 + 0j) ** 2)
-    g0 = _polish_G(g0, t0)
-    if g0 is None:
+    t0 = t_nodes[base_node : base_node + 1]
+    g0, ok = _polish_G(np.arccos(t0) ** 2, t0)
+    if not ok[0]:
         raise BranchPointHit(f"{name}: cannot seed the principal patch at {seed}")
 
-    def t_scalar(z: complex) -> complex:
-        return complex(np.asarray(t_fn(np.array([z], dtype=complex)))[0])
+    def stalled(za, zb, tb, depth):
+        if min(abs(tb - 1.0), abs(tb + 1.0)) < 1e-6:
+            return BranchPointHit(f"{name}: fold value t = {tb} reached near {zb}")
+        return LiftStep(f"{name}: continuation stalled between {za} and {zb}")
 
-    zs = domain.node_z
-
-    def advance(n1, v1, n2):
-        t2 = complex(t_nodes[n2])
-        g2, depth = _mu_walk(t_scalar, zs[n1], complex(t_nodes[n1]), complex(v1), zs[n2], t2, 0, name)
-        step = abs(np.sqrt(complex(g2)) - np.sqrt(complex(v1)))
-        return g2, depth, step
-
-    values, max_depth, max_step = _bfs(domain, base_node, g0, advance)
+    values, max_depth, max_step = _continue(
+        domain, base_node, g0[0], t_nodes, t_fn, _mu_step, _mu_settle, stalled
+    )
     return LiftedScalarField(domain, values, "mu", base_node, max_depth, max_step, name)
 
 
-def _mu_walk(t_scalar, za, ta, ga, zb, tb, depth, name):
-    g2 = _mu_step(ga, tb)
-    if g2 is not None:
-        return g2, depth
-    if depth >= MAX_DEPTH:
-        if min(abs(tb - 1.0), abs(tb + 1.0)) < 1e-6:
-            raise BranchPointHit(f"{name}: fold value t = {tb} reached near {zb}")
-        raise LiftStep(f"{name}: continuation stalled between {za} and {zb}")
-    zm = 0.5 * (za + zb)
-    tm = t_scalar(zm)
-    gm, d1 = _mu_walk(t_scalar, za, ta, ga, zm, tm, depth + 1, name)
-    return _mu_walk(t_scalar, zm, tm, gm, zb, tb, d1, name)
+def _mu_step(g1, t1, t2):
+    """Steps from g1 to the nearby roots of mu(G) = t2, and where they succeed.
+
+    Near G = 0 Newton runs in the G chart and may move G by at most 1.
+    Elsewhere it runs for psi = sqrt(G), where mu(G) = cos(psi), and may turn
+    psi by less than the safety angle.
+    """
+    psi1 = np.sqrt(g1)
+    near = np.abs(psi1) < PSI_CHART
+    far = ~near
+    g2 = np.empty_like(g1)
+    ok = np.empty(g1.shape, dtype=bool)
+    g, conv = _polish_G(g1[near], t2[near])
+    g2[near] = g
+    ok[near] = conv & (np.abs(g - g1[near]) <= 1.0)
+    psi, conv = _newton(psi1[far], t2[far], np.sin, np.cos, 1.0)
+    g2[far] = psi * psi
+    ok[far] = conv & (np.abs(psi - psi1[far]) < SAFETY)
+    return g2, ok
 
 
-def _mu_step(g1: complex, t2: complex):
-    """One continuation step to the root of mu(G) = t2 nearest to g1, or None."""
-    psi1 = complex(np.sqrt(g1 + 0j))
-    if abs(psi1) < PSI_CHART:
-        g2 = _polish_G(g1, t2)
-        if g2 is not None and abs(g2 - g1) <= 1.0:
-            return g2
-        return None
-    psi = psi1
+def _mu_settle(g_parent, g, t):
+    return g, np.abs(np.sqrt(g) - np.sqrt(g_parent))
+
+
+def _polish_G(g, t):
+    """Newton iterations for mu(G) = t in the G chart, and where they converged."""
+    return _newton(g, t, nu, mu, 2.0)
+
+
+def _newton(x, t, d_fn, f_fn, scale):
+    """Newton for f(x) = t with f' = -d / scale, each element on its own.
+
+    An element converges once its step is at most 1e-14 (1 + |x|); it fails
+    when |d(x)| < 1e-12 or after 40 iterations.  Returns x and the
+    converged mask.
+    """
+    x = x.copy()
+    ok = np.zeros(x.shape, dtype=bool)
+    live = np.arange(x.size)
     for _ in range(40):
-        s = complex(np.sin(psi))
-        if abs(s) < 1e-12:
-            return None
-        step = (complex(np.cos(psi)) - t2) / s
-        psi = psi + step
-        if abs(step) <= 1e-14 * (1.0 + abs(psi)):
+        if not live.size:
             break
-    else:
-        return None
-    if abs(psi - psi1) >= SAFETY:
-        return None
-    return psi * psi
-
-
-def _polish_G(g: complex, t: complex):
-    """Newton iterations for mu(G) = t in the G chart; None when singular."""
-    for _ in range(40):
-        d = complex(nu(g))
-        if abs(d) < 1e-12:
-            return None
-        step = 2.0 * (complex(mu(g)) - t) / d
-        g = g + step
-        if abs(step) <= 1e-14 * (1.0 + abs(g)):
-            return g
-    return None
+        d = d_fn(x[live])
+        regular = ~(np.abs(d) < 1e-12)
+        live, d = live[regular], d[regular]
+        if not live.size:
+            break
+        xl = x[live]
+        step = scale * (f_fn(xl) - t[live]) / d
+        xl = xl + step
+        x[live] = xl
+        done = np.abs(step) <= 1e-14 * (1.0 + np.abs(xl))
+        ok[live[done]] = True
+        live = live[~done]
+    return x, ok
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .expr import (
     stem_complex,
     sup_parts,
 )
-from .lifts import _adjacency, derived_field, lift_angle, lift_log, lift_mu
+from .lifts import derived_field, grid_neighbours, lift_angle, lift_log, lift_mu
 from .quaternion import VERIFY_UNITS
 from .starexp import exp_star
 from .vectorial import (
@@ -206,14 +206,16 @@ def _slit_ok(t_nodes: np.ndarray, domain: BasicDomainSpec) -> tuple[bool, float]
     margin = float(dist.min())
     if margin <= _SLIT_TOL:
         return False, margin
-    for n1, neighbours in enumerate(_adjacency(domain)):
-        for n2 in neighbours:
-            if n2 <= n1 or im[n1] * im[n2] >= 0.0:
-                continue
-            frac = -im[n1] / (im[n2] - im[n1])
-            x_cross = re[n1] + frac * (re[n2] - re[n1])
-            if x_cross <= -1.0 + _SLIT_TOL:
-                return False, 0.0
+    nbr = grid_neighbours(domain)
+    n1 = np.repeat(np.arange(domain.n_nodes), 2)
+    n2 = nbr[:, [1, 3]].ravel()  # right and up: each edge once
+    n1, n2 = n1[n2 >= 0], n2[n2 >= 0]
+    cross = im[n1] * im[n2] < 0.0
+    n1, n2 = n1[cross], n2[cross]
+    frac = -im[n1] / (im[n2] - im[n1])
+    x_cross = re[n1] + frac * (re[n2] - re[n1])
+    if (x_cross <= -1.0 + _SLIT_TOL).any():
+        return False, 0.0
     return True, margin
 
 

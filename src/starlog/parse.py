@@ -9,10 +9,12 @@ Grammar (precedence low to high):
     primary  := NUMBER | 'q' | 'I' | 'i' | 'j' | 'k'
               | NAME '(' sum ')' | '(' sum ')'
 
-Numbers are decimal literals; there are no symbolic constants.  Binary '+'
-and '-' are printed with surrounding spaces, everything else without, and
-parentheses appear only where precedence demands them, so parsing a printed
-tree reproduces it exactly.
+Numbers are decimal literals; there are no symbolic constants.  Parentheses,
+call arguments and unary minus nest at most MAX_NESTING levels deep; the
+token that opens a deeper level is a syntax error.  Binary '+' and '-' are
+printed with surrounding spaces, everything else without, and parentheses
+appear only where precedence demands them, so parsing a printed tree
+reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ _TOKEN = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^()])"
 )
+
+# nesting depth of '(', call arguments and unary '-' that the parser accepts
+MAX_NESTING = 100
 
 _UNITS = {
     "i": Quaternion(0.0, 1.0, 0.0, 0.0),
@@ -99,6 +104,7 @@ class _Parser:
         self.text = text
         self.toks = _lex(text)
         self.idx = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.idx]
@@ -107,6 +113,15 @@ class _Parser:
         tok = self.toks[self.idx]
         self.idx += 1
         return tok
+
+    def nested(self, tok: _Tok, parse) -> SliceExpr:
+        """Run ``parse`` one nesting level deeper, the level opened by ``tok``."""
+        if self.depth >= MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expect(self, text: str) -> _Tok:
         tok = self.take()
@@ -133,8 +148,7 @@ class _Parser:
 
     def unary(self) -> SliceExpr:
         if self.peek().text == "-":
-            self.take()
-            return Neg(self.unary())
+            return Neg(self.nested(self.take(), self.unary))
         return self.power()
 
     def power(self) -> SliceExpr:
@@ -157,7 +171,7 @@ class _Parser:
                 raise ExprSyntaxError(f"number {tok.text} is not finite", tok.pos)
             return Const(Quaternion.coerce(value))
         if tok.text == "(":
-            node = self.sum()
+            node = self.nested(tok, self.sum)
             self.expect(")")
             return node
         if tok.kind == "name":
@@ -173,8 +187,7 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.pos)
 
     def call(self, tok: _Tok) -> SliceExpr:
-        self.expect("(")
-        arg = self.sum()
+        arg = self.nested(self.expect("("), self.sum)
         self.expect(")")
         if tok.text in _STRUCTURE_CALLS:
             return _STRUCTURE_CALLS[tok.text](arg)

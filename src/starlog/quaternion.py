@@ -212,6 +212,8 @@ def parse_quaternion(text: str) -> Quaternion:
         sign = -1.0 if m.group(1) == "-" else 1.0
         coeff = float(m.group(2)) if m.group(2) is not None else 1.0
         comps[_AXES[m.group(3) or ""]] += sign * coeff
+    if not all(math.isfinite(c) for c in comps):
+        raise ValueError(f"quaternion literal {text!r} is not finite")
     return Quaternion(*comps)
 
 

@@ -45,6 +45,17 @@ def test_eval_bad_point():
     assert main(["eval", "q", "--at", "1+2x"]) == 2
 
 
+def test_eval_non_finite_point():
+    assert main(["eval", "q", "--at", "1+1e999i"]) == 2
+
+
+@pytest.mark.parametrize(
+    "expr", ["(" * 3000 + "q" + ")" * 3000, "-" * 3000 + "q"], ids=["parens", "minus"]
+)
+def test_eval_deep_nesting(expr):
+    assert main(["eval", "--at", "1+1i", "--", expr]) == 2
+
+
 def test_classify_reports_isolated_zero(domains, capsys):
     assert main(["classify", ISOLATED, "--domain", domains["disc"]]) == 0
     out = capsys.readouterr().out

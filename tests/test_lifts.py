@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,15 @@ from starlog.domain import BasicDomainSpec
 from starlog.errors import BranchPointHit, LiftStep, OutsideDomain, Vanishing
 from starlog.branches import mu
 from starlog.expr import GridFieldExpr, evaluate
-from starlog.lifts import LiftedScalarField, derived_field, lift_angle, lift_log, lift_mu
+from starlog.lifts import (
+    SAFETY,
+    LiftedScalarField,
+    bfs_levels,
+    derived_field,
+    lift_angle,
+    lift_log,
+    lift_mu,
+)
 from starlog.quaternion import Quaternion
 
 
@@ -27,6 +37,64 @@ def product_rect() -> BasicDomainSpec:
 def product_disc() -> BasicDomainSpec:
     # radius / h integral so the centre lands on a grid node
     return BasicDomainSpec(discs=[(0.0, 1.0, 0.45)], kind="product", h=0.45 / 32)
+
+
+# ---------------------------------------------------------------------------
+# continuation engine
+
+
+def fifo_levels(domain: BasicDomainSpec, base: int) -> list[list[tuple[int, int]]]:
+    """(parent, child) edges of a FIFO breadth-first search, grouped by level.
+
+    Each node scans its neighbours left, right, down, up.
+    """
+    idx = domain.node_index
+    rows, cols = idx.shape
+    level = {base: 0}
+    out: list[list[tuple[int, int]]] = []
+    queue = deque([base])
+    while queue:
+        n = queue.popleft()
+        j, i = map(int, np.argwhere(idx == n)[0])
+        for dj, di in ((0, -1), (0, 1), (-1, 0), (1, 0)):
+            jj, ii = j + dj, i + di
+            if not (0 <= jj < rows and 0 <= ii < cols) or idx[jj, ii] < 0:
+                continue
+            m = int(idx[jj, ii])
+            if m in level:
+                continue
+            level[m] = level[n] + 1
+            if len(out) < level[m]:
+                out.append([])
+            out[level[m] - 1].append((n, m))
+            queue.append(m)
+    return out
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice"),
+        BasicDomainSpec(rects=[(0.5, 1.5, 0.3, 1.0)], kind="product"),
+        BasicDomainSpec(discs=[(0.0, 1.0, 0.5)], kind="product"),
+    ],
+    ids=["slice-rect", "product-rect", "ball-disc"],
+)
+def test_levels_reproduce_the_fifo_tree(domain):
+    for base in (domain.interior_node(), 0, domain.n_nodes - 1):
+        want = fifo_levels(domain, base)
+        got = [list(zip(p.tolist(), c.tolist())) for p, c in bfs_levels(domain, base)]
+        assert got == want
+        assert sum(map(len, got)) == domain.n_nodes - 1
+
+
+def test_log_lift_bisects_only_where_needed(product_rect):
+    K = 16.0
+    assert K * product_rect.h > SAFETY  # each horizontal edge turns too far for one step
+    fld = lift_log(lambda z: np.exp(1j * K * z), product_rect)
+    assert fld.refinement_level >= 1
+    diff = fld.values - 1j * K * product_rect.node_z
+    assert np.abs(diff - diff[0]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

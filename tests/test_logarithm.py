@@ -274,6 +274,19 @@ def test_fold_branch_family_and_rejections():
     assert err.value.condition == "representative"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="g^s = 1 + (q^2 + 1)^2 vanishes at q = +-0.455 + 1.099i, 0.034 inside the disc "
+    "rim and between grid nodes: the vanishing checks sample nodes only",
+)
+def test_zero_of_g_between_nodes_is_vanishing():
+    dom = BasicDomainSpec(discs=[(0.0, 1.0, 0.5)], kind="product", h=1.0 / 64.0)
+    z0 = np.sqrt(-1.0 + 1j)  # and -conj(z0), its mirror in the leaf
+    assert abs(z0 - 1j) < 0.5 and abs(1.0 + (z0 ** 2 + 1.0) ** 2) < 1e-14
+    with pytest.raises(Vanishing):
+        log_star(isolated_example(), dom)
+
+
 def test_no_witness_when_continuation_stalls(monkeypatch):
     dom = BasicDomainSpec(discs=[(0.0, 1.0, 0.3)], kind="product", h=0.3 / 32.0)
 

@@ -20,7 +20,7 @@ from starlog.expr import (
     eval_stem,
     evaluate,
 )
-from starlog.parse import parse_expr, to_source
+from starlog.parse import MAX_NESTING, parse_expr, to_source
 from starlog.quaternion import Quaternion
 
 
@@ -114,6 +114,12 @@ def test_syntax_errors_carry_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("q - 1e999")
     assert err.value.pos == 4
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("(" * 3000 + "q" + ")" * 3000)
+    assert err.value.pos == MAX_NESTING
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("-" * 3000 + "q")
+    assert err.value.pos == MAX_NESTING
 
 
 def test_unknown_name_position():

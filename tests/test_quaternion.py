@@ -171,7 +171,7 @@ class TestText:
     def test_parse(self, text, expected):
         assert parse_quaternion(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "1+", "q", "2m", "1..2i"])
+    @pytest.mark.parametrize("bad", ["", "1+", "q", "2m", "1..2i", "1e999", "1+1e999i"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_quaternion(bad)
