@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, NotBasic
 
 DEFAULT_GRID_DIVISIONS = 64
+MAX_NODES = 1_000_000  # lattice points of a grid; 78x the 128-division ball leaf disc
 _EDGE_TOL = 1e-9
 
 
@@ -137,6 +138,10 @@ class BasicDomainSpec:
 
     def _build_grid(self) -> None:
         h = self.h
+        # a bound on the lattice size, checked before anything is allocated
+        points = ((self.xmax - self.xmin) / h + 1) * ((self.ymax - self.ymin) / h + 2)
+        if not points <= MAX_NODES:
+            raise DomainError(f"grid step {h:.3g} spans {points:.3g} points, over {MAX_NODES}")
         nx = int(math.floor((self.xmax - self.xmin) / h + 1e-9)) + 1
         self.xs = self.xmin + h * np.arange(nx)
         if self.kind == "slice":

@@ -3,7 +3,8 @@
 Lifted fields store one complex value per grid node, exact there by
 construction: log lifts snap to Log(u) + 2 pi i k and mu lifts end on a
 Newton-polished root, so verification at nodes sees no continuation drift.
-Between nodes the fields interpolate bicubically and refuse to extrapolate.
+Between nodes a field continues one more edge, from the nearest node to the
+point, with the same step as the grid walk, so off-node values are exact too.
 
 One continuation engine serves the log, angle and mu lifts.  It walks the
 breadth-first tree of the grid graph level by level: all (parent, child)
@@ -17,7 +18,8 @@ midpoints in one batched call per round, up to a depth limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -29,22 +31,52 @@ SAFETY = math.pi / 4
 MAX_DEPTH = 10
 TWO_PI = 2.0 * math.pi
 _NODE_SNAP = 1e-7  # fraction of h
+# (row, column) lattice offsets searched for the nearest node of an off-node point
+_WINDOW = np.mgrid[-2:3, -2:3].reshape(2, -1)
+
+
+@dataclass(frozen=True)
+class Walk:
+    """How a lifted coordinate follows its target along a batch of straight edges.
+
+    ``step(v, ta, tb) -> (vb, ok)`` advances values from targets ta to tb, and
+    ``settle(v_start, v_end, t_end)`` gives the stored end values and the step
+    sizes.  Failed steps are bisected by :func:`_bisect`.
+    """
+
+    target: Callable
+    step: Callable
+    settle: Callable
+    stalled: Callable
+    vanished: Callable | None = None
+
+    def advance(self, za, ta, va, zb, tb):
+        """End values of edges from za to zb, the deepest bisection and the step sizes."""
+        v, ok = self.step(va, ta, tb)
+        depth = 0
+        if not ok.all():
+            bad = np.nonzero(~ok)[0]
+            v[bad], depths = _bisect((za[bad], ta[bad], va[bad]), (zb[bad], tb[bad]), self)
+            depth = int(depths.max())
+        vb, sizes = self.settle(va, v, tb)
+        return vb, depth, sizes
 
 
 @dataclass
 class LiftedScalarField:
-    """A scalar field over a domain grid, exact at nodes."""
+    """A scalar field over a domain grid, exact at nodes and between them."""
 
     domain: BasicDomainSpec
     values: np.ndarray
-    kind: str  # "log" | "angle" | "mu" | "derived"
+    kind: str  # "log" | "angle" | "mu"
     base_node: int
     refinement_level: int
     max_step: float
-    name: str = "field"
+    name: str
+    walk: Walk
 
     def sample(self, zs) -> np.ndarray:
-        """Values at arbitrary leaf points; node queries are exact."""
+        """Values at arbitrary leaf points; node queries read the stored values."""
         flat = np.asarray(zs, dtype=complex).ravel()
         lower = flat.imag < 0
         pts = np.where(lower, np.conj(flat), flat)
@@ -54,44 +86,34 @@ class LiftedScalarField:
         ix = np.rint(fx).astype(int)
         iy = np.rint(fy).astype(int)
         on_node = (np.abs(fx - ix) < _NODE_SNAP) & (np.abs(fy - iy) < _NODE_SNAP)
-        on_node &= (ix >= 0) & (ix < d.xs.size) & (iy >= 0) & (iy < d.ys.size)
-        ixc = np.clip(ix, 0, d.xs.size - 1)
-        iyc = np.clip(iy, 0, d.ys.size - 1)
-        node_ids = np.where(on_node, d.node_index[iyc, ixc], -1)
+        node_ids = np.where(on_node, _lattice_node(d, ix, iy), -1)
         hit = node_ids >= 0
         out = np.empty(pts.shape, dtype=complex)
         out[hit] = self.values[node_ids[hit]]
-        for i in np.nonzero(~hit)[0]:
-            out[i] = self._interp(pts[i].real, pts[i].imag)
+        if not hit.all():
+            out[~hit] = self._off_node(pts[~hit], ix[~hit], iy[~hit])
         out = np.where(lower, np.conj(out), out)
         return out.reshape(np.shape(zs))
 
-    def _interp(self, x: float, y: float) -> complex:
+    def _off_node(self, z, ix, iy) -> np.ndarray:
+        """Continue one edge from the nearest node of each point to the point."""
         d = self.domain
-        gx = (x - d.xs[0]) / d.h
-        gy = (y - d.ys[0]) / d.h
-        i0 = int(math.floor(gx))
-        j0 = int(math.floor(gy))
-        tx = gx - i0
-        ty = gy - j0
-        val = self._window(i0 - 1, j0 - 1, 4, _cubic_weights(tx), _cubic_weights(ty))
-        if val is not None:
-            return val
-        val = self._window(i0, j0, 2, np.array([1 - tx, tx]), np.array([1 - ty, ty]))
-        if val is not None:
-            return val
-        raise OutsideDomain(
-            f"point {x + 1j * y} has no complete interpolation stencil in {self.name}"
-        )
-
-    def _window(self, i0: int, j0: int, size: int, wx, wy):
-        d = self.domain
-        if i0 < 0 or j0 < 0 or i0 + size > d.xs.size or j0 + size > d.ys.size:
-            return None
-        idx = d.node_index[j0 : j0 + size, i0 : i0 + size]
-        if (idx < 0).any():
-            return None
-        return complex(wy @ self.values[idx] @ wx)
+        inside = d.contains_z(z)
+        if not inside.all():
+            raise OutsideDomain(f"point {z[~inside][0]} lies outside the domain of {self.name}")
+        dy, dx = _WINDOW
+        cand = _lattice_node(d, ix[:, None] + dx, iy[:, None] + dy)
+        dist = np.where(cand >= 0, np.abs(d.node_z[cand] - z[:, None]), np.inf)
+        node = cand[np.arange(z.size), dist.argmin(axis=1)]
+        if (node < 0).any():
+            raise OutsideDomain(f"point {z[node < 0][0]} has no grid node of {self.name} nearby")
+        zn, walk = d.node_z[node], self.walk
+        tn, t = np.split(np.asarray(walk.target(np.concatenate([zn, z])), dtype=complex), 2)
+        bad = (t == 0) | ~np.isfinite(t)
+        if walk.vanished is not None and bad.any():
+            raise walk.vanished(zn[bad][0], z[bad][0])
+        turn = -1j if self.kind == "angle" else 1.0  # an angle is -i times its log lift
+        return turn * walk.advance(zn, tn, self.values[node] / turn, z, t)[0]
 
     def as_json(self) -> dict:
         return {
@@ -107,16 +129,11 @@ class LiftedScalarField:
         }
 
 
-def _cubic_weights(t: float) -> np.ndarray:
-    """Lagrange weights for uniform nodes at -1, 0, 1, 2."""
-    return np.array(
-        [
-            -t * (t - 1.0) * (t - 2.0) / 6.0,
-            (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-            -t * (t + 1.0) * (t - 2.0) / 2.0,
-            t * (t + 1.0) * (t - 1.0) / 6.0,
-        ]
-    )
+def _lattice_node(domain: BasicDomainSpec, ix, iy) -> np.ndarray:
+    """Node ids at lattice positions (ix, iy), -1 where there is no node."""
+    ny, nx = domain.node_index.shape
+    inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    return np.where(inside, domain.node_index[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)], -1)
 
 
 def grid_neighbours(domain: BasicDomainSpec) -> np.ndarray:
@@ -164,13 +181,9 @@ def bfs_levels(domain: BasicDomainSpec, base_node: int):
         raise LiftStep("grid graph is not connected; domain validation should have caught this")
 
 
-def _continue(domain, base_node, base_value, t_nodes, target, step, settle, stalled, vanished=None):
+def _continue(domain, base_node, base_value, t_nodes, walk: Walk):
     """Continue a lifted coordinate over the grid, one breadth-first level at a time.
 
-    ``step(v, ta, tb) -> (vb, ok)`` advances values from targets ta to tb on a
-    batch of edges, and ``settle(v_parent, v_child, t_child)`` gives the
-    stored child values and the step sizes.  Edges whose step fails are
-    bisected by :func:`_bisect`, with ``target`` evaluated at their midpoints.
     Returns the node values, the deepest bisection and the largest step.
     """
     values = np.full(domain.n_nodes, np.nan, dtype=complex)
@@ -179,36 +192,25 @@ def _continue(domain, base_node, base_value, t_nodes, target, step, settle, stal
     max_depth = 0
     max_step = 0.0
     for par, ch in bfs_levels(domain, base_node):
-        v_par = values[par]
-        v, ok = step(v_par, t_nodes[par], t_nodes[ch])
-        if not ok.all():
-            bad = np.nonzero(~ok)[0]
-            p, c = par[bad], ch[bad]
-            v[bad], depth = _bisect(
-                (zs[p], t_nodes[p], v_par[bad]),
-                (zs[c], t_nodes[c]),
-                target,
-                step,
-                stalled,
-                vanished,
-            )
-            max_depth = max(max_depth, int(depth.max()))
-        values[ch], sizes = settle(v_par, v, t_nodes[ch])
+        values[ch], depth, sizes = walk.advance(
+            zs[par], t_nodes[par], values[par], zs[ch], t_nodes[ch]
+        )
+        max_depth = max(max_depth, depth)
         max_step = max(max_step, float(sizes.max()))
     return values, max_depth, max_step
 
 
-def _bisect(start, end, target, step, stalled, vanished):
+def _bisect(start, end, walk: Walk):
     """Walk the edges whose direct step failed through adaptive midpoints.
 
-    ``start`` holds the (z, t, value) arrays at the parents and ``end`` the
-    (z, t) arrays at the children.  An edge halves its current segment until
+    ``start`` holds the (z, t, value) arrays at the edge starts and ``end``
+    the (z, t) arrays at their ends.  An edge halves its current segment until
     the step from its current point succeeds, then heads for the next
     pending endpoint, as the recursion walk(a, b) = walk(a, m), walk(m, b)
     would; its depth only grows along the walk.  An edge still failing at
-    MAX_DEPTH raises ``stalled(za, zb, tb, depth)``; when ``vanished`` is
-    given, a midpoint where the target is zero or not finite raises
-    ``vanished(za, zm)``.  The edges advance in lock step with one target
+    MAX_DEPTH raises ``walk.stalled(za, zb, tb, depth)``; when ``walk.vanished``
+    is given, a midpoint where the target is zero or not finite raises
+    ``walk.vanished(za, zm)``.  The edges advance in lock step with one target
     call per round, and when several fail, the first in order raises, as a
     walk over one edge after another would.  Returns the values and depths.
     """
@@ -225,23 +227,23 @@ def _bisect(start, end, target, step, stalled, vanished):
     while failing.size or pending.size:
         deep = depth[failing] >= MAX_DEPTH
         for e in failing[deep]:
-            errors[e] = stalled(z[e], stack_z[e, top[e]], stack_t[e, top[e]], depth[e])
+            errors[e] = walk.stalled(z[e], stack_z[e, top[e]], stack_t[e, top[e]], depth[e])
         split = failing[~deep]
         if split.size:
             zm = 0.5 * (z[split] + stack_z[split, top[split]])
-            tm = np.asarray(target(zm), dtype=complex)
+            tm = np.asarray(walk.target(zm), dtype=complex)
             top[split] += 1
             depth[split] += 1
             stack_z[split, top[split]] = zm
             stack_t[split, top[split]] = tm
-            if vanished is not None:
+            if walk.vanished is not None:
                 bad = (tm == 0) | ~np.isfinite(tm)
                 for e, zm_e in zip(split[bad], zm[bad]):
-                    errors[e] = vanished(z[e], zm_e)
+                    errors[e] = walk.vanished(z[e], zm_e)
                 split = split[~bad]
         active = np.concatenate([split, pending])
         t_next = stack_t[active, top[active]]
-        vb, ok = step(v[active], t[active], t_next)
+        vb, ok = walk.step(v[active], t[active], t_next)
         moved = active[ok]
         z[moved] = stack_z[moved, top[moved]]
         t[moved] = t_next[ok]
@@ -289,10 +291,9 @@ def lift_log(
     def vanished(za, zb):
         return Vanishing(f"{name}: target vanishes near {za}..{zb}")
 
-    values, max_depth, max_step = _continue(
-        domain, base_node, base_value, t_nodes, u, _log_step, _log_settle, stalled, vanished
-    )
-    return LiftedScalarField(domain, values, "log", base_node, max_depth, max_step, name)
+    walk = Walk(u, _log_step, _log_settle, stalled, vanished)
+    values, max_depth, max_step = _continue(domain, base_node, base_value, t_nodes, walk)
+    return LiftedScalarField(domain, values, "log", base_node, max_depth, max_step, name, walk)
 
 
 def _log_step(v, ta, tb):
@@ -335,15 +336,7 @@ def lift_angle(
 
     log_base = None if base_value is None else 1j * complex(base_value)
     fld = lift_log(w, domain, base_node=base_node, base_value=log_base, name=name)
-    return LiftedScalarField(
-        domain,
-        -1j * fld.values,
-        "angle",
-        fld.base_node,
-        fld.refinement_level,
-        fld.max_step,
-        name,
-    )
+    return replace(fld, values=-1j * fld.values, kind="angle")
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +376,9 @@ def lift_mu(
             return BranchPointHit(f"{name}: fold value t = {tb} reached near {zb}")
         return LiftStep(f"{name}: continuation stalled between {za} and {zb}")
 
-    values, max_depth, max_step = _continue(
-        domain, base_node, g0[0], t_nodes, t_fn, _mu_step, _mu_settle, stalled
-    )
-    return LiftedScalarField(domain, values, "mu", base_node, max_depth, max_step, name)
+    walk = Walk(t_fn, _mu_step, _mu_settle, stalled)
+    values, max_depth, max_step = _continue(domain, base_node, g0[0], t_nodes, walk)
+    return LiftedScalarField(domain, values, "mu", base_node, max_depth, max_step, name, walk)
 
 
 def _mu_step(g1, t1, t2):
@@ -445,20 +437,3 @@ def _newton(x, t, d_fn, f_fn, scale):
         ok[live[done]] = True
         live = live[~done]
     return x, ok
-
-
-# ---------------------------------------------------------------------------
-# derived fields
-
-
-def derived_field(base: LiftedScalarField, values: np.ndarray, name: str) -> LiftedScalarField:
-    """A field sharing the grid of ``base`` with transformed node values."""
-    return LiftedScalarField(
-        base.domain,
-        np.asarray(values, dtype=complex),
-        "derived",
-        base.base_node,
-        base.refinement_level,
-        base.max_step,
-        name,
-    )

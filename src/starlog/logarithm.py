@@ -47,7 +47,7 @@ from .expr import (
     stem_complex,
     sup_parts,
 )
-from .lifts import derived_field, grid_neighbours, lift_angle, lift_log, lift_mu
+from .lifts import grid_neighbours, lift_angle, lift_log, lift_mu
 from .quaternion import VERIFY_UNITS
 from .starexp import exp_star
 from .vectorial import (
@@ -386,8 +386,7 @@ def _angle_route(g, domain, branch, report, rep):
     if validity > LIFT_VALIDITY_TOL:
         raise ResidualRejected(validity, LIFT_VALIDITY_TOL)
 
-    half = derived_field(sym_lift, 0.5 * sym_lift.values, "half-sym-log")
-    f: SliceExpr = GridFieldExpr(half, "half-sym-log") + (
+    f: SliceExpr = const(0.5) * GridFieldExpr(sym_lift, "sym-log") + (
         GridFieldExpr(phase, "phase") + const(n * math.pi)
     ) * w
     if m:
@@ -419,7 +418,7 @@ def _fold_route(g, domain, branch, report):
     zero_pts = np.array([zc.z for zc in report.zeros], dtype=complex)
     t_sphere = F0(zero_pts) / h_at(zero_pts)
     signs = np.where(t_sphere.real >= 0.0, 1.0, -1.0)
-    # sign selection only; the +-1 gap dwarfs zero-position and sampling error
+    # sign selection only; the +-1 gap dwarfs the zero-position error
     off_fold = float(np.abs(t_sphere - signs).max())
     if off_fold > 1e-2:
         raise ClassificationError(
@@ -490,16 +489,15 @@ def _fold_route(g, domain, branch, report):
         "sym_lift": sym_lift.as_json(),
     }
 
-    h_nodes = h_at(domain.node_z)
-    quot = derived_field(fold, 1.0 / (nu_vals * s_h * h_nodes), "fold-recip")
-    d = (m + (1 if s_h < 0.0 else 0)) % 2
-    scalar_vals = 0.5 * sym_lift.values + (1j * math.pi * d if d else 0.0)
-    half = derived_field(sym_lift, scalar_vals, "half-sym-log")
-    f: SliceExpr = GridFieldExpr(half, "half-sym-log") + vect_part(g) * GridFieldExpr(
-        quot, "fold-recip"
+    half_log = const(0.5) * GridFieldExpr(sym_lift, "sym-log")
+    fold_recip = ScalarApply(
+        "recip",
+        ScalarApply("nu", GridFieldExpr(fold, "fold")) * const(s_h) * ScalarApply("exp", half_log),
     )
-    if m:
-        f = f + const(m * math.pi) * UNIT
+    f: SliceExpr = half_log + vect_part(g) * fold_recip
+    d = (m + (1 if s_h < 0.0 else 0)) % 2  # i pi d on the scalar stem is pi d I
+    if m + d:
+        f = f + const((m + d) * math.pi) * UNIT
     return f, diag
 
 

@@ -11,7 +11,9 @@ Grammar (precedence low to high):
 
 Numbers are decimal literals; there are no symbolic constants.  Parentheses,
 call arguments and unary minus nest at most MAX_NESTING levels deep; the
-token that opens a deeper level is a syntax error.  Binary '+' and '-' are
+token that opens a deeper level is a syntax error.  So is a tree more than
+MAX_DEPTH levels deep, each chained operator counting one level, so every
+accepted tree evaluates and prints within the recursion limit.  Binary '+' and '-' are
 printed with surrounding spaces, everything else without, and parentheses
 appear only where precedence demands them, so parsing a printed tree
 reproduces it exactly.
@@ -49,6 +51,8 @@ _TOKEN = re.compile(
 
 # nesting depth of '(', call arguments and unary '-' that the parser accepts
 MAX_NESTING = 100
+# tree depth that the parser accepts, a leaf counting one level
+MAX_DEPTH = 250
 
 _UNITS = {
     "i": Quaternion(0.0, 1.0, 0.0, 0.0),
@@ -204,7 +208,12 @@ def parse_expr(text: str) -> SliceExpr:
     tail = parser.peek()
     if tail.kind != "end":
         raise ExprSyntaxError(f"trailing input {tail.text!r}", tail.pos)
-    return node
+    level = [node]  # the tree's levels, walked without recursion
+    for _ in range(MAX_DEPTH):
+        level = [c for n in level for c in vars(n).values() if isinstance(c, SliceExpr)]
+        if not level:
+            return node
+    raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,15 @@ from .errors import (
 from .expr import (
     GridFieldExpr,
     QuotientBySP,
+    ScalarApply,
     SliceExpr,
     StarMul,
+    const,
     eval_stem_many,
     stem_complex,
     sup_parts,
 )
-from .lifts import derived_field, lift_log
+from .lifts import lift_log
 from .quaternion import Quaternion
 
 ZERO_REL = 1e-10  # identically-zero threshold, relative to the function scale
@@ -384,8 +386,8 @@ def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec):
         return stem_complex(ws, np.asarray(zs, dtype=complex))
 
     log_field = lift_log(F, domain, name="vector normalizer")
-    inv_root = derived_field(log_field, np.exp(-0.5 * log_field.values), "inverse length")
-    w = StarMul(w_tilde, GridFieldExpr(inv_root, "inverse length"))
+    inv_length = ScalarApply("exp", const(-0.5) * GridFieldExpr(log_field, "vector normalizer"))
+    w = StarMul(w_tilde, inv_length)
 
     unit_vals = stem_complex(symmetrization(w), domain.node_z)
     err = np.abs(unit_vals - 1.0).max()

@@ -9,6 +9,7 @@ import pytest
 
 from starlog.cli import CSV_HEADER, main
 from starlog.domain import BasicDomainSpec
+from starlog.parse import MAX_DEPTH
 
 ISOLATED = "-1 + q^2*i + 1.4142135623730951*q*j + k"
 
@@ -54,6 +55,22 @@ def test_eval_non_finite_point():
 )
 def test_eval_deep_nesting(expr):
     assert main(["eval", "--at", "1+1i", "--", expr]) == 2
+
+
+@pytest.mark.parametrize("op", ["*", "+"], ids=["product", "sum"])
+@pytest.mark.parametrize("command", ["eval", "roundtrip"])
+def test_deep_chain_is_a_parse_error(command, op):
+    chain = op.join(["q"] * 3000)
+    extra = ["--at", "1+1i"] if command == "eval" else []
+    assert main([command, *extra, "--", chain]) == 2
+
+
+def test_long_chain_evaluates_and_round_trips(capsys):
+    chain = "*".join(["q"] * 200)
+    assert main(["eval", chain, "--at", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1.0"
+    deepest = "*".join(["q"] * MAX_DEPTH)
+    assert main(["roundtrip", deepest]) == 0
 
 
 def test_classify_reports_isolated_zero(domains, capsys):
@@ -120,6 +137,12 @@ def test_unit_function_needs_product_domain(domains):
 
 def test_missing_domain_file(tmp_path):
     assert main(["classify", "q", "--domain", str(tmp_path / "nope.json")]) == 3
+
+
+def test_oversized_grid_domain_file(tmp_path):
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps({"kind": "slice", "h": 1e-9, "rects": [[-1.0, 1.0, 0.0, 1.0]]}))
+    assert main(["classify", "q", "--domain", str(path)]) == 3
 
 
 def test_garbage_domain_file(tmp_path):

@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from starlog.domain import BasicDomainSpec, validate_domain
+from starlog.domain import MAX_NODES, BasicDomainSpec, validate_domain
 from starlog.errors import DomainError, NotBasic
 
 
@@ -92,6 +93,20 @@ def test_bad_kind_and_empty():
     for h in (0, -0.1, math.inf, math.nan):
         with pytest.raises(DomainError, match="grid step"):
             BasicDomainSpec(rects=[(-1, 1, 0, 1)], h=h)
+
+
+@pytest.mark.parametrize("kind, h", [("slice", 1e-9), ("product", 1e-9), ("slice", 5e-324)])
+def test_grid_node_cap(kind, h):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="points, over"):
+            BasicDomainSpec(rects=[(-1.0, 1.0, 0.5, 1.0)], kind=kind, h=h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # refused before the lattice is allocated
+    spec = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 256)
+    assert spec.n_nodes <= MAX_NODES
 
 
 def test_json_roundtrip(tmp_path):

@@ -10,12 +10,10 @@ import pytest
 from starlog.domain import BasicDomainSpec
 from starlog.errors import BranchPointHit, LiftStep, OutsideDomain, Vanishing
 from starlog.branches import mu
-from starlog.expr import GridFieldExpr, evaluate
+from starlog.expr import GridFieldExpr, ScalarApply, const, evaluate, stem_complex
 from starlog.lifts import (
     SAFETY,
-    LiftedScalarField,
     bfs_levels,
-    derived_field,
     lift_angle,
     lift_log,
     lift_mu,
@@ -126,11 +124,12 @@ def test_log_lift_exponentiates_back(slice_rect):
 
 def test_square_root_field_squares_back(slice_rect):
     fld = lift_log(lambda z: z * z + 2.0, slice_rect)
-    root = derived_field(fld, np.exp(fld.values / 2.0), "sqrt")
+    root = ScalarApply("exp", const(0.5) * GridFieldExpr(fld, "L"))
+    assert root.slice_preserving
+    values = stem_complex(root, slice_rect.node_z)
     target = slice_rect.node_z ** 2 + 2.0
-    err = np.abs(root.values ** 2 - target) / np.abs(target)
+    err = np.abs(values ** 2 - target) / np.abs(target)
     assert err.max() <= 1e-13
-    assert root.kind == "derived"
 
 
 def test_log_lift_crosses_the_principal_cut(product_rect):
@@ -260,24 +259,58 @@ def test_sample_is_exact_at_nodes(slice_rect):
     assert np.array_equal(got, fld.values)
 
 
-def test_sample_interpolates_off_nodes(slice_rect):
-    fld = lift_log(lambda z: z * z + 2.0, slice_rect)
-    h = slice_rect.h
-    probes = np.array([0.1, -0.62, 0.31, 0.77, -1.0]) + 1j * np.array(
-        [0.41, 0.5, 0.23, 0.66, 0.37]
-    )
+def off_lattice(domain: BasicDomainSpec, probes) -> np.ndarray:
     # shift each probe off the lattice by an irrational cell fraction
-    probes = probes + (0.31 + 0.43j) * h
-    got = fld.sample(probes)
-    assert np.abs(got - np.log(probes ** 2 + 2.0)).max() <= 2e-4
+    return np.asarray(probes) + (0.31 + 0.43j) * domain.h
 
 
-def test_sample_falls_back_to_bilinear_at_the_rim(slice_rect):
+def rel_err(got, want) -> float:
+    return float((np.abs(got - want) / np.abs(want)).max())
+
+
+def test_sample_is_exact_off_nodes(slice_rect):
+    fld = lift_log(lambda z: z * z + 2.0, slice_rect)
+    probes = [0.1 + 0.41j, -0.62 + 0.5j, 0.31 + 0.23j, 0.77 + 0.66j, -1.0 + 0.37j]
+    probes = off_lattice(slice_rect, probes)
+    assert rel_err(fld.sample(probes), np.log(probes ** 2 + 2.0)) <= 1e-12
+
+
+def test_sample_is_exact_at_the_rim(slice_rect):
     fld = lift_log(lambda z: z * z + 2.0, slice_rect)
     h = slice_rect.h
     z = (1.2 - 0.3 * h) + 1j * (0.5 + 0.3 * h)
-    got = fld.sample([z])[0]
-    assert abs(got - np.log(z ** 2 + 2.0)) <= 1e-2
+    assert rel_err(fld.sample([z]), np.log(z ** 2 + 2.0)) <= 1e-12
+
+
+def test_sample_keeps_the_sheet_of_the_lift(product_rect):
+    # the lift of z**2 leaves the principal sheet on this rectangle; off-node
+    # values stay on the sheet of their nearest node
+    fld = lift_log(lambda z: z * z, product_rect)
+    offset = fld.values[0] - 2.0 * np.log(product_rect.node_z[0])
+    probes = off_lattice(product_rect, [-1.7 + 0.35j, -0.2 + 0.9j, 0.6 + 0.5j, 1.9 + 1.05j])
+    assert rel_err(fld.sample(probes), 2.0 * np.log(probes) + offset) <= 1e-12
+
+
+def test_angle_sample_is_exact_off_nodes(product_rect):
+    fld = lift_angle(lambda z: (np.cos(z), np.sin(z)), product_rect)
+    turn = fld.values[0] - product_rect.node_z[0]
+    probes = off_lattice(product_rect, [-1.9 + 0.31j, -0.3 + 0.7j, 1.2 + 1.05j, 1.97 + 0.5j])
+    assert rel_err(fld.sample(probes), probes + turn) <= 1e-12
+
+
+def test_mu_sample_solves_mu_off_nodes(product_disc):
+    def t(z):
+        return np.cos(4.0 * (z - 1j))
+
+    fld = lift_mu(t, product_disc, seed=1j)
+    h = product_disc.h
+    rim = 1j + (0.45 - 0.2 * h) * np.exp(0.7j)  # 0.2 h inside the rim of the disc
+    probes = np.append(off_lattice(product_disc, [0.1 + 0.9j, -0.25 + 1.3j, 0.3 + 0.7j]), rim)
+    assert np.all(product_disc.contains_z(probes))
+    got = fld.sample(probes)
+    assert rel_err(mu(got), t(probes)) <= 1e-12
+    # and on the branch of the lift: G = (4 (z - i))**2
+    assert rel_err(got, (4.0 * (probes - 1j)) ** 2) <= 1e-12
 
 
 def test_sample_reflects_to_the_lower_half(slice_rect):
@@ -293,6 +326,22 @@ def test_sample_refuses_points_outside(slice_rect, product_disc):
     disc_fld = lift_mu(lambda z: np.cos(4.0 * (z - 1j)), product_disc, seed=1j)
     with pytest.raises(OutsideDomain):
         disc_fld.sample([-0.42 + 0.57j])  # inside the bounding box, outside the disc
+
+
+def test_sample_refuses_points_no_node_resolves():
+    # the disc holds no grid node and lies far from every node of the rectangle
+    dom = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], discs=[(3.02, 0.52, 1e-3)], h=0.05)
+    dom.validate()
+    fld = lift_log(lambda z: z * z + 2.0, dom)
+    with pytest.raises(OutsideDomain, match="no grid node"):
+        fld.sample([3.02 + 0.52j])
+
+
+def test_sample_refuses_a_zero_of_the_target(product_rect):
+    z0 = 0.0123 + 0.7071j  # between nodes
+    fld = lift_log(lambda z: z - z0, product_rect)
+    with pytest.raises(Vanishing):
+        fld.sample([z0])
 
 
 def test_field_report_is_json_friendly(slice_rect):

@@ -15,6 +15,7 @@ from starlog.errors import (
     ConditionFailed,
     LiftStep,
     NoGlobalLogWitness,
+    StarlogError,
     Vanishing,
 )
 from starlog.expr import Q, UNIT, ScalarApply, const, eval_many, stem_complex
@@ -287,6 +288,27 @@ def test_zero_of_g_between_nodes_is_vanishing():
         log_star(isolated_example(), dom)
 
 
+def outcome(g, domain) -> str:
+    """The route of a verified logarithm, or the class of the error raised."""
+    try:
+        return log_star(g, domain).case
+    except StarlogError as err:
+        return type(err).__name__
+
+
+@pytest.mark.parametrize("radius, want", [(0.5, None), (0.4, "fold")], ids=["ball", "no-zero"])
+def test_outcome_does_not_depend_on_the_grid_step(radius, want):
+    # on the radius-0.5 disc g^s vanishes between nodes (see the xfail above),
+    # so only sameness is asserted there; the radius-0.4 disc leaves both zeros out
+    disc = (0.0, 1.0, radius)
+    outcomes = {
+        outcome(isolated_example(), BasicDomainSpec(discs=[disc], kind="product", h=h))
+        for h in (1 / 24, 1 / 32, 1 / 40, 1 / 48, 1 / 64, 1 / 96)
+    }
+    assert len(outcomes) == 1
+    assert want is None or outcomes == {want}
+
+
 def test_no_witness_when_continuation_stalls(monkeypatch):
     dom = BasicDomainSpec(discs=[(0.0, 1.0, 0.3)], kind="product", h=0.3 / 32.0)
 
@@ -317,14 +339,14 @@ def test_branch_difference_is_a_period(product_rect):
 
 
 def test_exp_round_trip_off_nodes(slice_rect):
-    # off-node values interpolate the lifted field, so accuracy is O(h^4)
+    # off-node values continue the lift one edge from a node, so they are exact
     res = log_star(Q * Q + const(2.0), slice_rect)
     E = exp_star(res.f)
     zs = np.array([0.31 + 0.43j, -0.57 + 0.23j, 0.11 + 0.77j])
     for unit in VERIFY_UNITS[:2]:
         a = eval_many(E, zs, unit)
         b = eval_many(Q * Q + const(2.0), zs, unit)
-        assert np.abs(a - b).max() < 1e-5
+        assert np.abs(a - b).max() < 1e-12 * np.abs(b).max()
 
 
 def test_result_serializes(product_rect):

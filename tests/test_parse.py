@@ -20,7 +20,7 @@ from starlog.expr import (
     eval_stem,
     evaluate,
 )
-from starlog.parse import MAX_NESTING, parse_expr, to_source
+from starlog.parse import MAX_DEPTH, MAX_NESTING, parse_expr, to_source
 from starlog.quaternion import Quaternion
 
 
@@ -120,6 +120,20 @@ def test_syntax_errors_carry_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("-" * 3000 + "q")
     assert err.value.pos == MAX_NESTING
+
+
+def test_deep_chains_stop_at_max_depth():
+    with pytest.raises(ExprSyntaxError, match="deeper than"):
+        parse_expr("*".join(["q"] * 3000))
+    with pytest.raises(ExprSyntaxError, match="deeper than"):
+        parse_expr("*".join(["q"] * (MAX_DEPTH + 1)))
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("+".join(["q"] * 3000))
+    # a chain inside parentheses adds its depth to the chain around it
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("(" + "*".join(["q"] * 200) + ")*" + "*".join(["q"] * 100))
+    deepest = "*".join(["q"] * MAX_DEPTH)
+    assert to_source(parse_expr(deepest)) == deepest
 
 
 def test_unknown_name_position():
