@@ -51,10 +51,6 @@ class StemValue:
     def value(self, unit: Quaternion) -> Quaternion:
         return self.a + unit * self.b
 
-    def as_complex(self) -> complex:
-        """Leaf form a + ib for slice-preserving stems."""
-        return complex(self.a.w, self.b.w)
-
 
 class SliceExpr:
     """Base class providing operator sugar; subclasses are frozen dataclasses."""

@@ -89,9 +89,6 @@ class Quaternion:
     def vec_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_real(self, tol: float = REAL_EPS) -> bool:
-        return self.vec_norm() <= tol * (1.0 + abs(self))
-
     def to_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
 

@@ -4,6 +4,11 @@ Scalar coefficients of slice functions have holomorphic stem components, so
 zeros are located by the argument principle: winding counts over rectangles
 with adaptive boundary sampling, subdivided until each zero sits alone in a
 negligibly small cell, then polished by multiplicity-aware Newton steps.
+The work runs in batched rounds with one stem evaluation each: every open
+winding count of a round, every cell of a subdivision level, and every zero
+of a Newton iteration share one call.  Zeros come back in the depth-first
+order of the quadrant subdivision (lower left, lower right, upper left,
+upper right at each cut).
 
 Zeros of the symmetrized vectorial part split into three kinds.  At a real
 point or along a whole sphere every component vanishes and a real-coefficient
@@ -13,6 +18,7 @@ the zero direction is carried by a single quaternion on the sphere.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,8 @@ from .expr import (
 )
 from .lifts import lift_log
 from .quaternion import Quaternion
+
+logger = logging.getLogger(__name__)
 
 ZERO_REL = 1e-10  # identically-zero threshold, relative to the function scale
 BOUNDARY_MARGIN = 1e-8  # zeros this close to the domain boundary are ambiguous
@@ -112,88 +120,149 @@ class VectorialClassReport:
 # argument-principle zero finder
 
 
-class _EdgeZero(Exception):
-    """A boundary sample got too close to a zero; the cut must move."""
+def _windings(F, rects, ftol: float, cols=None) -> list:
+    """Winding numbers of F around rectangles (x0, x1, y0, y1), one F call
+    per round for every count still open.
 
-
-def _winding(F, x0: float, x1: float, y0: float, y1: float, ftol: float) -> int:
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    n = _WIND_START
-    while True:
-        ts = np.arange(n) / n
-        pts = np.concatenate(
-            [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
-        )
-        vals = np.asarray(F(pts), dtype=complex)
-        mags = np.abs(vals)
-        # a zero sits on the contour only if some sample is small against the
-        # contour's own range; near a high-order zero the whole contour is
-        # small against the global scale, which must not count
-        if mags.min() < min(ftol, 1e-9 * mags.max()):
-            raise _EdgeZero
-        dargs = np.angle(np.roll(vals, -1) / vals)
-        if np.max(np.abs(dargs)) < 1.5:
-            total = dargs.sum() / (2.0 * np.pi)
-            k = round(total)
-            if abs(total - k) < 1e-6:
-                return k
-        if n >= _WIND_CAP:
-            raise NoConvergence(
-                f"winding count on [{x0},{x1}]x[{y0},{y1}] did not stabilize"
+    F maps points to one value each, or to a row of which rectangle i reads
+    column ``cols[i]``.  A count is None where a boundary sample sits on a
+    zero (the cut must move) or where it does not settle by ``_WIND_CAP``
+    samples per edge.
+    """
+    counts: list = [None] * len(rects)
+    ns = [_WIND_START] * len(rects)
+    open_ = list(range(len(rects)))
+    while open_:
+        contours = []
+        for i in open_:
+            x0, x1, y0, y1 = rects[i]
+            corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+            ts = np.arange(ns[i]) / ns[i]
+            contours.append(
+                np.concatenate(
+                    [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
+                )
             )
-        n *= 2
+        pts = np.concatenate(contours)
+        table = np.asarray(F(pts), dtype=complex).reshape(len(pts), -1)
+        still = []
+        start = 0
+        for i, contour in zip(open_, contours):
+            vals = table[start : start + len(contour), 0 if cols is None else cols[i]]
+            start += len(contour)
+            mags = np.abs(vals)
+            # a zero sits on the contour only if some sample is small against the
+            # contour's own range; near a high-order zero the whole contour is
+            # small against the global scale, which must not count
+            if mags.min() < min(ftol, 1e-9 * mags.max()):
+                continue
+            dargs = np.angle(np.roll(vals, -1) / vals)
+            if np.max(np.abs(dargs)) < 1.5:
+                total = dargs.sum() / (2.0 * np.pi)
+                k = round(total)
+                if abs(total - k) < 1e-6:
+                    counts[i] = k
+                    continue
+            if ns[i] < _WIND_CAP:
+                ns[i] *= 2
+                still.append(i)
+        open_ = still
+    return counts
 
 
-def _split(F, x0, x1, y0, y1, count, ftol, stop, found):
-    if count == 0:
-        return
-    size = max(x1 - x0, y1 - y0)
-    if size <= stop:
-        found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), count))
-        return
-    for rx in _CUT_RATIOS:
-        xm = x0 + rx * (x1 - x0)
-        ym = y0 + rx * (y1 - y0)
-        quads = (
-            (x0, xm, y0, ym),
-            (xm, x1, y0, ym),
-            (x0, xm, ym, y1),
-            (xm, x1, ym, y1),
-        )
-        try:
-            counts = [_winding(F, *qd, ftol) for qd in quads]
-        except (_EdgeZero, NoConvergence):
-            continue
-        if sum(counts) != count:
-            continue
-        for qd, c in zip(quads, counts):
-            _split(F, *qd, c, ftol, stop, found)
-        return
-    if size <= 1e4 * stop:
-        # a multiple zero flattens the function below the edge tolerance on
-        # every candidate cut; the cell is one cluster, Newton refines it
-        found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), count))
-        return
-    raise NoConvergence("zeros could not be separated from the subdivision cuts")
+def _quads(x0, x1, y0, y1, rx):
+    xm = x0 + rx * (x1 - x0)
+    ym = y0 + rx * (y1 - y0)
+    return [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
 
 
-def _polish(F, z: complex, mult: int, scale: float) -> complex:
+def _split(F, rect, count: int, ftol: float, stop: float) -> list:
+    """Cells of at most ``stop`` holding the zeros inside ``rect``, as
+    (centre, count) in depth-first quadrant order.
+
+    All cells of a level are cut in one batched count of their quadrants; a
+    cell whose quadrant counts fail or do not add up to its own retries the
+    next ratio of ``_CUT_RATIOS`` in the next round.
+    """
+    found = []  # (quadrant path, rect, count)
+    pending = []  # (rect, count, path, index into _CUT_RATIOS)
+
+    def visit(rect, count, path):
+        x0, x1, y0, y1 = rect
+        if count == 0:
+            return
+        if max(x1 - x0, y1 - y0) <= stop:
+            found.append((path, rect, count))
+        else:
+            pending.append((rect, count, path, 0))
+
+    visit(rect, count, ())
+    while pending:
+        work, pending = pending, []
+        quads = [_quads(*rect, _CUT_RATIOS[r]) for rect, _, _, r in work]
+        counts = _windings(F, [qd for qs in quads for qd in qs], ftol)
+        for k, ((rect, count, path, r), qs) in enumerate(zip(work, quads)):
+            cs = counts[4 * k : 4 * k + 4]
+            if None not in cs and sum(cs) == count:
+                for j, (qd, c) in enumerate(zip(qs, cs)):
+                    visit(qd, c, path + (j,))
+                continue
+            x0, x1, y0, y1 = rect
+            if r + 1 < len(_CUT_RATIOS):
+                logger.debug(
+                    "cell [%g,%g]x[%g,%g] retries cut ratio %g",
+                    x0, x1, y0, y1, _CUT_RATIOS[r + 1],
+                )
+                pending.append((rect, count, path, r + 1))
+            elif max(x1 - x0, y1 - y0) <= 1e4 * stop:
+                # a multiple zero flattens the function below the edge tolerance on
+                # every candidate cut; the cell is one cluster, Newton refines it
+                found.append((path, rect, count))
+            else:
+                raise NoConvergence("zeros could not be separated from the subdivision cuts")
+    found.sort(key=lambda item: item[0])
+    return [(complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), c) for _, (x0, x1, y0, y1), c in found]
+
+
+def _polish(F, found: list, scale: float) -> list:
+    """Multiplicity-aware Newton steps on every (z, multiplicity) in lock
+    step, with one F call per iteration on the points and their +-delta
+    neighbours.  The updates run in Python complex arithmetic."""
+    zs = [z for z, _ in found]
+    open_ = list(range(len(zs)))
     for _ in range(80):
-        delta = 1e-7 * (1.0 + abs(z))
-        f0 = complex(np.asarray(F([z]))[0])
-        if f0 == 0:
+        if not open_:
             break
-        fp = (complex(np.asarray(F([z + delta]))[0]) - complex(np.asarray(F([z - delta]))[0]))
-        fp /= 2.0 * delta
-        if fp == 0:
-            break
-        step = mult * f0 / fp
-        z -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
-            break
-    if abs(complex(np.asarray(F([z]))[0])) > 1e-11 * scale:
-        raise NoConvergence(f"zero near {z} did not polish below tolerance")
-    return z
+        deltas = [1e-7 * (1.0 + abs(zs[i])) for i in open_]
+        pts = (
+            [zs[i] for i in open_]
+            + [zs[i] + d for i, d in zip(open_, deltas)]
+            + [zs[i] - d for i, d in zip(open_, deltas)]
+        )
+        vals = np.asarray(F(pts))
+        n = len(open_)
+        still = []
+        for k, (i, delta) in enumerate(zip(open_, deltas)):
+            f0 = complex(vals[k])
+            if f0 == 0:
+                continue
+            fp = complex(vals[n + k]) - complex(vals[2 * n + k])
+            fp /= 2.0 * delta
+            if fp == 0:
+                continue
+            step = found[i][1] * f0 / fp
+            zs[i] -= step
+            if abs(step) > 1e-15 * (1.0 + abs(zs[i])):
+                still.append(i)
+        open_ = still
+    for i in open_:
+        logger.debug("zero near %s stopped polishing at the 80-iteration cap", zs[i])
+    if zs:
+        vals = np.asarray(F(zs))
+        for z, v in zip(zs, vals):
+            if abs(complex(v)) > 1e-11 * scale:
+                raise NoConvergence(f"zero near {z} did not polish below tolerance")
+    return zs
 
 
 def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
@@ -219,22 +288,22 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
         box = (domain.xmin, domain.xmax, domain.ymin, domain.ymax)
     stop = _CELL_STOP * max(box[1] - box[0], box[3] - box[2])
 
-    found: list[tuple[complex, int]] = []
     for attempt in range(6):
         pad = (1e-3 + 2.3e-3 * attempt) * domain.h
         cell = (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
+        (total,) = _windings(F, [cell], ftol)
+        if total is None:
+            continue
         try:
-            total = _winding(F, *cell, ftol)
-            found = []
-            _split(F, *cell, total, ftol, stop, found)
+            found = _split(F, cell, total, ftol, stop)
             break
-        except (_EdgeZero, NoConvergence):
+        except NoConvergence:
             continue
     else:
         raise BoundaryZero("a zero sits persistently on the search boundary")
 
     merged: list[tuple[complex, int]] = []
-    for z, m in ((_polish(F, z, m, scale), m) for z, m in found):
+    for z, (_, m) in zip(_polish(F, found, scale), found):
         for idx, (zp, mp) in enumerate(merged):
             if abs(z - zp) <= _MERGE_TOL * (1.0 + abs(z)):
                 merged[idx] = ((zp * mp + z * m) / (mp + m), mp + m)
@@ -261,17 +330,26 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
 # classification of the vectorial part
 
 
-def _component_order(expr: SliceExpr, comp: int, z: complex, ftol: float) -> int:
+def _component_order(expr: SliceExpr, cols: list, z: complex, ftol: float) -> int:
+    """Least vanishing order at z over the given stem columns of ``expr``.
+
+    Each column is counted on the first square of the shrink sequence where
+    its winding settles; all columns share one stem evaluation per round.
+    """
+
     def F(zs):
-        return eval_stem_many(expr, zs)[:, comp]
+        return eval_stem_many(expr, zs)
 
     half = 1e-4 * (1.0 + abs(z))
+    orders: list[int] = []
     for shrink in (1.0, 0.37, 0.11, 2.9):
         r = half * shrink
-        try:
-            return _winding(F, z.real - r, z.real + r, z.imag - r, z.imag + r, ftol)
-        except (_EdgeZero, NoConvergence):
-            continue
+        square = (z.real - r, z.real + r, z.imag - r, z.imag + r)
+        counts = _windings(F, [square] * len(cols), ftol, cols)
+        orders += [c for c in counts if c is not None]
+        cols = [col for col, c in zip(cols, counts) if c is None]
+        if not cols:
+            return min(orders)
     raise NoConvergence(f"vanishing order at {z} could not be counted")
 
 
@@ -299,7 +377,8 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
             )
         return VectorialClassReport("null-symmetrization", [], vect_scale, sym_scale)
 
-    live = [i for i in range(3) if comp_sup[i] > ZERO_REL * (1.0 + vect_scale)]
+    # stem columns of the vector components that do not vanish identically
+    live = [1 + i for i in range(3) if comp_sup[i] > ZERO_REL * (1.0 + vect_scale)]
     ftol = 1e-12 * vect_scale
     classified: list[ClassifiedZero] = []
     for sz in find_zeros_sp(sym, domain):
@@ -307,12 +386,12 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
         av, bv = c.real[1:], c.imag[1:]
         point_tol = 1e-9 * (1.0 + vect_scale)
         if sz.z.imag == 0.0:
-            order = min(_component_order(gv, 1 + i, sz.z, ftol) for i in live)
+            order = _component_order(gv, live, sz.z, ftol)
             classified.append(
                 ClassifiedZero(sz.z, sz.multiplicity, "real", order, Quaternion.coerce(sz.z.real))
             )
         elif sup_parts(c[1:]) <= point_tol:
-            order = min(_component_order(gv, 1 + i, sz.z, ftol) for i in live)
+            order = _component_order(gv, live, sz.z, ftol)
             classified.append(ClassifiedZero(sz.z, sz.multiplicity, "spherical", order, None))
         else:
             qa = Quaternion(0.0, float(av[0]), float(av[1]), float(av[2]))

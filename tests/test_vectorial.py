@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from starlog import vectorial
 from starlog.algebra import symmetrization, vect_part
 from starlog.domain import BasicDomainSpec
 from starlog.errors import BoundaryZero, SlicePreservingRequired, Vanishing
 from starlog.expr import Q, UNIT, Const, const, eval_stem_many, stem_complex
 from starlog.quaternion import Quaternion
 from starlog.vectorial import (
+    SphereZero,
     classify_vectorial,
     factor_minimal,
     find_zeros_sp,
@@ -74,6 +76,37 @@ def test_mixed_zero_list(slice_rect):
         (0.0, 1.0, 1),
         (0.5, 0.0, 2),
     ]
+
+
+def test_zeros_come_in_depth_first_order(product_rect):
+    # one simple zero in each quadrant of the box, listed lower left, lower
+    # right, upper left, upper right; 0.7+0.8i sits on the cut at ratio 0.5,
+    # so the box is cut at 0.53, and retries further down finish the cells
+    # of the subdivision rounds out of this order
+    roots = [0.7 + 0.8j, 1.4 + 0.35j, 0.6 + 1.1j, 1.2 + 1.2j]
+    p = const(1.0)
+    for r in reversed(roots):
+        p = p * (Q * Q - const(2.0 * r.real) * Q + const(abs(r) ** 2))
+    zeros = find_zeros_sp(p, product_rect)
+    assert [z.multiplicity for z in zeros] == [1, 1, 1, 1]
+    ref = np.roots(np.poly(roots + [r.conjugate() for r in roots]).real)
+    for sz, r in zip(zeros, roots):
+        assert abs(sz.z - ref[np.argmin(np.abs(ref - r))]) <= 1e-10
+
+
+def test_zero_finder_batches_its_stem_calls(monkeypatch):
+    # the double zero at z = i sits at the centre of the disc, on the first cut
+    dom = BasicDomainSpec(discs=[(0.0, 1.0, 0.5)], kind="product", h=1.0 / 64)
+    calls = []
+
+    def counted(expr, zs):
+        calls.append(len(zs))
+        return stem_complex(expr, zs)
+
+    monkeypatch.setattr(vectorial, "stem_complex", counted)
+    zeros = find_zeros_sp(symmetrization(vect_part(example_isolated())), dom)
+    assert zeros == [SphereZero(3.2554159193734265e-12 + 0.9999999999795116j, 2)]
+    assert len(calls) <= 120  # one call per cell and per Newton point made 335
 
 
 def test_no_zeros_inside(slice_rect):
