@@ -1,9 +1,8 @@
 """Star-algebra operations: product, regular conjugate, splits, symmetrization.
 
 All operations build expression nodes; nothing here evaluates.  The
-symmetrization has two equivalent routes, f * conj(f) and the sum of squared
-split coefficients; both are exposed so they can be checked against each
-other.
+symmetrization is the sum of squared split coefficients, which equals
+f * f^c.
 """
 
 from __future__ import annotations
@@ -60,14 +59,3 @@ def split_form(f) -> SplitForm:
 def symmetrization(f) -> Symm:
     """f^s as the sum of squares of the split coefficients."""
     return Symm(as_expr(f))
-
-
-def symmetrization_star(f) -> StarMul:
-    """f^s as f * f^c; agrees with symmetrization and is kept as a cross-check."""
-    f = as_expr(f)
-    return StarMul(f, RegConj(f))
-
-
-def vect_sym(f) -> Symm:
-    """Symmetrization of the vector part; equals -(fv * fv)."""
-    return Symm(VectPart(as_expr(f)))

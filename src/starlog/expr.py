@@ -9,6 +9,10 @@ complex arrays.  Stems obey the reflection symmetry C(conj z) = conj(C(z)),
 which the evaluator applies globally: batches are normalized to the upper half
 plane and conjugated back afterwards, so contours may dip below the axis.
 
+Inside a :func:`shared_stem` block, one expression's stem at one node array
+is evaluated once: trees that contain the expression reuse it when evaluated
+at that same array object, and compute it afresh at any other points.
+
 Nodes carry a structural slice-preserving flag (real stem components, exact
 zeros in the vector part); scalar branch functions may only be applied to
 structurally slice-preserving children.
@@ -17,7 +21,9 @@ structurally slice-preserving children.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,6 +265,10 @@ class QuotientBySP(SliceExpr):
 # ---------------------------------------------------------------------------
 # evaluation
 
+# (expression, node array, its stem before the reflection) of the active
+# shared_stem block; the strong references keep id(expression) unique
+_SHARED: ContextVar[tuple | None] = ContextVar("shared_stem", default=None)
+
 
 def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
     """Evaluate the stem over complex points as one (n, 4) complex array C.
@@ -268,8 +278,31 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
     """
     flat = np.asarray(zs, dtype=complex).ravel()
     zhat = flat.real + 1j * np.abs(flat.imag)
-    C = _eval(expr, zhat, {})
-    return np.where((flat.imag < 0)[:, None], C.conj(), C)
+    shared = _SHARED.get()
+    seeded = shared is not None and zs is shared[1]
+    # no name holds the cache, so its intermediates are freed before the reflection
+    C = _eval(expr, zhat, {id(shared[0]): shared[2]} if seeded else {})
+    lower = flat.imag < 0
+    return np.where(lower[:, None], C.conj(), C) if lower.any() else C
+
+
+@contextmanager
+def shared_stem(expr: SliceExpr, nodes: np.ndarray):
+    """Evaluate the stem of ``expr`` at the array ``nodes`` once and yield it.
+
+    Until the block ends, every :func:`eval_stem_many` call handed that same
+    array object reuses the stem wherever ``expr`` occurs in the evaluated
+    tree.  Other points are evaluated as usual.
+    """
+    C = eval_stem_many(expr, nodes)
+    lower = (np.asarray(nodes).imag < 0).ravel()
+    pre = np.where(lower[:, None], C.conj(), C) if lower.any() else C  # undo the reflection
+    pre.flags.writeable = False  # handed out to every evaluation of ``expr`` itself
+    token = _SHARED.set((expr, nodes, pre))
+    try:
+        yield C
+    finally:
+        _SHARED.reset(token)
 
 
 def slice_values(C: np.ndarray, unit: Quaternion) -> np.ndarray:

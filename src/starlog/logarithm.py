@@ -12,6 +12,10 @@ whose expression ``f`` satisfies ``exp_star(f) = g`` up to a verified residual:
 * ``fold``         -- g_v^s has isolated or odd-order zeros; f needs the
   two-sheeted inverse of mu continued around its fold.
 
+Each call evaluates the stem G of g at the grid nodes once: the node checks
+read it, and every other node evaluation of a tree holding g reuses it
+through :func:`expr.shared_stem`.  A g not finite at a node is a DomainError.
+
 Branches are indexed by a pair of integers (m, n): m counts scalar half-turns
 exp(i pi m) and n counts vectorial half-turns around a spherical unit.
 """
@@ -19,7 +23,9 @@ exp(i pi m) and n counts vectorial half-turns around a spherical unit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .errors import (
     BranchPointHit,
     ClassificationError,
     ConditionFailed,
+    DomainError,
     LiftStep,
     NoConvergence,
     NoGlobalLogWitness,
@@ -43,6 +50,7 @@ from .expr import (
     SliceExpr,
     const,
     eval_stem_many,
+    shared_stem,
     slice_values,
     stem_complex,
     sup_parts,
@@ -140,34 +148,34 @@ class LogResult:
 # grid sampling helpers
 
 
-def _abs_range(g: SliceExpr, domain: BasicDomainSpec) -> tuple[float, float]:
-    """(min, max) of |g| over grid nodes and the standard check units."""
-    C = eval_stem_many(g, domain.node_z)
-    lo, hi = math.inf, 0.0
-    for unit in VERIFY_UNITS:
-        mags = np.linalg.norm(slice_values(C, unit), axis=1)
-        lo = min(lo, float(mags.min()))
-        hi = max(hi, float(mags.max()))
-    return lo, hi
+@contextmanager
+def _node_stem(g: SliceExpr, domain: BasicDomainSpec):
+    """Evaluate g at the grid nodes once, check it, and share it for the block.
 
-
-def _sym_stem(g: SliceExpr):
-    """Callable giving the complex stem of the symmetrization of g."""
-    sym = symmetrization(g)
-
-    def F(zs):
-        return stem_complex(sym, zs)
-
-    return F
-
-
-def _scalar_stem(g: SliceExpr):
-    g0 = scalar_part(g)
-
-    def F(zs):
-        return stem_complex(g0, zs)
-
-    return F
+    Yields (G, g^s, min |g|, max |g|): the stem at the nodes, the
+    symmetrization there and the range of |g| on the check slices.  Every
+    evaluation at ``domain.node_z`` inside the block of a tree holding g
+    reuses G.  Raises DomainError where g, g^s or |g| is not finite at a
+    node, and Vanishing where |g| on a check slice or g^s comes near zero.
+    """
+    with shared_stem(g, domain.node_z) as G:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+            sym = np.sum(G * G, axis=-1)  # the arithmetic of Symm
+            mags = np.stack([np.linalg.norm(slice_values(G, u), axis=1) for u in VERIFY_UNITS])
+        bad = ~(np.isfinite(G).all(axis=1) & np.isfinite(sym) & np.isfinite(mags).all(axis=0))
+        if bad.any():
+            raise DomainError(
+                f"g, |g| or g^s is not finite at {int(bad.sum())} of {bad.size} grid nodes"
+            )
+        lo, hi = float(mags.min()), float(mags.max())
+        if lo < VANISH_REL * (1.0 + hi):
+            raise Vanishing(f"|g| reaches {lo:.3e} on the grid (scale {hi:.3e})")
+        sym_lo = float(np.abs(sym).min())
+        if sym_lo < (VANISH_REL * (1.0 + hi)) ** 2:
+            raise Vanishing(
+                f"g^s reaches {sym_lo:.3e} on the grid; g vanishes on some slice"
+            )
+        yield G, sym, lo, hi
 
 
 def _sp_ratio(num: SliceExpr, den: SliceExpr, zs) -> np.ndarray:
@@ -184,9 +192,9 @@ def _sp_ratio(num: SliceExpr, den: SliceExpr, zs) -> np.ndarray:
 
 def _check_unit(w: SliceExpr, domain: BasicDomainSpec) -> None:
     """A class representative must square to -1: scalar part 0, w^s = 1."""
-    scal = sup_parts(eval_stem_many(w, domain.node_z)[:, 0])
-    sym_vals = stem_complex(symmetrization(w), domain.node_z)
-    defect = float(np.abs(sym_vals - 1.0).max())
+    W = eval_stem_many(w, domain.node_z)
+    scal = sup_parts(W[:, 0])
+    defect = float(np.abs(np.sum(W * W, axis=-1) - 1.0).max())  # the arithmetic of Symm
     if scal > _UNIT_TOL or defect > _UNIT_TOL:
         raise ConditionFailed(
             "representative",
@@ -219,14 +227,14 @@ def _slit_ok(t_nodes: np.ndarray, domain: BasicDomainSpec) -> tuple[bool, float]
     return True, margin
 
 
-def _positive_trace(g: SliceExpr, domain: BasicDomainSpec) -> tuple[bool | None, dict]:
-    """Values of g on the real trace are real and positive (slice domains)."""
+def _positive_trace(G: np.ndarray, domain: BasicDomainSpec) -> tuple[bool | None, dict]:
+    """Values of g (stem G at the nodes) on the real trace are real and positive."""
     if domain.kind != "slice":
         return None, {}
     reals = domain.real_nodes
     if reals.size == 0:
         return None, {}
-    C = eval_stem_many(g, domain.node_z[reals])
+    C = G[reals]
     off_axis = max(float(np.abs(C.real[:, 1:]).max()), float(np.abs(C.imag).max()))
     scale = 1.0 + float(np.abs(C.real).max())
     real_ok = off_axis <= 1e-9 * scale
@@ -240,41 +248,32 @@ def check_conditions(
 ) -> ConditionSummary:
     """Evaluate the pointwise existence conditions for a star logarithm.
 
-    Checks that g does not vanish on the grid (raising Vanishing otherwise),
-    that its real-trace values are positive, that the symmetrization admits a
-    trace-positive square root, and that the phase data g_0 / sqrt(g^s) stays
-    off the slit (-inf, -1].  The phase is slice preserving, so every slice
-    sees the same distance to the slit; the grid test covers all of them.
+    Checks that g is finite and does not vanish on the grid (raising
+    DomainError or Vanishing otherwise), that its real-trace values are
+    positive, that the symmetrization admits a trace-positive square root,
+    and that the phase data g_0 / sqrt(g^s) stays off the slit (-inf, -1].
+    The phase is slice preserving, so every slice sees the same distance to
+    the slit; the grid test covers all of them.
     """
-    lo, hi = _abs_range(g, domain)
-    if lo < VANISH_REL * (1.0 + hi):
-        raise Vanishing(f"|g| reaches {lo:.3e} on the grid (scale {hi:.3e})")
-    details: dict = {}
+    with _node_stem(g, domain) as (G, sym, lo, hi):
+        cond1, details = _positive_trace(G, domain)
+        realimage: bool | None = None
+        if domain.kind == "slice":
+            reals = domain.real_nodes
+            if reals.size:
+                tr = sym[reals]
+                realimage = bool(
+                    np.abs(tr.imag).max() <= 1e-9 * (1.0 + np.abs(tr).max())
+                    and tr.real.min() > 0.0
+                )
+                details["sym_trace_min"] = float(tr.real.min())
 
-    cond1, d1 = _positive_trace(g, domain)
-    details.update(d1)
-
-    sym_vals = stem_complex(symmetrization(g), domain.node_z)
-    realimage: bool | None = None
-    if domain.kind == "slice":
-        reals = domain.real_nodes
-        if reals.size:
-            tr = sym_vals[reals]
-            realimage = bool(
-                np.abs(tr.imag).max() <= 1e-9 * (1.0 + np.abs(tr).max())
-                and tr.real.min() > 0.0
-            )
-            details["sym_trace_min"] = float(tr.real.min())
-
-    counterex: bool | None = None
-    margin: float | None = None
-    if with_slit:
-        sym_lift = lift_log(_sym_stem(g), domain, name="sym-log")
-        h_vals = np.exp(0.5 * sym_lift.values)
-        t_nodes = _scalar_stem(g)(domain.node_z) / h_vals
-        counterex, margin = _slit_ok(t_nodes, domain)
-        details["phase_nodes"] = int(t_nodes.size)
-        details["units_checked"] = len(VERIFY_UNITS)
+        counterex = margin = None
+        if with_slit:
+            t_nodes = G[:, 0] / np.exp(0.5 * _sym_log(g, domain).values)
+            counterex, margin = _slit_ok(t_nodes, domain)
+            details["phase_nodes"] = int(t_nodes.size)
+            details["units_checked"] = len(VERIFY_UNITS)
     return ConditionSummary(lo, hi, cond1, realimage, counterex, margin, details)
 
 
@@ -282,19 +281,24 @@ def check_conditions(
 # construction routes
 
 
-def _scalar_route(g, domain, branch):
+def _sym_log(g: SliceExpr, domain: BasicDomainSpec):
+    """The continuous logarithm of g^s over the grid."""
+    return lift_log(partial(stem_complex, symmetrization(g)), domain, name="sym-log")
+
+
+def _scalar_route(g, G, domain, branch):
     """g is slice preserving: f is a lifted logarithm of the scalar stem."""
     if branch.n:
         raise ConditionFailed(
             "representative",
             "a vectorial branch index needs a class representative",
         )
-    F = _scalar_stem(g)
+    F = partial(stem_complex, scalar_part(g))
     diag: dict = {}
     if domain.kind == "slice":
         if branch.m:
             raise ConditionFailed("periods", "slice domains only admit m = 0")
-        ok, d1 = _positive_trace(g, domain)
+        ok, d1 = _positive_trace(G, domain)
         diag.update(d1)
         if ok is False:
             raise ConditionFailed(
@@ -312,13 +316,13 @@ def _scalar_route(g, domain, branch):
     return f, diag
 
 
-def _null_vector_route(g, domain, branch):
+def _null_vector_route(g, G, domain, branch):
     """g_v^s = 0: the vectorial part exponentiates linearly through 1 + V."""
     if branch.n:
         raise ConditionFailed("periods", "this class carries no vectorial periods")
     g0 = scalar_part(g)
-    F = _scalar_stem(g)
-    g0_nodes = F(domain.node_z)
+    F = partial(stem_complex, g0)
+    g0_nodes = G[:, 0]
     lo = float(np.abs(g0_nodes).min())
     if lo < VANISH_REL * (1.0 + float(np.abs(g0_nodes).max())):
         raise Vanishing(f"the scalar part reaches {lo:.3e}; its square is g^s")
@@ -364,8 +368,8 @@ def _angle_route(g, domain, branch, report, rep):
             w = rep
     _check_unit(w, domain)
 
-    sym_lift = lift_log(_sym_stem(g), domain, name="sym-log")
-    F0 = _scalar_stem(g)
+    sym_lift = _sym_log(g, domain)
+    F0 = partial(stem_complex, scalar_part(g))
 
     def uv(zs):
         h = np.exp(0.5 * sym_lift.sample(zs))
@@ -409,8 +413,8 @@ def _fold_route(g, domain, branch, report):
     if domain.kind == "slice" and m:
         raise ConditionFailed("periods", "slice domains only admit m = 0")
 
-    sym_lift = lift_log(_sym_stem(g), domain, name="sym-log")
-    F0 = _scalar_stem(g)
+    sym_lift = _sym_log(g, domain)
+    F0 = partial(stem_complex, scalar_part(g))
 
     def h_at(zs):
         return np.exp(0.5 * sym_lift.sample(zs))
@@ -536,44 +540,35 @@ def log_star(
         branch = BranchSpec(*branch)
     domain.validate(strict=True)
 
-    lo, hi = _abs_range(g, domain)
-    if lo < VANISH_REL * (1.0 + hi):
-        raise Vanishing(f"|g| reaches {lo:.3e} on the grid (scale {hi:.3e})")
-    sym_vals = stem_complex(symmetrization(g), domain.node_z)
-    sym_lo = float(np.abs(sym_vals).min())
-    if sym_lo < (VANISH_REL * (1.0 + hi)) ** 2:
-        raise Vanishing(
-            f"g^s reaches {sym_lo:.3e} on the grid; g vanishes on some slice"
-        )
+    with _node_stem(g, domain) as (G, _, lo, hi):
+        report = classify_vectorial(g, domain)
+        if report.kind == "zero" and rep is None:
+            f, diag = _scalar_route(g, G, domain, branch)
+            case = "scalar"
+        elif report.kind in ("zero", "no-zeros"):
+            f, diag = _angle_route(g, domain, branch, report, rep)
+            case = "angle"
+        elif report.kind == "null-symmetrization":
+            if rep is not None:
+                raise ConditionFailed(
+                    "representative", "this class has no spherical period to turn"
+                )
+            f, diag = _null_vector_route(g, G, domain, branch)
+            case = "null-vector"
+        else:
+            if rep is not None:
+                raise ConditionFailed(
+                    "representative",
+                    "no continuous representative crosses an isolated zero",
+                )
+            f, diag = _fold_route(g, domain, branch, report)
+            case = "fold"
 
-    report = classify_vectorial(g, domain)
-    if report.kind == "zero" and rep is None:
-        f, diag = _scalar_route(g, domain, branch)
-        case = "scalar"
-    elif report.kind in ("zero", "no-zeros"):
-        f, diag = _angle_route(g, domain, branch, report, rep)
-        case = "angle"
-    elif report.kind == "null-symmetrization":
-        if rep is not None:
-            raise ConditionFailed(
-                "representative", "this class has no spherical period to turn"
-            )
-        f, diag = _null_vector_route(g, domain, branch)
-        case = "null-vector"
-    else:
-        if rep is not None:
-            raise ConditionFailed(
-                "representative",
-                "no continuous representative crosses an isolated zero",
-            )
-        f, diag = _fold_route(g, domain, branch, report)
-        case = "fold"
-
-    residual = residual_sup(f, g, domain)
-    if residual > RESIDUAL_ACCEPT:
-        raise ResidualRejected(residual, RESIDUAL_ACCEPT)
-    if not linearly_dependent(vect_part(f), vect_part(g), domain):
-        raise ClassificationError("the result left the congruence class of g")
+        residual = residual_sup(f, g, domain)
+        if residual > RESIDUAL_ACCEPT:
+            raise ResidualRejected(residual, RESIDUAL_ACCEPT)
+        if not linearly_dependent(vect_part(f), vect_part(g), domain):
+            raise ClassificationError("the result left the congruence class of g")
     diag["min_abs_g"] = lo
     diag["scale"] = hi
     diag["class_preserved"] = True

@@ -101,7 +101,6 @@ class Quaternion:
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 I_UNIT = Quaternion(0.0, 1.0, 0.0, 0.0)
 J_UNIT = Quaternion(0.0, 0.0, 1.0, 0.0)
 K_UNIT = Quaternion(0.0, 0.0, 0.0, 1.0)
@@ -135,18 +134,6 @@ def exp_q(q: Quaternion) -> Quaternion:
     return Quaternion(s * math.cos(t), f * q.x, f * q.y, f * q.z)
 
 
-def sphere_units(n: int) -> list[Quaternion]:
-    """n imaginary units spread over the sphere (deterministic spiral)."""
-    units = []
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    for k in range(n):
-        c = 1.0 - 2.0 * (k + 0.5) / n
-        r = math.sqrt(1.0 - c * c)
-        th = golden * k
-        units.append(Quaternion(0.0, r * math.cos(th), r * math.sin(th), c))
-    return units
-
-
 # default slice units for cross-slice verification
 VERIFY_UNITS = (
     I_UNIT,
@@ -177,10 +164,6 @@ def qconj(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def qabs(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,17 @@ def test_log_star_vanishing_exit(domains):
     assert main(["log-star", "q", "--domain", domains["slice"]]) == 4
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize(
+    "expr", ["exp(800*q)", "1e300*q*i + 1e300", "exp(q)*1e300"], ids=["exp", "sym", "scaled-exp"]
+)
+def test_log_star_non_finite_g_exit(expr, tmp_path, capsys):
+    path = tmp_path / "rect.json"
+    BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 16.0).dump(path)
+    assert main(["log-star", expr, "--domain", str(path)]) == 3
+    assert "not finite at" in capsys.readouterr().err
+
+
 def test_unit_function_needs_product_domain(domains):
     assert main(["exp-star", "I*i + j", "--domain", domains["slice"]]) == 3
 

@@ -9,9 +9,7 @@ from starlog.algebra import (
     split_form,
     star_mul,
     symmetrization,
-    symmetrization_star,
     vect_part,
-    vect_sym,
 )
 from starlog.errors import (
     DomainError,
@@ -38,6 +36,7 @@ from starlog.expr import (
     eval_stem_many,
     evaluate,
     is_slice_preserving,
+    shared_stem,
     stem_complex,
 )
 from starlog.quaternion import (
@@ -238,7 +237,7 @@ class TestSymmetrization:
         zs = random_points(8)
         for f in fs:
             s1 = eval_stem_many(symmetrization(f), zs)
-            s2 = eval_stem_many(symmetrization_star(f), zs)
+            s2 = eval_stem_many(star_mul(f, reg_conj(f)), zs)
             scale = 1 + max(np.abs(s1.real).max(), np.abs(s1.imag).max())
             assert np.allclose(s1.real, s2.real, atol=1e-11 * scale)
             assert np.allclose(s1.imag, s2.imag, atol=1e-11 * scale)
@@ -246,18 +245,18 @@ class TestSymmetrization:
     def test_symm_is_slice_preserving_node(self):
         f = star_mul(Q, PSI)
         assert symmetrization(f).slice_preserving
-        assert not symmetrization_star(f).slice_preserving  # structural, not numeric
+        assert not star_mul(f, reg_conj(f)).slice_preserving  # structural, not numeric
 
     def test_psi_vect_sym_vanishes(self):
         zs = random_points(6)
-        vals = stem_complex(vect_sym(PSI), zs)
+        vals = stem_complex(symmetrization(vect_part(PSI)), zs)
         assert np.max(np.abs(vals)) < 1e-14
 
     def test_vect_sym_of_vectorial_square(self):
         # fv * fv = -fv^s for vectorial fv
         fv = vect_part(star_mul(Q, const(I_UNIT)) + const(J_UNIT))
         lhs = star_mul(fv, fv)
-        rhs = vect_sym(fv)
+        rhs = symmetrization(fv)
         zs = random_points(5)
         c1, c2 = eval_stem_many(lhs, zs), eval_stem_many(rhs, zs)
         A1, B1, A2, B2 = c1.real, c1.imag, c2.real, c2.imag
@@ -295,6 +294,42 @@ class TestScalarApply:
         assert np.allclose(one, 1.0, atol=1e-13)
 
 
+class TestSharedStem:
+    def test_trees_holding_the_expression_reuse_its_stem(self):
+        f = star_mul(Q, const(I_UNIT)) + star_mul(Q * Q, const(J_UNIT))
+        tree = star_mul(symmetrization(vect_part(f)), f) + scalar_part(f)
+        nodes = np.array([0.3 + 0.5j, -0.2 - 0.7j, 1.1 + 0.2j, 0.4 - 0.1j])
+        want_f, want_tree = eval_stem_many(f, nodes), eval_stem_many(tree, nodes)
+        with shared_stem(f, nodes) as C:
+            # the stored stem is the one before the reflection, so points
+            # below the axis come out right
+            assert np.array_equal(C, want_f)
+            assert np.array_equal(eval_stem_many(f, nodes), want_f)
+            assert np.array_equal(eval_stem_many(tree, nodes), want_tree)
+            assert np.array_equal(eval_stem_many(tree, nodes.copy()), want_tree)
+        assert np.array_equal(eval_stem_many(tree, nodes), want_tree)
+
+    def test_reuse_needs_the_same_node_array(self, monkeypatch):
+        import starlog.expr as expr_module
+
+        f = star_mul(Q, const(I_UNIT))
+        nodes = np.array([0.3 + 0.5j, 0.4 - 0.1j])
+        evaluate_node = expr_module._eval
+        computed = []
+
+        def counting(node, z, cache):
+            if node is f and id(node) not in cache:
+                computed.append(z.size)
+            return evaluate_node(node, z, cache)
+
+        monkeypatch.setattr(expr_module, "_eval", counting)
+        with shared_stem(f, nodes):
+            eval_stem_many(vect_part(f), nodes)
+            eval_stem_many(vect_part(f), nodes.copy())
+        eval_stem_many(vect_part(f), nodes)
+        assert computed == [2, 2, 2]  # the block's own, the copy's, after the block
+
+
 class TestQuotient:
     def test_exact_division(self):
         # (q^2+1) * Cj divided by z^2+1 is the constant j, including at the patch
@@ -329,7 +364,7 @@ class TestSlicePreservingFlag:
         assert not const(I_UNIT).slice_preserving
         assert (Q * Q + 1).slice_preserving
         assert not PSI.slice_preserving
-        assert vect_sym(PSI).slice_preserving
+        assert symmetrization(vect_part(PSI)).slice_preserving
 
     def test_numeric_disagreement_logged(self, caplog):
         from starlog.domain import BasicDomainSpec

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from starlog import expr as expr_module
 from starlog import logarithm
 from starlog.domain import BasicDomainSpec
 from starlog.errors import (
     BranchPointHit,
     ConditionFailed,
+    DomainError,
     LiftStep,
     NoGlobalLogWitness,
     StarlogError,
@@ -20,6 +26,7 @@ from starlog.errors import (
 )
 from starlog.expr import Q, UNIT, ScalarApply, const, eval_many, stem_complex
 from starlog.logarithm import BranchSpec, check_conditions, log_star
+from starlog.parse import parse_expr
 from starlog.quaternion import VERIFY_UNITS, Quaternion
 from starlog.starexp import exp_star
 
@@ -98,6 +105,21 @@ def test_scalar_product_branch_family(product_rect):
 def test_vanishing_input_rejected(slice_rect):
     with pytest.raises(Vanishing):
         log_star(Q, slice_rect)  # 0 is a grid node
+
+
+# g overflows at some nodes, or g stays finite while g^s and |g| overflow; the
+# last input used to pass as verified with residual 0
+OVERFLOWING = ["exp(800*q)", "1e300*q*i + 1e300", "exp(q)*1e300"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("source", OVERFLOWING, ids=["exp", "sym", "scaled-exp"])
+def test_non_finite_g_is_a_domain_error(source):
+    dom = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 16.0)
+    with pytest.raises(DomainError, match="not finite at"):
+        log_star(parse_expr(source), dom)
+    with pytest.raises(DomainError, match="not finite at"):
+        check_conditions(parse_expr(source), dom)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +346,46 @@ def test_no_witness_when_continuation_stalls(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # invariants and reporting
+
+
+@pytest.fixture(scope="module")
+def wl():
+    """The benchmark's input families, from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
+def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
+    # the benchmark families at small grids; bisection midpoints, contours
+    # and off-node samples are other batches and are not counted
+    rng = random.Random(3)
+    if route == "scalar":
+        g, dom = parse_expr(wl.scalar_source(rng)[0]), wl.grid("slice", 32, rects=[wl.SLICE_RECT])
+    elif route == "angle":
+        g, dom = exp_star(parse_expr(wl.angle_source(rng))), wl.grid("slice", 32, rects=[wl.SLICE_RECT])
+    elif route == "null-vector":
+        g, dom = parse_expr(wl.null_vector_source(rng)), wl.grid("product", 32, rects=[wl.PRODUCT_RECT])
+    else:
+        g, dom = parse_expr(wl.fold_source(rng)), wl.grid("product", 32, discs=[wl.BALL_DISC])
+    evaluate = expr_module._eval
+    computed = []
+
+    def counting(node, z, cache):
+        if node is g and z.size == dom.n_nodes and id(node) not in cache:
+            computed.append(z.size)
+        return evaluate(node, z, cache)
+
+    monkeypatch.setattr(expr_module, "_eval", counting)
+    assert log_star(g, dom).case == route
+    assert len(computed) == 1
 
 
 def test_branch_difference_is_a_period(product_rect):

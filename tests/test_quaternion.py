@@ -15,10 +15,8 @@ from starlog.quaternion import (
     format_quaternion,
     is_imaginary_unit,
     parse_quaternion,
-    qabs,
     qconj,
     qmul,
-    sphere_units,
     split,
 )
 
@@ -135,25 +133,9 @@ class TestArrays:
             expected = Quaternion.from_array(row_a) * Quaternion.from_array(row_b)
             assert np.allclose(row_p, expected.to_array(), atol=1e-13)
 
-    def test_qconj_qabs(self):
+    def test_qconj(self):
         a = np.array([[1.0, 2.0, -3.0, 0.5]])
         assert np.allclose(qconj(a), [[1.0, -2.0, 3.0, -0.5]])
-        assert np.allclose(qabs(a), [math.sqrt(1 + 4 + 9 + 0.25)])
-
-
-class TestSphereUnits:
-    def test_all_units(self):
-        units = sphere_units(16)
-        assert len(units) == 16
-        for u in units:
-            assert is_imaginary_unit(u, 1e-12)
-
-    def test_spread(self):
-        units = sphere_units(16)
-        closest = min(
-            abs(a - b) for i, a in enumerate(units) for b in units[i + 1 :]
-        )
-        assert closest > 0.3
 
 
 class TestText:
