@@ -1,10 +1,12 @@
 """Branches of scalar inverse functions: logarithms, mu, nu and arc cosines.
 
-mu and nu are the entire functions with mu(z^2) = cos z and nu(z^2) = sin z / z.
-Branch indices follow the half-strip decomposition of the cosine: branch k
-inverts cos on the strip with real part between k*pi and (k+1)*pi, so the
-k-th inverse of mu is single valued on the plane slit along (-inf,-1] (and
-also along [1,inf) for k outside {0,-1}).
+mu and nu are the entire functions with mu(z^2) = cos z and nu(z^2) = sin z / z,
+evaluated in closed form as cos(sqrt z) and sin(sqrt z) / sqrt z.  Branch
+indices follow the half-strip decomposition of the cosine: branch k inverts
+cos on the strip with real part between k*pi and (k+1)*pi, where it is the
+principal arc cosine moved by a reflection and a shift, so the k-th inverse of
+mu is single valued on the plane slit along (-inf,-1] (and also along [1,inf)
+for k outside {0,-1}).
 
 The module also hosts the registry of scalar functions that expression nodes
 may apply to slice-preserving children.
@@ -19,41 +21,23 @@ import numpy as np
 from .errors import BranchDomainViolation, NoConvergence, RealInput
 from .quaternion import Quaternion, split
 
-SERIES_RADIUS = 25.0
-_MU_TERMS = 26
-NEWTON_TOL = 1e-13
-
 
 def mu(z):
-    """Entire function with mu(z^2) = cos z: sum (-1)^m z^m / (2m)!."""
-    return _even_series(z, start=0)
+    """Entire function with mu(z^2) = cos z, computed as cos(sqrt z).
+
+    cos is even, so either square root of z gives the same value.
+    """
+    out = np.cos(np.sqrt(np.asarray(z, dtype=complex)))
+    return out if out.shape else complex(out)
 
 
 def nu(z):
-    """Entire function with nu(z^2) = sin z / z: sum (-1)^m z^m / (2m+1)!."""
-    return _even_series(z, start=1)
+    """Entire function with nu(z^2) = sin z / z, computed as sin(r)/r, r = sqrt z.
 
-
-def _even_series(z, start: int):
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) <= SERIES_RADIUS
-    out = np.empty_like(z)
-    if small.any():
-        zs = z[small]
-        term = np.ones_like(zs)
-        total = term.copy()
-        for m in range(1, _MU_TERMS):
-            scale = (2 * m + start - 1) * (2 * m + start)
-            term = -term * zs / scale
-            total += term
-        out[small] = total
-    if (~small).any():
-        zb = z[~small]
-        root = np.sqrt(zb)  # either square root works: the series are even in sqrt(z)
-        if start == 0:
-            out[~small] = np.cos(root)
-        else:
-            out[~small] = np.sin(root) / root
+    sin(r)/r is even in r, so either square root works; nu(0) = 1 exactly.
+    """
+    r = np.sqrt(np.asarray(z, dtype=complex))
+    out = np.divide(np.sin(r), r, out=np.ones_like(r), where=r != 0)
     return out if out.shape else complex(out)
 
 
@@ -81,42 +65,29 @@ def _check_slit(w, k: int, both: bool, what: str):
 
 
 def mu_inv(w, k: int = 0):
-    """Branch-k inverse of mu, polished by Newton on mu.
+    """Branch-k inverse of mu: the square of the strip arc cosine.
 
     Branches 0 and -1 share their inverse (one strip squared); they admit all
     of the plane except (-inf,-1].  Other branches exclude [1,inf) as well.
     """
-    both = k not in (0, -1)
-    _check_slit(w, k, both, "mu_inv")
+    _check_slit(w, k, k not in (0, -1), "mu_inv")
     w = np.asarray(w, dtype=complex)
     kk = k if k >= 0 else -k - 1  # strips k and -k-1 square to the same inverse
-    zeta = _strip_rep(np.arccos(w + 0j), kk)
-    g = zeta * zeta
-    for _ in range(60):
-        denom = nu(g)
-        step = 2.0 * (mu(g) - w) / np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        g = g + step
-        if np.max(np.abs(step)) <= NEWTON_TOL * (1.0 + np.max(np.abs(g))):
-            break
-    else:
-        raise NoConvergence("mu_inv Newton polish did not converge")
+    g = _strip_rep(np.arccos(w), kk) ** 2
     resid = np.max(np.abs(mu(g) - w))
     if resid > 1e-9 * (1.0 + np.max(np.abs(w))):
-        raise NoConvergence(f"mu_inv residual {resid:.2e} after polish")
+        raise NoConvergence(f"mu_inv residual {resid:.2e} exceeds the tolerance")
     return g if g.shape else complex(g)
 
 
 def arccos_k(w, k: int = 0):
-    """Branch-k arc cosine: the square root of mu_inv(w, k) lying in strip k.
+    """Branch-k arc cosine: the principal arc cosine moved to strip k.
 
     Defined on the doubly slit plane for every k (the [1,inf) slit separates
     strips k and -k-1 even when their mu_inv coincide).
     """
     _check_slit(w, k, both=True, what="arccos_k")
-    g = np.asarray(mu_inv(w, k), dtype=complex)
-    zeta = np.sqrt(g)
-    if k < 0:
-        zeta = -zeta
+    zeta = _strip_rep(np.arccos(np.asarray(w, dtype=complex)), k)
     return zeta if zeta.shape else complex(zeta)
 
 
@@ -183,16 +154,14 @@ def _recip(w):
     return out if out.shape else complex(out)
 
 
-# registry used by ScalarApply nodes: name -> callable(values, k)
+# registry used by ScalarApply nodes: name -> one-argument callable on values
 SCALAR_FUNCTIONS = {
-    "exp": lambda w, k=0: np.exp(w),
-    "log": lambda w, k=0: log_branch(w, k),
-    "sqrt": lambda w, k=0: sqrt_principal(w),
-    "mu": lambda w, k=0: mu(w),
-    "nu": lambda w, k=0: nu(w),
-    "cos": lambda w, k=0: np.cos(w),
-    "sin": lambda w, k=0: np.sin(w),
-    "recip": lambda w, k=0: _recip(w),
-    "mu_inv": lambda w, k=0: mu_inv(w, k),
-    "arccos": lambda w, k=0: arccos_k(w, k),
+    "exp": np.exp,
+    "log": log_branch,
+    "sqrt": sqrt_principal,
+    "mu": mu,
+    "nu": nu,
+    "cos": np.cos,
+    "sin": np.sin,
+    "recip": _recip,
 }

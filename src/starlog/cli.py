@@ -28,7 +28,16 @@ from .errors import (
     StarlogError,
     Vanishing,
 )
-from .expr import Neg, StarMul, StarSeries, eval_stem_many, evaluate, slice_values, stem_complex
+from .expr import (
+    Neg,
+    StarMul,
+    StarSeries,
+    eval_stem_many,
+    evaluate,
+    shared_stem,
+    slice_values,
+    stem_complex,
+)
 from .logarithm import RESIDUAL_ACCEPT, BranchSpec, check_conditions, log_star
 from .parse import parse_expr, to_source
 from .quaternion import VERIFY_UNITS, format_quaternion, parse_quaternion
@@ -180,7 +189,9 @@ def _cmd_classify(args, report: Report) -> int:
     start = time.perf_counter()
     tree = parse_expr(args.expr)
     domain = _load_domain(args.domain)
-    shape = classify_vectorial(tree, domain)
+    with shared_stem(tree, domain.node_z):  # one evaluation of g at the nodes
+        summary = check_conditions(tree, domain)
+        shape = classify_vectorial(tree, domain)
     print(f"vectorial class: {shape.kind}")
     for zero in shape.zeros:
         where = "" if zero.location is None else f" at {format_quaternion(zero.location)}"
@@ -188,7 +199,6 @@ def _cmd_classify(args, report: Report) -> int:
             f"  zero sphere z={zero.z:.6g} multiplicity={zero.multiplicity}"
             f" kind={zero.kind}{where}"
         )
-    summary = check_conditions(tree, domain)
     print(f"min |g| on grid: {summary.min_abs:.6e} (scale {summary.scale:.6e})")
     if summary.cond_positive_trace is not None:
         print(f"positive trace: {summary.cond_positive_trace}")

@@ -207,7 +207,6 @@ class ScalarApply(SliceExpr):
 
     fn: str
     child: SliceExpr
-    k: int = 0
 
     def __post_init__(self):
         if self.fn not in SCALAR_FUNCTIONS:
@@ -292,9 +291,11 @@ def shared_stem(expr: SliceExpr, nodes: np.ndarray):
 
     Until the block ends, every :func:`eval_stem_many` call handed that same
     array object reuses the stem wherever ``expr`` occurs in the evaluated
-    tree.  Other points are evaluated as usual.
+    tree.  Other points are evaluated as usual.  Overflow in the stem raises no
+    warning: the values may be non-finite, and the caller must check them.
     """
-    C = eval_stem_many(expr, nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = eval_stem_many(expr, nodes)
     lower = (np.asarray(nodes).imag < 0).ravel()
     pre = np.where(lower[:, None], C.conj(), C) if lower.any() else C  # undo the reflection
     pre.flags.writeable = False  # handed out to every evaluation of ``expr`` itself
@@ -428,7 +429,7 @@ def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> np.ndarray:
         C = _eval(expr.child, z, cache)
         out = _scalar(np.sum(C * C, axis=-1))
     elif isinstance(expr, ScalarApply):
-        w = SCALAR_FUNCTIONS[expr.fn](_eval(expr.child, z, cache)[:, 0], expr.k)
+        w = SCALAR_FUNCTIONS[expr.fn](_eval(expr.child, z, cache)[:, 0])
         out = _scalar(np.asarray(w, dtype=complex))
     elif isinstance(expr, StarSeries):
         out = _star_series(expr, _eval(expr.child, z, cache))

@@ -107,8 +107,8 @@ class ConditionSummary:
     scale: float
     cond_positive_trace: bool | None
     cond_root_trace: bool | None
-    cond_slit_avoided: bool | None
-    slit_margin: float | None
+    cond_slit_avoided: bool
+    slit_margin: float
     details: dict
 
     def to_json(self) -> dict:
@@ -243,9 +243,7 @@ def _positive_trace(G: np.ndarray, domain: BasicDomainSpec) -> tuple[bool | None
     return ok, {"trace_min": float(vals.min()), "trace_off_axis": off_axis}
 
 
-def check_conditions(
-    g: SliceExpr, domain: BasicDomainSpec, with_slit: bool = True
-) -> ConditionSummary:
+def check_conditions(g: SliceExpr, domain: BasicDomainSpec) -> ConditionSummary:
     """Evaluate the pointwise existence conditions for a star logarithm.
 
     Checks that g is finite and does not vanish on the grid (raising
@@ -268,12 +266,10 @@ def check_conditions(
                 )
                 details["sym_trace_min"] = float(tr.real.min())
 
-        counterex = margin = None
-        if with_slit:
-            t_nodes = G[:, 0] / np.exp(0.5 * _sym_log(g, domain).values)
-            counterex, margin = _slit_ok(t_nodes, domain)
-            details["phase_nodes"] = int(t_nodes.size)
-            details["units_checked"] = len(VERIFY_UNITS)
+        t_nodes = G[:, 0] / np.exp(0.5 * _sym_log(g, domain).values)
+        counterex, margin = _slit_ok(t_nodes, domain)
+        details["phase_nodes"] = int(t_nodes.size)
+        details["units_checked"] = len(VERIFY_UNITS)
     return ConditionSummary(lo, hi, cond1, realimage, counterex, margin, details)
 
 

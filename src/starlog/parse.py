@@ -296,8 +296,8 @@ def _source(expr: SliceExpr) -> tuple[str, int]:
         return f"symm({_source(expr.child)[0]})", _PREC_ATOM
     if isinstance(expr, ScalarApply):
         name = _CALL_OF_SCALAR.get(expr.fn)
-        if name is None or expr.k != 0:
-            raise ExprError(f"no source form for scalar call {expr.fn!r} (k={expr.k})")
+        if name is None:
+            raise ExprError(f"no source form for scalar call {expr.fn!r}")
         return f"{name}({_source(expr.child)[0]})", _PREC_ATOM
     raise ExprError(f"no source form for {type(expr).__name__}")
 

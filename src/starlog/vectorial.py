@@ -28,6 +28,7 @@ from .domain import BasicDomainSpec
 from .errors import (
     BoundaryZero,
     ClassificationError,
+    DomainError,
     FactorResidual,
     NoConvergence,
     SlicePreservingRequired,
@@ -353,11 +354,22 @@ def _component_order(expr: SliceExpr, cols: list, z: complex, ftol: float) -> in
     raise NoConvergence(f"vanishing order at {z} could not be counted")
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if bad.any():
+        raise DomainError(f"{what} is not finite at {int(bad.sum())} of {bad.size} grid nodes")
+
+
 def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassReport:
     """Describe the vectorial part of ``g``: identically zero, null
-    symmetrization, or a zero set split into real, spherical and isolated kinds."""
+    symmetrization, or a zero set split into real, spherical and isolated kinds.
+
+    Raises DomainError where g or g_v^s is not finite at a grid node.
+    """
     gv = vect_part(g)
-    C = eval_stem_many(g, domain.node_z)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        C = eval_stem_many(g, domain.node_z)
+    _require_finite(C, "g")
     full_scale = sup_parts(C)
     comps = C[:, 1:]  # the vector part of g has the same components
     comp_sup = np.abs(comps).max(axis=0)
@@ -367,9 +379,11 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
         return VectorialClassReport("zero", [], vect_scale, 0.0)
 
     sym = symmetrization(gv)
-    sym_vals = stem_complex(sym, domain.node_z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym_vals = stem_complex(sym, domain.node_z)
+    _require_finite(sym_vals, "g_v^s")
     sym_scale = float(np.abs(sym_vals).max())
-    if sym_scale <= 1e-12 * (1.0 + vect_scale ** 2):
+    if sym_scale <= 1e-12 * (1.0 + vect_scale * vect_scale):  # inf, not OverflowError
         if domain.kind == "slice":
             raise ClassificationError(
                 "the symmetrized vectorial part cannot vanish identically on a "

@@ -32,10 +32,34 @@ class TestMuNu:
         assert np.max(np.abs(mu(z * z) - np.cos(z))) < 1e-13
         assert np.max(np.abs(nu(z * z) - np.sin(z) / z)) < 1e-13
 
-    def test_large_argument_switch(self):
-        # straddles the series/closed-form switch at |z| = 25
+    def test_large_arguments(self):
+        # mu at z^2 for |z| on both sides of 25: |z^2| runs from 620 to 10^4
         z = np.array([24.9, 25.1, -40 + 3j, 100j, 26 - 26j])
         assert np.max(np.abs(mu(z * z) - np.cos(z))) < 1e-10 * np.max(np.abs(np.cos(z)))
+
+    def test_against_mpmath(self):
+        # 40-digit references on the disc |z| <= 25 and near 0; errors are
+        # relative to max(1, |value|)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        z = 25 * np.sqrt(rng.uniform(0, 1, 1500)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 1500))
+        tiny = rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
+        z = np.concatenate([z, tiny * 10.0 ** rng.uniform(-12, 0, 200), [0.0]])
+        w = rng.uniform(-4, 4, 500) + 1j * rng.uniform(-4, 4, 500)
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(mpmath.mpc(v)) for v in z]
+            cos_ref = np.array([complex(mpmath.cos(r)) for r in roots])
+            sinc_ref = np.array([complex(mpmath.sin(r) / r) if r else 1.0 for r in roots])
+            acos_ref = np.array([complex(mpmath.acos(mpmath.mpc(v))) for v in w])
+
+        def err(values, ref):
+            return float((np.abs(values - ref) / np.maximum(1.0, np.abs(ref))).max())
+
+        assert err(mu(z), cos_ref) <= 2e-15
+        assert err(nu(z), sinc_ref) <= 2e-15
+        for k in (-2, -1, 0, 1, 2):
+            strip = acos_ref + k * math.pi if k % 2 == 0 else -acos_ref + (k + 1) * math.pi
+            assert err(arccos_k(w, k), strip) <= 2e-15
 
     def test_values_at_zero(self):
         assert mu(0.0) == pytest.approx(1.0, abs=1e-15)
@@ -79,6 +103,17 @@ class TestMuInv:
         dn = mu_inv(2.0 - 1e-9j, 0)
         assert abs(up - dn) < 1e-7
         assert abs(mu(mu_inv(2.0, 0)) - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+    def test_near_the_fold(self, k):
+        # w = 1 is a critical value of mu: off branches 0 and -1 the inverse lands
+        # next to a zero of mu' = -nu/2
+        w = 1.0 + 1e-9 * np.exp(1j * np.linspace(0.1, 3.0, 30))
+        g = mu_inv(w, k)
+        assert np.max(np.abs(mu(g) - w)) < 1e-15
+        assert np.max(np.abs(np.cos(arccos_k(w, k)) - w)) < 1e-15
+        for one in w:
+            assert abs(mu(mu_inv(one, k)) - one) < 1e-15
 
     @pytest.mark.parametrize("k", [-2, 1, 2])
     def test_other_branches_reject_right_slit(self, k):

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starlog
+import starlog.expr as expr_module
+from starlog import cli
 from starlog.cli import CSV_HEADER, main
 from starlog.domain import BasicDomainSpec
 from starlog.parse import MAX_DEPTH
@@ -80,6 +87,28 @@ def test_classify_reports_isolated_zero(domains, capsys):
     assert "isolated" in out
 
 
+def test_classify_evaluates_g_once_on_the_grid(domains, monkeypatch, capsys):
+    # check_conditions and classify_vectorial share one stem of g at the nodes
+    trees, computed = [], []
+    parse, evaluate = cli.parse_expr, expr_module._eval
+    n_nodes = BasicDomainSpec.load(domains["product"]).n_nodes
+
+    def parsing(text):
+        trees.append(parse(text))
+        return trees[-1]
+
+    def counting(node, z, cache):
+        if node is trees[0] and z.size == n_nodes and id(node) not in cache:
+            computed.append(z.size)
+        return evaluate(node, z, cache)
+
+    monkeypatch.setattr(cli, "parse_expr", parsing)
+    monkeypatch.setattr(expr_module, "_eval", counting)
+    assert main(["classify", "q^2*j + 2", "--domain", domains["product"]]) == 0
+    assert "vectorial class: no-zeros" in capsys.readouterr().out
+    assert len(computed) == 1
+
+
 def test_exp_star_grid_csv(domains, tmp_path, capsys):
     out_csv = tmp_path / "grid.csv"
     code = main(["exp-star", "q*i", "--domain", domains["slice"], "--grid-out", str(out_csv)])
@@ -131,15 +160,45 @@ def test_log_star_vanishing_exit(domains):
     assert main(["log-star", "q", "--domain", domains["slice"]]) == 4
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
-@pytest.mark.parametrize(
+OVERFLOWING = pytest.mark.parametrize(
     "expr", ["exp(800*q)", "1e300*q*i + 1e300", "exp(q)*1e300"], ids=["exp", "sym", "scaled-exp"]
 )
-def test_log_star_non_finite_g_exit(expr, tmp_path, capsys):
+
+
+@pytest.fixture
+def slice_rect(tmp_path):
     path = tmp_path / "rect.json"
     BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 16.0).dump(path)
-    assert main(["log-star", expr, "--domain", str(path)]) == 3
+    return str(path)
+
+
+@OVERFLOWING
+def test_log_star_non_finite_g_exit(expr, slice_rect, capsys):
+    assert main(["log-star", expr, "--domain", slice_rect]) == 3
     assert "not finite at" in capsys.readouterr().err
+
+
+@OVERFLOWING
+def test_classify_non_finite_g_exit(expr, slice_rect, capsys):
+    assert main(["classify", expr, "--domain", slice_rect]) == 3
+    out, err = capsys.readouterr()
+    assert "not finite at" in err
+    assert "vectorial class" not in out
+
+
+@pytest.mark.parametrize("command", ["log-star", "classify"])
+def test_overflow_is_a_typed_error_under_warnings_as_errors(command, slice_rect):
+    src = str(Path(starlog.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "starlog.cli", command, "exp(800*q)",
+         "--domain", slice_rect],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "not finite at" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_unit_function_needs_product_domain(domains):

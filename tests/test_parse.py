@@ -167,7 +167,7 @@ def test_printer_rejects_runtime_nodes():
     with pytest.raises(ExprError):
         to_source(StarSeries("exp", VarQ()))
     with pytest.raises(ExprError):
-        to_source(ScalarApply("log", VarQ(), k=2))
+        to_source(ScalarApply("recip", VarQ()))
 
 
 def test_hand_built_constant_prints():

@@ -10,8 +10,9 @@ import pytest
 from starlog import vectorial
 from starlog.algebra import symmetrization, vect_part
 from starlog.domain import BasicDomainSpec
-from starlog.errors import BoundaryZero, SlicePreservingRequired, Vanishing
+from starlog.errors import BoundaryZero, DomainError, SlicePreservingRequired, Vanishing
 from starlog.expr import Q, UNIT, Const, const, eval_stem_many, stem_complex
+from starlog.parse import parse_expr
 from starlog.quaternion import Quaternion
 from starlog.vectorial import (
     SphereZero,
@@ -144,6 +145,15 @@ def test_scalar_function_classifies_as_zero(slice_rect):
     report = classify_vectorial(Q * Q - const(1.5), slice_rect)
     assert report.kind == "zero"
     assert report.zeros == []
+
+
+@pytest.mark.parametrize(
+    "source, what", [("exp(800*q)", "g"), ("1e300*q*i + 1e300", "g_v\\^s")], ids=["exp", "sym"]
+)
+def test_non_finite_input_is_a_domain_error(source, what):
+    dom = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 16.0)
+    with pytest.raises(DomainError, match=f"^{what} is not finite at"):
+        classify_vectorial(parse_expr(source), dom)
 
 
 def test_null_symmetrization_on_product(product_rect):
