@@ -9,6 +9,11 @@ complex arrays.  Stems obey the reflection symmetry C(conj z) = conj(C(z)),
 which the evaluator applies globally: batches are normalized to the upper half
 plane and conjugated back afterwards, so contours may dip below the axis.
 
+Stems are column-major: each component is one contiguous column, so the
+Hamilton products read memory in order.  A constant evaluates to one (1, 4)
+row that broadcasts against the stems it meets; a tree of constants alone is
+widened to every point once, when its evaluation ends.
+
 Inside a :func:`shared_stem` block, one expression's stem at one node array
 is evaluated once: trees that contain the expression reuse it when evaluated
 at that same array object, and compute it afresh at any other points.
@@ -36,7 +41,7 @@ from .errors import (
     SlicePreservingRequired,
     UnitFnOnRealAxis,
 )
-from .quaternion import Quaternion, qconj, qmul, split
+from .quaternion import Quaternion, qconj, qmul, qsym, split
 
 logger = logging.getLogger(__name__)
 
@@ -273,14 +278,19 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
     """Evaluate the stem over complex points as one (n, 4) complex array C.
 
     Column l holds the l-th quaternion component, so C = A + iB with A and B
-    the real stem halves ``C.real`` and ``C.imag``.
+    the real stem halves ``C.real`` and ``C.imag``.  C is column-major, so
+    each column is contiguous.
     """
     flat = np.asarray(zs, dtype=complex).ravel()
+    if not flat.size:  # no point to evaluate and no series term to sum
+        return np.zeros((0, 4), dtype=complex)
     zhat = flat.real + 1j * np.abs(flat.imag)
     shared = _SHARED.get()
     seeded = shared is not None and zs is shared[1]
     # no name holds the cache, so its intermediates are freed before the reflection
     C = _eval(expr, zhat, {id(shared[0]): shared[2]} if seeded else {})
+    if C.shape[0] != flat.size:  # an all-constant tree evaluates to one row
+        C = np.broadcast_to(C, (flat.size, 4)).copy(order="F")
     lower = flat.imag < 0
     return np.where(lower[:, None], C.conj(), C) if lower.any() else C
 
@@ -376,7 +386,7 @@ def is_slice_preserving(expr: SliceExpr, domain=None) -> bool:
 
 def _scalar(values: np.ndarray) -> np.ndarray:
     """Stem with ``values`` as its scalar component and a zero vector part."""
-    out = np.zeros(values.shape + (4,), dtype=complex)
+    out = np.zeros(values.shape + (4,), dtype=complex, order="F")
     out[..., 0] = values
     return out
 
@@ -394,7 +404,7 @@ def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> np.ndarray:
     n = z.size
 
     if isinstance(expr, Const):
-        out = np.broadcast_to(expr.value.to_array(), (n, 4)).astype(complex)
+        out = expr.value.to_array().astype(complex)[None, :]
     elif isinstance(expr, VarQ):
         out = _scalar(z)
     elif isinstance(expr, UnitFn):
@@ -423,11 +433,10 @@ def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> np.ndarray:
     elif isinstance(expr, Component):
         out = _scalar(_eval(expr.child, z, cache)[:, expr.index])
     elif isinstance(expr, VectPart):
-        out = _eval(expr.child, z, cache).copy()
+        out = _eval(expr.child, z, cache).copy(order="K")
         out[:, 0] = 0.0
     elif isinstance(expr, Symm):
-        C = _eval(expr.child, z, cache)
-        out = _scalar(np.sum(C * C, axis=-1))
+        out = _scalar(qsym(_eval(expr.child, z, cache)))
     elif isinstance(expr, ScalarApply):
         w = SCALAR_FUNCTIONS[expr.fn](_eval(expr.child, z, cache)[:, 0])
         out = _scalar(np.asarray(w, dtype=complex))

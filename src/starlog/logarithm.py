@@ -56,7 +56,7 @@ from .expr import (
     sup_parts,
 )
 from .lifts import grid_neighbours, lift_angle, lift_log, lift_mu
-from .quaternion import VERIFY_UNITS
+from .quaternion import VERIFY_UNITS, qsym
 from .starexp import exp_star
 from .vectorial import (
     VectorialClassReport,
@@ -160,7 +160,7 @@ def _node_stem(g: SliceExpr, domain: BasicDomainSpec):
     """
     with shared_stem(g, domain.node_z) as G:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-            sym = np.sum(G * G, axis=-1)  # the arithmetic of Symm
+            sym = qsym(G)  # the arithmetic of Symm
             mags = np.stack([np.linalg.norm(slice_values(G, u), axis=1) for u in VERIFY_UNITS])
         bad = ~(np.isfinite(G).all(axis=1) & np.isfinite(sym) & np.isfinite(mags).all(axis=0))
         if bad.any():
@@ -194,7 +194,7 @@ def _check_unit(w: SliceExpr, domain: BasicDomainSpec) -> None:
     """A class representative must square to -1: scalar part 0, w^s = 1."""
     W = eval_stem_many(w, domain.node_z)
     scal = sup_parts(W[:, 0])
-    defect = float(np.abs(np.sum(W * W, axis=-1) - 1.0).max())  # the arithmetic of Symm
+    defect = float(np.abs(qsym(W) - 1.0).max())  # the arithmetic of Symm
     if scal > _UNIT_TOL or defect > _UNIT_TOL:
         raise ConditionFailed(
             "representative",

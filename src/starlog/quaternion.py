@@ -2,8 +2,9 @@
 
 Scalar arithmetic lives on the frozen :class:`Quaternion`; the evaluator works
 on stacked ``(..., 4)`` arrays through the ``q*``-prefixed helpers, with
-components ordered (1, i, j, k).  ``qmul`` and ``qconj`` also serve the
-complex stem arrays A + iB.
+components ordered (1, i, j, k).  ``qmul``, ``qconj`` and ``qsym`` also serve
+the complex stem arrays A + iB; ``qmul`` returns them column-major, one
+contiguous block per component, and ``qconj`` keeps its input's layout.
 """
 
 from __future__ import annotations
@@ -146,24 +147,36 @@ VERIFY_UNITS = (
 # stacked (..., 4) array arithmetic for the stem evaluator
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of stacked quaternion arrays (broadcasts)."""
+    """Hamilton product of stacked quaternion arrays (broadcasts).
+
+    The result is column-major: each component ``out[..., l]`` is one
+    contiguous block, so products of its columns read memory in order.
+    """
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b), order="F")
+    np.subtract(aw * bw - ax * bx - ay * by, az * bz, out=out[..., 0])
+    np.subtract(aw * bx + ax * bw + ay * bz, az * by, out=out[..., 1])
+    np.add(aw * by - ax * bz + ay * bw, az * bx, out=out[..., 2])
+    np.add(aw * bz + ax * by - ay * bx, az * bw, out=out[..., 3])
+    return out
 
 
 def qconj(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
+    out = a.copy(order="K")
     out[..., 1:] = -out[..., 1:]
     return out
+
+
+def qsym(a: np.ndarray) -> np.ndarray:
+    """Symmetrization w^2 + x^2 + y^2 + z^2 of stacked quaternion arrays.
+
+    Grouped as (w^2 + x^2) + (y^2 + z^2), the grouping that
+    ``np.sum(a * a, axis=-1)`` uses on a C-ordered row of four complex
+    values, so the result is the same for every memory layout.
+    """
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    return (aw * aw + ax * ax) + (ay * ay + az * az)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ the zero direction is carried by a single quaternion on the sphere.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,7 @@ def _polish(F, found: list, scale: float) -> list:
     step, with one F call per iteration on the points and their +-delta
     neighbours.  The updates run in Python complex arithmetic."""
     zs = [z for z, _ in found]
+    best = [(math.inf, z) for z in zs]  # (|F|, z) at each zero's closest iterate
     open_ = list(range(len(zs)))
     for _ in range(80):
         if not open_:
@@ -245,6 +247,8 @@ def _polish(F, found: list, scale: float) -> list:
         still = []
         for k, (i, delta) in enumerate(zip(open_, deltas)):
             f0 = complex(vals[k])
+            if abs(f0) < best[i][0]:
+                best[i] = (abs(f0), zs[i])
             if f0 == 0:
                 continue
             fp = complex(vals[n + k]) - complex(vals[2 * n + k])
@@ -260,9 +264,13 @@ def _polish(F, found: list, scale: float) -> list:
         logger.debug("zero near %s stopped polishing at the 80-iteration cap", zs[i])
     if zs:
         vals = np.asarray(F(zs))
-        for z, v in zip(zs, vals):
+        for i, v in enumerate(vals):
             if abs(complex(v)) > 1e-11 * scale:
-                raise NoConvergence(f"zero near {z} did not polish below tolerance")
+                # the steps at a multiple zero can wander in rounding noise away
+                # from an iterate that already met the tolerance: go back to it
+                if best[i][0] > 1e-11 * scale:
+                    raise NoConvergence(f"zero near {zs[i]} did not polish below tolerance")
+                zs[i] = best[i][1]
     return zs
 
 

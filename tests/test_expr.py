@@ -47,6 +47,7 @@ from starlog.quaternion import (
     Quaternion,
     split,
 )
+from starlog.starexp import exp_star
 
 RNG = np.random.default_rng(42)
 
@@ -328,6 +329,35 @@ class TestSharedStem:
             eval_stem_many(vect_part(f), nodes.copy())
         eval_stem_many(vect_part(f), nodes)
         assert computed == [2, 2, 2]  # the block's own, the copy's, after the block
+
+
+class TestLayout:
+    F = star_mul(Q, const(I_UNIT)) + star_mul(Q * Q, const(J_UNIT))
+
+    @pytest.mark.parametrize(
+        "tree",
+        [Q * const(J_UNIT) * Q, StarSeries("exp", F), exp_star(F), symmetrization(F)],
+        ids=["product", "series", "exp_star", "symm"],
+    )
+    def test_components_are_contiguous_columns(self, tree):
+        zs = np.linspace(-1.0, 1.0, 40) + 0.5j
+        C = eval_stem_many(tree, np.concatenate([zs, zs.conj()]))
+        assert C.shape == (80, 4)
+        assert all(C[:, l].flags.contiguous for l in range(4))
+
+    def test_constant_tree_fills_every_point(self):
+        C = eval_stem_many(const(2.0) * const(I_UNIT) + 1, np.linspace(-1.0, 1.0, 7) + 0.5j)
+        assert C.shape == (7, 4) and C.flags.writeable
+        assert np.array_equal(C, np.broadcast_to([1.0, 2.0, 0.0, 0.0], (7, 4)))
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
+    def test_series_at_no_points(self, kind):
+        assert eval_stem_many(StarSeries(kind, Q * const(2.0)), []).shape == (0, 4)
+
+    def test_constant_tree_at_no_points(self):
+        assert eval_stem_many(const(2.0) * const(I_UNIT) + 1, []).shape == (0, 4)
 
 
 class TestQuotient:

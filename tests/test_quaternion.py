@@ -17,6 +17,7 @@ from starlog.quaternion import (
     parse_quaternion,
     qconj,
     qmul,
+    qsym,
     split,
 )
 
@@ -136,6 +137,43 @@ class TestArrays:
     def test_qconj(self):
         a = np.array([[1.0, 2.0, -3.0, 0.5]])
         assert np.allclose(qconj(a), [[1.0, -2.0, 3.0, -0.5]])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_qmul_is_bit_identical_to_the_stacked_formula(self, order):
+        rng = np.random.default_rng(11)
+
+        def draw(n):
+            c = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+            return np.asarray(c, order=order)
+
+        a, b, row = draw(300), draw(300), draw(1)
+        for left, right in ((a, b), (row, b), (a, row)):
+            got = qmul(left, right)
+            assert np.array_equal(got, _stacked_qmul(left, right))
+            assert all(got[:, l].flags.contiguous for l in range(4))
+
+    def test_qsym_is_bit_identical_to_the_row_sum(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(500, 4)) + 1j * rng.normal(size=(500, 4))
+        want = np.sum(a * a, axis=-1)
+        assert np.array_equal(qsym(a), want)
+        assert np.array_equal(qsym(np.asfortranarray(a)), want)
+
+
+def _stacked_qmul(a, b):
+    """The Hamilton product as one np.stack of its component formulas: the
+    reference that qmul must reproduce bit for bit."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
 
 
 class TestText:

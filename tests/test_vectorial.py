@@ -110,6 +110,22 @@ def test_zero_finder_batches_its_stem_calls(monkeypatch):
     assert len(calls) <= 120  # one call per cell and per Newton point made 335
 
 
+def test_double_zero_polish_keeps_its_closest_iterate():
+    # a rotated, scaled copy of example_isolated(): Newton steps at the double
+    # zero z = i start 1e-7 from it and wander in rounding noise to 2e-6, past
+    # the tolerance, by the 80-iteration cap
+    g = parse_expr(
+        "1.3202023303049497*(-1 + q^2*(0.9014148099256483*i - 0.14620083886720656*j"
+        " + 0.4075250362385513*k) + 1.4142135623730951*q*(- 0.4058813211662008*i"
+        " + 0.04228043673700388*j + 0.9129472699984963*k) + (- 0.15070399322873554*i"
+        " - 0.9883509899746411*j - 0.02122797779016894*k))"
+    )
+    dom = BasicDomainSpec(discs=[(0.0, 1.0, 0.5)], kind="product", h=1.0 / 64)
+    (zero,) = find_zeros_sp(symmetrization(vect_part(g)), dom)
+    assert zero.multiplicity == 2
+    assert abs(zero.z - 1j) <= 1e-6
+
+
 def test_no_zeros_inside(slice_rect):
     assert find_zeros_sp(Q * Q + const(4.0), slice_rect) == []
 
