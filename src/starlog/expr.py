@@ -20,7 +20,12 @@ at that same array object, and compute it afresh at any other points.
 
 Nodes carry a structural slice-preserving flag (real stem components, exact
 zeros in the vector part); scalar branch functions may only be applied to
-structurally slice-preserving children.
+structurally slice-preserving children.  The evaluator relies on those exact
+zeros: a star product with a slice-preserving factor is that factor's scalar
+column times the other factor, and only a product of two other factors runs
+the full Hamilton product.  The exp, cos and sin star series of F = f0 + f_v
+stay in span{1, f_v}, because f_v*f_v = -f_v^s: each term is two complex
+columns a + b*f_v, not a Hamilton product.
 """
 
 from __future__ import annotations
@@ -234,6 +239,10 @@ class StarSeries(SliceExpr):
     def __post_init__(self):
         if self.kind not in ("exp", "cos", "sin"):
             raise ExprError(f"unknown series kind {self.kind!r}")
+        if not isinstance(self.max_terms, int) or self.max_terms < 1:
+            raise ExprError(
+                f"a star series needs an integer max_terms >= 1, got {self.max_terms!r}"
+            )
         self._set_sp(self.child.slice_preserving)
 
 
@@ -335,9 +344,12 @@ def evaluate(expr: SliceExpr, q) -> Quaternion:
     """Value of the slice function at a quaternion point.
 
     Real points use the slice-domain rule f(x) = A(x), valid only when the
-    stem has B(x) = 0 within tolerance.
+    stem has B(x) = 0 within tolerance.  A point with an infinite or NaN
+    component has no splitting q = x + Iy and raises :class:`DomainError`.
     """
     q = Quaternion.coerce(q)
+    if not np.isfinite(q.to_array()).all():
+        raise DomainError(f"no value at the non-finite point {q!r}")
     try:
         x, y, unit = split(q)
     except RealInput:
@@ -391,9 +403,16 @@ def _scalar(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _negligible(term: np.ndarray, total: np.ndarray) -> bool:
-    norm = np.linalg.norm
-    return norm(term, axis=-1).max() <= SERIES_TOL * (1.0 + norm(total, axis=-1).max())
+def _star(a: np.ndarray, b: np.ndarray, a_sp: bool, b_sp: bool) -> np.ndarray:
+    """Star product a*b of two stems; a_sp and b_sp flag slice-preserving factors.
+
+    A slice-preserving factor has exact zeros in its vector columns, so the
+    product is its scalar column times the other factor, in the same order.
+    """
+    if not (a_sp or b_sp):
+        return qmul(a, b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex, order="F")
+    return np.multiply(a[:, :1] if a_sp else a, b if a_sp else b[:, :1], out=out)
 
 
 def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> np.ndarray:
@@ -416,18 +435,21 @@ def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> np.ndarray:
     elif isinstance(expr, Neg):
         out = -_eval(expr.child, z, cache)
     elif isinstance(expr, StarMul):
-        out = qmul(_eval(expr.left, z, cache), _eval(expr.right, z, cache))
+        a, b = _eval(expr.left, z, cache), _eval(expr.right, z, cache)
+        out = _star(a, b, expr.left.slice_preserving, expr.right.slice_preserving)
     elif isinstance(expr, IntPow):
         base = _eval(expr.child, z, cache)
-        acc = _scalar(np.ones(n))
+        sp = expr.child.slice_preserving
+        out = None
         m = expr.n
         while m:
             if m & 1:
-                acc = qmul(acc, base)
+                out = base if out is None else _star(out, base, sp, sp)
             m >>= 1
             if m:
-                base = qmul(base, base)
-        out = acc
+                base = _star(base, base, sp, sp)
+        if out is None:  # the zeroth power
+            out = _scalar(np.ones(n))
     elif isinstance(expr, RegConj):
         out = qconj(_eval(expr.child, z, cache))
     elif isinstance(expr, Component):
@@ -453,26 +475,49 @@ def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> np.ndarray:
     return out
 
 
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return x.real * x.real + x.imag * x.imag
+
+
 def _star_series(expr: StarSeries, F: np.ndarray) -> np.ndarray:
-    one = _scalar(np.ones(F.shape[0]))
-    if expr.kind == "exp":
-        total = term = one
+    """Sum the exp, cos or sin series in star powers of F = f0 + f_v.
+
+    The i of the stem is central, so f_v*f_v = -s with s = f_v1^2 + f_v2^2 +
+    f_v3^2, and every term is a + b*f_v with complex columns a and b.  A step
+    multiplies the term by c + d*f_v, which is F for exp and F*F = (f0^2 - s)
+    + 2*f0*f_v for cos and sin, and divides it by its factorial ratio.  The
+    stop test reads |a + b*f_v|^2 = |a|^2 + |b|^2*|f_v|^2; a term or partial
+    sum whose squared norm is not finite raises :class:`NoConvergence`.
+    """
+    f0, fv = F[:, 0], F[:, 1:]
+    one, zero = np.ones_like(f0), np.zeros_like(f0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        s = fv[:, 0] * fv[:, 0] + fv[:, 1] * fv[:, 1] + fv[:, 2] * fv[:, 2]
+        w = _abs2(fv[:, 0]) + _abs2(fv[:, 1]) + _abs2(fv[:, 2])
+        if expr.kind == "exp":
+            c, d, a, b = f0, 1.0, one, zero
+        else:
+            c, d = f0 * f0 - s, 2.0 * f0
+            a, b = (one, zero) if expr.kind == "cos" else (f0, one)
+        ds, odd = d * s, expr.kind == "sin"
+        ta, tb = a.copy(), b.copy()
         for m in range(1, expr.max_terms):
-            term = qmul(term, F) / m
-            total = total + term
-            if _negligible(term, total):
-                return total
-        raise NoConvergence("exp star series did not converge")
-    F2 = qmul(F, F)
-    term = one if expr.kind == "cos" else F
-    total = term
-    for m in range(1, expr.max_terms):
-        lo = 2 * m - 1 if expr.kind == "cos" else 2 * m
-        term = -qmul(term, F2) / (lo * (lo + 1))
-        total = total + term
-        if _negligible(term, total):
-            return total
-    raise NoConvergence(f"{expr.kind} star series did not converge")
+            r = 1.0 / (m if expr.kind == "exp" else -(2 * m - 1 + odd) * (2 * m + odd))
+            a, b = (a * c - b * ds) * r, (a * d + b * c) * r
+            ta += a
+            tb += b
+            term = np.sqrt((_abs2(a) + _abs2(b) * w).max())
+            total = np.sqrt((_abs2(ta) + _abs2(tb) * w).max())
+            if not (np.isfinite(term) and np.isfinite(total)):
+                raise NoConvergence(f"{expr.kind} star series has a term that is not finite")
+            if term <= SERIES_TOL * (1.0 + total):
+                break
+        else:
+            raise NoConvergence(f"{expr.kind} star series did not converge")
+    out = np.empty(F.shape, complex, order="F")
+    out[:, 0] = ta
+    np.multiply(tb[:, None], fv, out=out[:, 1:])
+    return out
 
 
 def _eval_quotient(expr: QuotientBySP, z: np.ndarray, cache: dict) -> np.ndarray:

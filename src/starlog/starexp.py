@@ -4,7 +4,9 @@ The closed form splits the exponent f = f0 + fv into its scalar part and
 vector part and uses exp_*(f) = exp(f0) (mu(fv^s) + nu(fv^s) fv), which hides
 no branch choices: mu and nu are entire.  The series route exists to verify
 the closed form and to give cos/sin meaning for non-slice-preserving
-arguments.
+arguments.  It shares only fv^s with the closed form: it sums the star powers
+of f, each a + b fv because fv * fv = -fv^s, term by term and calls neither mu
+nor nu.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from starlog import expr as expr_module
 from starlog.algebra import (
     reg_conj,
     scalar_part,
@@ -14,10 +15,12 @@ from starlog.algebra import (
 from starlog.errors import (
     DomainError,
     ExprError,
+    NoConvergence,
     SlicePreservingRequired,
     UnitFnOnRealAxis,
 )
 from starlog.expr import (
+    SERIES_TOL,
     Component,
     Const,
     GridFieldExpr,
@@ -25,6 +28,7 @@ from starlog.expr import (
     Q,
     QuotientBySP,
     ScalarApply,
+    StarMul,
     StarSeries,
     StemValue,
     UNIT,
@@ -39,12 +43,14 @@ from starlog.expr import (
     shared_stem,
     stem_complex,
 )
+from starlog.parse import parse_expr
 from starlog.quaternion import (
     I_UNIT,
     J_UNIT,
     K_UNIT,
     ONE,
     Quaternion,
+    qmul,
     split,
 )
 from starlog.starexp import exp_star
@@ -114,6 +120,21 @@ class TestBasicNodes:
         assert abs(evaluate(g, 0.5) - Quaternion(0.5, 1, 0, 0)) < 1e-14
         with pytest.raises(DomainError):
             evaluate(PSI, 1.0)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Quaternion(math.inf, 0.0, 0.0, 0.0),
+            Quaternion(1.0, math.inf, 0.0, 0.0),
+            Quaternion(math.nan, 0.0, 0.0, 0.0),
+            Quaternion(0.5, 0.2, math.nan, 0.0),
+        ],
+        ids=["inf-w", "inf-x", "nan-w", "nan-y"],
+    )
+    def test_non_finite_point(self, q):
+        # an infinite vector part used to read as real and give f(1)
+        with pytest.raises(DomainError):
+            evaluate(parse_expr("q^2 + 1"), q)
 
     def test_intpow_validation(self):
         with pytest.raises(ExprError):
@@ -349,6 +370,131 @@ class TestLayout:
         C = eval_stem_many(const(2.0) * const(I_UNIT) + 1, np.linspace(-1.0, 1.0, 7) + 0.5j)
         assert C.shape == (7, 4) and C.flags.writeable
         assert np.array_equal(C, np.broadcast_to([1.0, 2.0, 0.0, 0.0], (7, 4)))
+
+
+def random_stem(rng, rows, order, slice_preserving):
+    C = rng.uniform(-2, 2, (rows, 4)) + 1j * rng.uniform(-2, 2, (rows, 4))
+    if slice_preserving:
+        C[:, 1:] = 0.0
+    return np.asarray(C, order=order)
+
+
+def intpow_reference(base, n):
+    """Square-and-multiply on full Hamilton products, from the identity up."""
+    acc = np.zeros((base.shape[0], 4), dtype=complex)
+    acc[:, 0] = 1.0
+    while n:
+        if n & 1:
+            acc = qmul(acc, base)
+        n >>= 1
+        if n:
+            base = qmul(base, base)
+    return acc
+
+
+class TestSlicePreservingProduct:
+    """A slice-preserving factor multiplies through its scalar column alone."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "sp", [(True, False), (False, True), (True, True)], ids=["left", "right", "both"]
+    )
+    @pytest.mark.parametrize(
+        "rows", [(9, 9), (1, 9), (9, 1), (1, 1)], ids=["stems", "a-row", "b-row", "rows"]
+    )
+    def test_kernel_matches_the_hamilton_product(self, order, sp, rows):
+        rng = np.random.default_rng(sum(rows) + 3 * sp[0] + 5 * sp[1])
+        a = random_stem(rng, rows[0], order, sp[0])
+        b = random_stem(rng, rows[1], order, sp[1])
+        got = expr_module._star(a, b, *sp)
+        assert np.array_equal(got, qmul(a, b))
+        assert all(got[:, l].flags.contiguous for l in range(4))
+
+    def test_star_mul_nodes_match_the_hamilton_product(self):
+        f = poly_expr([1.0, 0.5, 2.0])  # slice preserving
+        g = PSI + Q * const(K_UNIT)
+        zs = random_points(11)
+        F, G = eval_stem_many(f, zs), eval_stem_many(g, zs)
+        row = np.array([[2.5, 0.0, 0.0, 0.0]], dtype=complex)
+        cases = [
+            (StarMul(f, g), qmul(F, G)),
+            (StarMul(g, f), qmul(G, F)),
+            (StarMul(f, f), qmul(F, F)),
+            (StarMul(const(2.5), g), qmul(row, G)),
+            (StarMul(g, const(2.5)), qmul(G, row)),
+        ]
+        for tree, want in cases:
+            assert np.array_equal(eval_stem_many(tree, zs), want)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_intpow_matches_the_hamilton_product(self, n):
+        zs = random_points(11)
+        for child in (poly_expr([1.0, 0.5, 2.0]), PSI + Q * const(K_UNIT)):
+            want = intpow_reference(eval_stem_many(child, zs), n)
+            assert np.array_equal(eval_stem_many(IntPow(child, n), zs), want)
+
+
+def series_reference(kind, F, max_terms=200):
+    """The star series as a four-column recursion: one Hamilton product per term."""
+    norm = np.linalg.norm
+    one = np.zeros(F.shape, dtype=complex)
+    one[:, 0] = 1.0
+
+    def negligible(term, total):
+        return norm(term, axis=-1).max() <= SERIES_TOL * (1.0 + norm(total, axis=-1).max())
+
+    if kind == "exp":
+        total = term = one
+        for m in range(1, max_terms):
+            term = qmul(term, F) / m
+            total = total + term
+            if negligible(term, total):
+                return total
+        raise NoConvergence("exp star series did not converge")
+    F2 = qmul(F, F)
+    term = one if kind == "cos" else F
+    total = term
+    for m in range(1, max_terms):
+        lo = 2 * m - 1 if kind == "cos" else 2 * m
+        term = -qmul(term, F2) / (lo * (lo + 1))
+        total = total + term
+        if negligible(term, total):
+            return total
+    raise NoConvergence(f"{kind} star series did not converge")
+
+
+SERIES_ARGS = [
+    Q * const(I_UNIT) + Q * Q * const(J_UNIT),
+    PSI,
+    poly_expr([0.3, -1.0, 0.5]),
+    const(Quaternion(0.2, 1.0, -0.5, 0.3)) * Q + const(K_UNIT),
+    UNIT * const(Quaternion(0.0, 0.5, 0.5, 0.0)) + Q * const(Quaternion(0.1, 0.0, 0.7, -0.4)),
+]
+
+
+class TestSeriesKernel:
+    @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
+    @pytest.mark.parametrize("f", SERIES_ARGS, ids=range(len(SERIES_ARGS)))
+    def test_agrees_with_the_four_column_recursion(self, kind, f):
+        zs = RNG.uniform(-1.0, 1.0, 60) + 1j * RNG.uniform(0.05, 1.0, 60)
+        got = eval_stem_many(StarSeries(kind, f), zs)
+        want = series_reference(kind, eval_stem_many(f, zs))
+        norm = np.linalg.norm
+        assert (norm(got - want, axis=1) <= 4e-15 * norm(want, axis=1)).all()
+
+    @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
+    def test_series_makes_no_hamilton_product(self, kind, monkeypatch):
+        f = SERIES_ARGS[0]
+        F = eval_stem_many(f, random_points(20))
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return qmul(a, b)
+
+        monkeypatch.setattr(expr_module, "qmul", counting)
+        expr_module._star_series(StarSeries(kind, f), F)
+        assert calls == []
 
 
 class TestEmptyBatch:

@@ -24,7 +24,7 @@ from starlog.errors import (
     StarlogError,
     Vanishing,
 )
-from starlog.expr import Q, UNIT, ScalarApply, const, eval_many, stem_complex
+from starlog.expr import Q, UNIT, ScalarApply, StarSeries, const, eval_many, stem_complex
 from starlog.logarithm import BranchSpec, check_conditions, log_star
 from starlog.parse import parse_expr
 from starlog.quaternion import VERIFY_UNITS, Quaternion
@@ -385,6 +385,31 @@ def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
     monkeypatch.setattr(expr_module, "_eval", counting)
     assert log_star(g, dom).case == route
     assert len(computed) == 1
+
+
+@pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold", "exp"])
+def test_slice_preserving_nodes_have_zero_vector_columns(route, wl, sp_vectors_vanish):
+    # the benchmark families, their logarithms and their exponentials at small grids
+    rng = random.Random(5)
+    slice_dom = wl.grid("slice", 24, rects=[wl.SLICE_RECT])
+    product_dom = wl.grid("product", 24, rects=[wl.PRODUCT_RECT])
+    if route == "exp":
+        fs = [parse_expr(wl.exp_source(rng, shape)) for shape in range(len(wl.EXP_SHAPES))]
+        trees = [exp_star(f) for f in fs] + [StarSeries("exp", f) for f in fs]
+        dom = product_dom
+    else:
+        if route == "scalar":
+            g, dom = parse_expr(wl.scalar_source(rng)[0]), slice_dom
+        elif route == "angle":
+            g, dom = exp_star(parse_expr(wl.angle_source(rng))), slice_dom
+        elif route == "null-vector":
+            g, dom = parse_expr(wl.null_vector_source(rng)), product_dom
+        else:
+            g, dom = parse_expr(wl.fold_source(rng)), wl.grid("product", 24, discs=[wl.BALL_DISC])
+        res = log_star(g, dom)
+        assert res.case == route
+        trees = [g, res.f, exp_star(res.f)]
+    assert sum(sp_vectors_vanish(tree, dom.node_z) for tree in trees) > 0
 
 
 def test_branch_difference_is_a_period(product_rect):

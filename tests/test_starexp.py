@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from starlog.algebra import scalar_part, star_mul, symmetrization
+from starlog.errors import DomainError, ExprError, NoConvergence
 from starlog.expr import (
     IntPow,
     Q,
@@ -165,3 +167,50 @@ class TestRealPower:
         g = exp_star(f)
         sq = real_power(g, 2.0, log_of_g=f)
         assert stems_close(sq, star_mul(g, g), sample_points(), 1e-11)
+
+
+class TestSlicePreservingNodes:
+    @pytest.mark.parametrize("f", CORPUS + [PSI], ids=range(len(CORPUS) + 1))
+    def test_vector_columns_are_exact_zeros(self, f, sp_vectors_vanish):
+        trees = [
+            exp_star(f),
+            StarSeries("exp", f),
+            cos_star(f),
+            sin_star(f),
+            real_power(exp_star(f), 0.5, log_of_g=f),
+        ]
+        zs = sample_points()
+        assert sum(sp_vectors_vanish(tree, zs) for tree in trees) >= 5
+
+
+class TestSeriesInputs:
+    @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflow_raises_without_a_warning(self, kind, scale):
+        # the squared norm of a term overflows: no stop test may accept it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence):
+                eval_stem_many(StarSeries(kind, const(scale) * Q), [0.3 + 0.2j])
+
+    def test_point_series_overflow_raises(self):
+        with pytest.raises(NoConvergence):
+            exp_star_series(const(1e160) * Q, Quaternion(0.3, 0.2, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [2.5, 0, -3, "10"])
+    def test_max_terms_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ExprError):
+            exp_star_series(Q, Quaternion(0.3, 0.2, 0.0, 0.0), max_terms=bad)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Quaternion(math.inf, 0.0, 0.0, 0.0),
+            Quaternion(1.0, math.inf, 0.0, 0.0),
+            Quaternion(0.5, 0.2, math.nan, 0.0),
+        ],
+        ids=["inf-w", "inf-x", "nan"],
+    )
+    def test_non_finite_point_raises(self, q):
+        with pytest.raises(DomainError):
+            exp_star_series(Q * const(I_UNIT), q)
