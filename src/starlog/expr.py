@@ -9,14 +9,22 @@ complex arrays.  Stems obey the reflection symmetry C(conj z) = conj(C(z)),
 which the evaluator applies globally: batches are normalized to the upper half
 plane and conjugated back afterwards, so contours may dip below the axis.
 
-Stems are column-major: each component is one contiguous column, so the
-Hamilton products read memory in order.  A constant evaluates to one (1, 4)
-row that broadcasts against the stems it meets; a tree of constants alone is
-widened to every point once, when its evaluation ends.
+A tree is compiled once, on its first evaluation, into a program kept on its
+root: a post-order list of steps over numbered slots, one per distinct node.
+A subtree that reads no points (no q, I, lifted field or quotient) and holds
+no star series is folded at compile time into one (1, 4) row by the same
+step functions, so folding changes no bit; the row broadcasts against the
+stems it meets, and a tree that ends in one row (constants alone, or a star
+series of a constant) is widened to every point when its run ends.  A step
+that meets a floating-point error is not folded, so each evaluation meets
+it under its own ``np.errstate``.  Slice-preserving flags and star-product
+kernels are fixed at compile time, and each slot is freed after its last
+consumer.  Stems are column-major: each component is one contiguous column.
 
 Inside a :func:`shared_stem` block, one expression's stem at one node array
-is evaluated once: trees that contain the expression reuse it when evaluated
-at that same array object, and compute it afresh at any other points.
+is evaluated once: a tree that contains the expression and is evaluated at
+that same array object reads it from a preset slot.  At other points the
+expression is computed afresh, and no program keeps the stem.
 
 Nodes carry a structural slice-preserving flag (real stem components, exact
 zeros in the vector part); scalar branch functions may only be applied to
@@ -279,8 +287,24 @@ class QuotientBySP(SliceExpr):
 # evaluation
 
 # (expression, node array, its stem before the reflection) of the active
-# shared_stem block; the strong references keep id(expression) unique
+# shared_stem block
 _SHARED: ContextVar[tuple | None] = ContextVar("shared_stem", default=None)
+
+# nodes that are never folded: q, I and a lifted field read the points, a
+# quotient patches the points near its zeros, and a star series is summed
+# term by term at every run
+_VARYING = (VarQ, UnitFn, GridFieldExpr, QuotientBySP, StarSeries)
+# the points a constant subtree is folded at; only the zeroth power reads them
+_FOLD_Z = np.zeros(1, dtype=complex)
+
+
+class _Program:
+    """``slots`` holds the folded rows and None for the other slots.  A step
+    (run, out, dead) fills slot ``out`` with ``run(slots, z)`` and frees the
+    ``dead`` slots; ``preset`` is the shared node's slot or None, and
+    ``computed`` holds the ids of the nodes that steps compute."""
+
+    __slots__ = ("slots", "steps", "result", "preset", "computed")
 
 
 def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
@@ -296,12 +320,158 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
     zhat = flat.real + 1j * np.abs(flat.imag)
     shared = _SHARED.get()
     seeded = shared is not None and zs is shared[1]
-    # no name holds the cache, so its intermediates are freed before the reflection
-    C = _eval(expr, zhat, {id(shared[0]): shared[2]} if seeded else {})
-    if C.shape[0] != flat.size:  # an all-constant tree evaluates to one row
+    program = _program(expr, shared[0] if seeded else None)
+    C = _run(program, zhat, shared[2] if program.preset is not None else None)
+    # a constant tree or a star series of a constant ends in one row, and a
+    # folded row is shared by every run, so it is copied even at one point
+    if C.shape[0] != flat.size or program.slots[program.result] is not None:
         C = np.broadcast_to(C, (flat.size, 4)).copy(order="F")
     lower = flat.imag < 0
     return np.where(lower[:, None], C.conj(), C) if lower.any() else C
+
+
+def _run(program: _Program, z: np.ndarray, preset) -> np.ndarray:
+    """The stem of a compiled tree at the points z (upper half plane)."""
+    slots = program.slots.copy()
+    if program.preset is not None:
+        slots[program.preset] = preset
+    for run, out, dead in program.steps:
+        slots[out] = run(slots, z)
+        for i in dead:
+            slots[i] = None
+    return slots[program.result]
+
+
+def _program(root: SliceExpr, preset: SliceExpr | None) -> _Program:
+    """The program of ``root``, compiled on first use and kept on the node.
+
+    A program with a preset slot is keyed by the id of the preset node, and
+    only when the tree computes that node: the tree then keeps the node
+    alive, so the id stays its own while the program lives.  No program
+    holds a preset stem.
+    """
+    programs = getattr(root, "_programs", None)
+    if programs is None:
+        programs = {}
+        object.__setattr__(root, "_programs", programs)
+    key = None if preset is None else id(preset)
+    program = programs.get(key)
+    if program is None:
+        plain = programs.get(None)
+        if plain is not None and key not in plain.computed:  # no preset slot to fill
+            return plain
+        program = _compile(root, preset)
+        programs[key if program.preset is not None else None] = program
+    return program
+
+
+def _children(node: SliceExpr) -> tuple:
+    if isinstance(node, (Add, StarMul)):
+        return node.left, node.right
+    child = getattr(node, "child", None)
+    return () if child is None else (child,)
+
+
+def _compile(root: SliceExpr, preset: SliceExpr | None) -> _Program:
+    """Number the nodes of ``root`` in post order and fold the constant ones.
+
+    A node shared within the tree gets one slot.  A node outside ``_VARYING``
+    whose inputs are all folded runs its step once, here, on one (1, 4) row,
+    and the row becomes a constant slot: the same step functions fold and
+    run, so folding changes no bit of the result.  A step that meets any
+    floating-point error is not folded: it stays a step, so that each run
+    meets the error under its caller's ``np.errstate``.
+    """
+    slots, steps, slot_of, computed = [], [], {}, set()
+    program = _Program()
+    program.preset = None
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in slot_of:
+            continue
+        if node is preset:
+            program.preset = slot_of[id(node)] = len(slots)
+            slots.append(None)
+            continue
+        kids = _children(node)
+        if not ready:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+            continue
+        ins = tuple(slot_of[id(kid)] for kid in kids)
+        run = _step(node, *ins)
+        slot_of[id(node)] = len(slots)
+        slots.append(None if isinstance(node, _VARYING) else _fold(run, slots, ins))
+        if slots[-1] is None:
+            steps.append((run, len(slots) - 1, ins))
+            computed.add(id(node))
+    last = {i: k for k, (_, _, ins) in enumerate(steps) for i in ins}
+    program.steps = tuple(
+        (run, out, tuple(sorted({i for i in ins if last[i] == k and slots[i] is None})))
+        for k, (run, out, ins) in enumerate(steps)
+    )
+    program.slots, program.result, program.computed = slots, slot_of[id(root)], computed
+    return program
+
+
+def _fold(run, slots: list, ins: tuple) -> np.ndarray | None:
+    """The row of a step whose inputs are all folded, or None."""
+    if any(slots[i] is None for i in ins):
+        return None
+    try:
+        with np.errstate(all="raise"):
+            row = run(slots, _FOLD_Z)
+    except FloatingPointError:
+        return None
+    row.flags.writeable = False  # every run shares it
+    return row
+
+
+def _step(node: SliceExpr, a: int = -1, b: int = -1):
+    """``run(slots, z)`` computing ``node`` from its children's slots a and b.
+
+    It holds the node's fields, not the node, so that a program kept on its
+    root makes no reference cycle.  Branch functions and lifted fields are
+    looked up at run time, so that wrappers installed later see the calls.
+    """
+    if isinstance(node, Const):
+        row = node.value.to_array().astype(complex)[None, :]
+        return lambda s, z: row
+    if isinstance(node, VarQ):
+        return lambda s, z: _scalar(z)
+    if isinstance(node, UnitFn):
+        return _unit
+    if isinstance(node, Add):
+        return lambda s, z: s[a] + s[b]
+    if isinstance(node, Neg):
+        return lambda s, z: -s[a]
+    if isinstance(node, StarMul):
+        kernel = _KERNELS[node.left.slice_preserving, node.right.slice_preserving]
+        return lambda s, z: kernel(s[a], s[b])
+    if isinstance(node, IntPow):
+        return _power(a, node.n, _KERNELS[(node.child.slice_preserving,) * 2])
+    if isinstance(node, RegConj):
+        return lambda s, z: qconj(s[a])
+    if isinstance(node, Component):
+        index = node.index
+        return lambda s, z: _scalar(s[a][:, index])
+    if isinstance(node, VectPart):
+        return lambda s, z: _vect(s[a])
+    if isinstance(node, Symm):
+        return lambda s, z: _scalar(qsym(s[a]))
+    if isinstance(node, ScalarApply):
+        fn = node.fn
+        return lambda s, z: _scalar(np.asarray(SCALAR_FUNCTIONS[fn](s[a][:, 0]), dtype=complex))
+    if isinstance(node, StarSeries):
+        kind, max_terms = node.kind, node.max_terms
+        return lambda s, z: _star_series(kind, max_terms, s[a])
+    if isinstance(node, GridFieldExpr):
+        fld = node.fld
+        return lambda s, z: _scalar(np.asarray(fld.sample(z), dtype=complex))
+    if isinstance(node, QuotientBySP):
+        return _quotient(node, a)
+    raise ExprError(f"cannot evaluate node {type(node).__name__}")
 
 
 @contextmanager
@@ -345,7 +515,8 @@ def evaluate(expr: SliceExpr, q) -> Quaternion:
 
     Real points use the slice-domain rule f(x) = A(x), valid only when the
     stem has B(x) = 0 within tolerance.  A point with an infinite or NaN
-    component has no splitting q = x + Iy and raises :class:`DomainError`.
+    component has no splitting q = x + Iy, and a value that overflows is not
+    a value: both raise :class:`DomainError`.
     """
     q = Quaternion.coerce(q)
     if not np.isfinite(q.to_array()).all():
@@ -353,13 +524,16 @@ def evaluate(expr: SliceExpr, q) -> Quaternion:
     try:
         x, y, unit = split(q)
     except RealInput:
-        stem = eval_stem(expr, complex(q.w, 0.0))
-        if abs(stem.b) > REAL_AXIS_TOL * (1.0 + abs(stem.a)):
-            raise DomainError(
-                f"no well-defined value at the real point {q.w}: stem B = {stem.b!r}"
-            ) from None
-        return stem.a
-    return eval_stem(expr, complex(x, y)).value(unit)
+        x, y, unit = q.w, 0.0, None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        stem = eval_stem(expr, complex(x, y))
+    value = stem.a if unit is None else stem.value(unit)
+    parts = np.array([stem.a.to_array(), stem.b.to_array(), value.to_array()])
+    if not np.isfinite(parts).all():
+        raise DomainError(f"the value at {q!r} is not finite")
+    if unit is None and abs(stem.b) > REAL_AXIS_TOL * (1.0 + abs(stem.a)):
+        raise DomainError(f"no well-defined value at the real point {q.w}: stem B = {stem.b!r}")
+    return value
 
 
 def eval_many(expr: SliceExpr, zs, unit: Quaternion) -> np.ndarray:
@@ -403,83 +577,57 @@ def _scalar(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _star(a: np.ndarray, b: np.ndarray, a_sp: bool, b_sp: bool) -> np.ndarray:
-    """Star product a*b of two stems; a_sp and b_sp flag slice-preserving factors.
-
-    A slice-preserving factor has exact zeros in its vector columns, so the
-    product is its scalar column times the other factor, in the same order.
-    """
-    if not (a_sp or b_sp):
-        return qmul(a, b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex, order="F")
-    return np.multiply(a[:, :1] if a_sp else a, b if a_sp else b[:, :1], out=out)
+def _unit(s, z: np.ndarray) -> np.ndarray:
+    if (z.imag == 0).any():
+        raise UnitFnOnRealAxis("the unit function I has no value on the real axis")
+    return _scalar(np.full(z.size, 1j))
 
 
-def _eval(expr: SliceExpr, z: np.ndarray, cache: dict) -> np.ndarray:
-    key = id(expr)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    n = z.size
+def _vect(C: np.ndarray) -> np.ndarray:
+    out = C.copy(order="K")
+    out[:, 0] = 0.0
+    return out
 
-    if isinstance(expr, Const):
-        out = expr.value.to_array().astype(complex)[None, :]
-    elif isinstance(expr, VarQ):
-        out = _scalar(z)
-    elif isinstance(expr, UnitFn):
-        if (z.imag == 0).any():
-            raise UnitFnOnRealAxis("the unit function I has no value on the real axis")
-        out = _scalar(np.full(n, 1j))
-    elif isinstance(expr, Add):
-        out = _eval(expr.left, z, cache) + _eval(expr.right, z, cache)
-    elif isinstance(expr, Neg):
-        out = -_eval(expr.child, z, cache)
-    elif isinstance(expr, StarMul):
-        a, b = _eval(expr.left, z, cache), _eval(expr.right, z, cache)
-        out = _star(a, b, expr.left.slice_preserving, expr.right.slice_preserving)
-    elif isinstance(expr, IntPow):
-        base = _eval(expr.child, z, cache)
-        sp = expr.child.slice_preserving
-        out = None
-        m = expr.n
+
+def _column_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*b column by column into one column-major array; stems are (n, 4) or
+    (1, 4) rows, so the product has the larger row count."""
+    out = np.empty((max(a.shape[0], b.shape[0]), 4), complex, order="F")
+    return np.multiply(a, b, out=out)
+
+
+# the star-product kernel by the slice-preserving flags of (a, b): such a
+# factor has exact zeros in its vector columns, so the product is its scalar
+# column times the other factor, in the same order
+_KERNELS = {
+    (False, False): qmul,
+    (True, False): lambda a, b: _column_product(a[:, :1], b),
+    (True, True): lambda a, b: _column_product(a[:, :1], b),
+    (False, True): lambda a, b: _column_product(a, b[:, :1]),
+}
+
+
+def _power(a: int, n: int, kernel):
+    """Step of the star power n of slot a, by square-and-multiply."""
+
+    def run(s, z):
+        base, out, m = s[a], None, n
         while m:
             if m & 1:
-                out = base if out is None else _star(out, base, sp, sp)
+                out = base if out is None else kernel(out, base)
             m >>= 1
             if m:
-                base = _star(base, base, sp, sp)
-        if out is None:  # the zeroth power
-            out = _scalar(np.ones(n))
-    elif isinstance(expr, RegConj):
-        out = qconj(_eval(expr.child, z, cache))
-    elif isinstance(expr, Component):
-        out = _scalar(_eval(expr.child, z, cache)[:, expr.index])
-    elif isinstance(expr, VectPart):
-        out = _eval(expr.child, z, cache).copy(order="K")
-        out[:, 0] = 0.0
-    elif isinstance(expr, Symm):
-        out = _scalar(qsym(_eval(expr.child, z, cache)))
-    elif isinstance(expr, ScalarApply):
-        w = SCALAR_FUNCTIONS[expr.fn](_eval(expr.child, z, cache)[:, 0])
-        out = _scalar(np.asarray(w, dtype=complex))
-    elif isinstance(expr, StarSeries):
-        out = _star_series(expr, _eval(expr.child, z, cache))
-    elif isinstance(expr, GridFieldExpr):
-        out = _scalar(np.asarray(expr.fld.sample(z), dtype=complex))
-    elif isinstance(expr, QuotientBySP):
-        out = _eval_quotient(expr, z, cache)
-    else:
-        raise ExprError(f"cannot evaluate node {type(expr).__name__}")
+                base = kernel(base, base)
+        return _scalar(np.ones(z.size)) if out is None else out  # None: the zeroth power
 
-    cache[key] = out
-    return out
+    return run
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
     return x.real * x.real + x.imag * x.imag
 
 
-def _star_series(expr: StarSeries, F: np.ndarray) -> np.ndarray:
+def _star_series(kind: str, max_terms: int, F: np.ndarray) -> np.ndarray:
     """Sum the exp, cos or sin series in star powers of F = f0 + f_v.
 
     The i of the stem is central, so f_v*f_v = -s with s = f_v1^2 + f_v2^2 +
@@ -494,53 +642,59 @@ def _star_series(expr: StarSeries, F: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         s = fv[:, 0] * fv[:, 0] + fv[:, 1] * fv[:, 1] + fv[:, 2] * fv[:, 2]
         w = _abs2(fv[:, 0]) + _abs2(fv[:, 1]) + _abs2(fv[:, 2])
-        if expr.kind == "exp":
+        if kind == "exp":
             c, d, a, b = f0, 1.0, one, zero
         else:
             c, d = f0 * f0 - s, 2.0 * f0
-            a, b = (one, zero) if expr.kind == "cos" else (f0, one)
-        ds, odd = d * s, expr.kind == "sin"
+            a, b = (one, zero) if kind == "cos" else (f0, one)
+        ds, odd = d * s, kind == "sin"
         ta, tb = a.copy(), b.copy()
-        for m in range(1, expr.max_terms):
-            r = 1.0 / (m if expr.kind == "exp" else -(2 * m - 1 + odd) * (2 * m + odd))
+        for m in range(1, max_terms):
+            r = 1.0 / (m if kind == "exp" else -(2 * m - 1 + odd) * (2 * m + odd))
             a, b = (a * c - b * ds) * r, (a * d + b * c) * r
             ta += a
             tb += b
             term = np.sqrt((_abs2(a) + _abs2(b) * w).max())
             total = np.sqrt((_abs2(ta) + _abs2(tb) * w).max())
             if not (np.isfinite(term) and np.isfinite(total)):
-                raise NoConvergence(f"{expr.kind} star series has a term that is not finite")
+                raise NoConvergence(f"{kind} star series has a term that is not finite")
             if term <= SERIES_TOL * (1.0 + total):
                 break
         else:
-            raise NoConvergence(f"{expr.kind} star series did not converge")
+            raise NoConvergence(f"{kind} star series did not converge")
     out = np.empty(F.shape, complex, order="F")
     out[:, 0] = ta
     np.multiply(tb[:, None], fv, out=out[:, 1:])
     return out
 
 
-def _eval_quotient(expr: QuotientBySP, z: np.ndarray, cache: dict) -> np.ndarray:
-    coeffs = np.asarray(expr.coeffs, dtype=float)
-    dist = np.full(z.shape, np.inf)
-    for r in expr.zeros:
-        dist = np.minimum(dist, np.abs(z - r))
-        if abs(complex(r).imag) > 1e-14:
-            dist = np.minimum(dist, np.abs(z - np.conj(complex(r))))
-    near = dist < expr.patch_radius
+def _quotient(node: QuotientBySP, a: int):
+    """Step of a quotient by a real polynomial of the stem in slot a."""
+    child, zeros, radius = node.child, node.zeros, node.patch_radius
+    coeffs = np.asarray(node.coeffs, dtype=float)
 
-    denom = np.where(near, 1.0, np.polyval(coeffs, z))
-    out = _eval(expr.child, z, cache) / denom[:, None]
+    def run(s, z):
+        dist = np.full(z.shape, np.inf)
+        for r in zeros:
+            dist = np.minimum(dist, np.abs(z - r))
+            if abs(complex(r).imag) > 1e-14:
+                dist = np.minimum(dist, np.abs(z - np.conj(complex(r))))
+        near = dist < radius
 
-    if near.any():
-        # removable singularity: mean over a circle avoiding every zero,
-        # one batch for the rings of all near nodes
-        R = 2.0 * expr.patch_radius
-        theta = 2.0 * np.pi * (np.arange(PATCH_POINTS) + 0.37) / PATCH_POINTS
-        pts = (z[near, None] + R * np.exp(1j * theta)).ravel()
-        ring = eval_stem_many(expr.child, pts) / np.polyval(coeffs, pts)[:, None]
-        out[near] = ring.reshape(-1, PATCH_POINTS, 4).mean(axis=1)
-    return out
+        denom = np.where(near, 1.0, np.polyval(coeffs, z))
+        out = s[a] / denom[:, None]
+
+        if near.any():
+            # removable singularity: mean over a circle avoiding every zero,
+            # one batch for the rings of all near nodes
+            R = 2.0 * radius
+            theta = 2.0 * np.pi * (np.arange(PATCH_POINTS) + 0.37) / PATCH_POINTS
+            pts = (z[near, None] + R * np.exp(1j * theta)).ravel()
+            ring = eval_stem_many(child, pts) / np.polyval(coeffs, pts)[:, None]
+            out[near] = ring.reshape(-1, PATCH_POINTS, 4).mean(axis=1)
+        return out
+
+    return run
 
 
 # convenient singletons for building expressions

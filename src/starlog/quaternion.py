@@ -76,7 +76,7 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def __abs__(self) -> float:
-        return math.sqrt(self.norm2())
+        return math.hypot(self.w, self.x, self.y, self.z)  # squares nothing, so no early overflow
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm2()
@@ -88,7 +88,7 @@ class Quaternion:
         return Quaternion(0.0, self.x, self.y, self.z)
 
     def vec_norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return math.hypot(self.x, self.y, self.z)
 
     def to_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)

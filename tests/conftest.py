@@ -1,6 +1,9 @@
 """Fixtures shared by several test modules."""
 
+import importlib.util
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,3 +35,17 @@ def sp_vectors_vanish():
         return count
 
     return check
+
+
+@pytest.fixture(scope="module")
+def wl():
+    """The benchmark's input families, from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]

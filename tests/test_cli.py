@@ -57,6 +57,13 @@ def test_eval_non_finite_point():
     assert main(["eval", "q", "--at", "1+1e999i"]) == 2
 
 
+@pytest.mark.parametrize("at", ["1+1e200i+1e200j", "1e300+1e300i"])
+def test_eval_overflowing_value_is_a_domain_error(at, capsys):
+    # the first point used to print f(1) = 2.0 with [PASS] and exit 0
+    assert main(["eval", "q^2 + 1", "--at", at]) == 3
+    assert "[PASS]" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "expr", ["(" * 3000 + "q" + ")" * 3000, "-" * 3000 + "q"], ids=["parens", "minus"]
 )
@@ -90,20 +97,20 @@ def test_classify_reports_isolated_zero(domains, capsys):
 def test_classify_evaluates_g_once_on_the_grid(domains, monkeypatch, capsys):
     # check_conditions and classify_vectorial share one stem of g at the nodes
     trees, computed = [], []
-    parse, evaluate = cli.parse_expr, expr_module._eval
+    parse, run = cli.parse_expr, expr_module._run
     n_nodes = BasicDomainSpec.load(domains["product"]).n_nodes
 
     def parsing(text):
         trees.append(parse(text))
         return trees[-1]
 
-    def counting(node, z, cache):
-        if node is trees[0] and z.size == n_nodes and id(node) not in cache:
+    def counting(program, z, preset):
+        if id(trees[0]) in program.computed and z.size == n_nodes:
             computed.append(z.size)
-        return evaluate(node, z, cache)
+        return run(program, z, preset)
 
     monkeypatch.setattr(cli, "parse_expr", parsing)
-    monkeypatch.setattr(expr_module, "_eval", counting)
+    monkeypatch.setattr(expr_module, "_run", counting)
     assert main(["classify", "q^2*j + 2", "--domain", domains["product"]]) == 0
     assert "vectorial class: no-zeros" in capsys.readouterr().out
     assert len(computed) == 1

@@ -1,4 +1,7 @@
 import math
+import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from starlog.algebra import (
     symmetrization,
     vect_part,
 )
+from starlog.branches import SCALAR_FUNCTIONS
 from starlog.errors import (
     DomainError,
     ExprError,
@@ -20,18 +24,25 @@ from starlog.errors import (
     UnitFnOnRealAxis,
 )
 from starlog.expr import (
+    MAX_SERIES_TERMS,
     SERIES_TOL,
+    Add,
     Component,
     Const,
     GridFieldExpr,
     IntPow,
+    Neg,
     Q,
     QuotientBySP,
+    RegConj,
     ScalarApply,
     StarMul,
     StarSeries,
     StemValue,
+    Symm,
     UNIT,
+    UnitFn,
+    VarQ,
     VectPart,
     as_expr,
     const,
@@ -43,6 +54,7 @@ from starlog.expr import (
     shared_stem,
     stem_complex,
 )
+from starlog.logarithm import log_star
 from starlog.parse import parse_expr
 from starlog.quaternion import (
     I_UNIT,
@@ -50,7 +62,9 @@ from starlog.quaternion import (
     K_UNIT,
     ONE,
     Quaternion,
+    qconj,
     qmul,
+    qsym,
     split,
 )
 from starlog.starexp import exp_star
@@ -133,6 +147,17 @@ class TestBasicNodes:
     )
     def test_non_finite_point(self, q):
         # an infinite vector part used to read as real and give f(1)
+        with pytest.raises(DomainError):
+            evaluate(parse_expr("q^2 + 1"), q)
+
+    @pytest.mark.parametrize(
+        "q",
+        [Quaternion(1.0, 1e200, 1e200, 0.0), Quaternion(1e300, 1e300, 0.0, 0.0)],
+        ids=["huge-vector", "huge-point"],
+    )
+    def test_overflowing_value(self, q):
+        # the squared vector norm overflowed, so the first point read as real
+        # and gave f(1) = 2; the second ended in an overflow warning
         with pytest.raises(DomainError):
             evaluate(parse_expr("q^2 + 1"), q)
 
@@ -336,15 +361,15 @@ class TestSharedStem:
 
         f = star_mul(Q, const(I_UNIT))
         nodes = np.array([0.3 + 0.5j, 0.4 - 0.1j])
-        evaluate_node = expr_module._eval
+        run = expr_module._run
         computed = []
 
-        def counting(node, z, cache):
-            if node is f and id(node) not in cache:
+        def counting(program, z, preset):
+            if id(f) in program.computed:
                 computed.append(z.size)
-            return evaluate_node(node, z, cache)
+            return run(program, z, preset)
 
-        monkeypatch.setattr(expr_module, "_eval", counting)
+        monkeypatch.setattr(expr_module, "_run", counting)
         with shared_stem(f, nodes):
             eval_stem_many(vect_part(f), nodes)
             eval_stem_many(vect_part(f), nodes.copy())
@@ -406,7 +431,7 @@ class TestSlicePreservingProduct:
         rng = np.random.default_rng(sum(rows) + 3 * sp[0] + 5 * sp[1])
         a = random_stem(rng, rows[0], order, sp[0])
         b = random_stem(rng, rows[1], order, sp[1])
-        got = expr_module._star(a, b, *sp)
+        got = expr_module._KERNELS[sp](a, b)
         assert np.array_equal(got, qmul(a, b))
         assert all(got[:, l].flags.contiguous for l in range(4))
 
@@ -493,7 +518,7 @@ class TestSeriesKernel:
             return qmul(a, b)
 
         monkeypatch.setattr(expr_module, "qmul", counting)
-        expr_module._star_series(StarSeries(kind, f), F)
+        expr_module._star_series(kind, MAX_SERIES_TERMS, F)
         assert calls == []
 
 
@@ -556,3 +581,237 @@ class TestSlicePreservingFlag:
         q = Quaternion(0.5, 0.5, 0, 0)
         want = 2 * q - q * q * q + I_UNIT
         assert abs(evaluate(f, q) - want) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# compiled programs
+
+
+def recursive_eval(expr, z, cache):
+    """The recursive evaluator that compiled programs replaced, kept as their
+    reference: every call walks the tree again and caches every node's stem
+    until it returns."""
+    key = id(expr)
+    if key in cache:
+        return cache[key]
+    E = expr_module
+    if isinstance(expr, Const):
+        out = expr.value.to_array().astype(complex)[None, :]
+    elif isinstance(expr, VarQ):
+        out = E._scalar(z)
+    elif isinstance(expr, UnitFn):
+        if (z.imag == 0).any():
+            raise UnitFnOnRealAxis("the unit function I has no value on the real axis")
+        out = E._scalar(np.full(z.size, 1j))
+    elif isinstance(expr, Add):
+        out = recursive_eval(expr.left, z, cache) + recursive_eval(expr.right, z, cache)
+    elif isinstance(expr, Neg):
+        out = -recursive_eval(expr.child, z, cache)
+    elif isinstance(expr, StarMul):
+        kernel = E._KERNELS[expr.left.slice_preserving, expr.right.slice_preserving]
+        out = kernel(recursive_eval(expr.left, z, cache), recursive_eval(expr.right, z, cache))
+    elif isinstance(expr, IntPow):
+        kernel = E._KERNELS[(expr.child.slice_preserving,) * 2]
+        base, out, m = recursive_eval(expr.child, z, cache), None, expr.n
+        while m:
+            if m & 1:
+                out = base if out is None else kernel(out, base)
+            m >>= 1
+            if m:
+                base = kernel(base, base)
+        if out is None:
+            out = E._scalar(np.ones(z.size))
+    elif isinstance(expr, RegConj):
+        out = qconj(recursive_eval(expr.child, z, cache))
+    elif isinstance(expr, Component):
+        out = E._scalar(recursive_eval(expr.child, z, cache)[:, expr.index])
+    elif isinstance(expr, VectPart):
+        out = recursive_eval(expr.child, z, cache).copy(order="K")
+        out[:, 0] = 0.0
+    elif isinstance(expr, Symm):
+        out = E._scalar(qsym(recursive_eval(expr.child, z, cache)))
+    elif isinstance(expr, ScalarApply):
+        w = SCALAR_FUNCTIONS[expr.fn](recursive_eval(expr.child, z, cache)[:, 0])
+        out = E._scalar(np.asarray(w, dtype=complex))
+    elif isinstance(expr, StarSeries):
+        out = E._star_series(expr.kind, expr.max_terms, recursive_eval(expr.child, z, cache))
+    elif isinstance(expr, GridFieldExpr):
+        out = E._scalar(np.asarray(expr.fld.sample(z), dtype=complex))
+    else:  # QuotientBySP
+        coeffs = np.asarray(expr.coeffs, dtype=float)
+        dist = np.full(z.shape, np.inf)
+        for r in expr.zeros:
+            dist = np.minimum(dist, np.abs(z - r))
+            if abs(complex(r).imag) > 1e-14:
+                dist = np.minimum(dist, np.abs(z - np.conj(complex(r))))
+        near = dist < expr.patch_radius
+        denom = np.where(near, 1.0, np.polyval(coeffs, z))
+        out = recursive_eval(expr.child, z, cache) / denom[:, None]
+        if near.any():
+            R = 2.0 * expr.patch_radius
+            theta = 2.0 * np.pi * (np.arange(E.PATCH_POINTS) + 0.37) / E.PATCH_POINTS
+            pts = (z[near, None] + R * np.exp(1j * theta)).ravel()
+            ring = recursive_stem(expr.child, pts) / np.polyval(coeffs, pts)[:, None]
+            out[near] = ring.reshape(-1, E.PATCH_POINTS, 4).mean(axis=1)
+    cache[key] = out
+    return out
+
+
+def recursive_stem(expr, zs, preset=None):
+    """eval_stem_many by the recursive reference; ``preset`` = (node, stem)."""
+    flat = np.asarray(zs, dtype=complex).ravel()
+    zhat = flat.real + 1j * np.abs(flat.imag)
+    lower = flat.imag < 0
+    cache = {}
+    if preset is not None:  # the stem before the reflection, as shared_stem keeps it
+        node, C = preset
+        cache[id(node)] = np.where(lower[:, None], C.conj(), C)
+    C = recursive_eval(expr, zhat, cache)
+    if C.shape[0] != flat.size:
+        C = np.broadcast_to(C, (flat.size, 4)).copy(order="F")
+    return np.where(lower[:, None], C.conj(), C) if lower.any() else C
+
+
+def steps(tree):
+    return len(expr_module._program(tree, None).steps)
+
+
+def program_test_trees():
+    """The trees of TestLayout, TestSlicePreservingProduct, TestSeriesKernel
+    and TestQuotient, and star series of a constant argument."""
+    f = poly_expr([1.0, 0.5, 2.0])
+    g = PSI + Q * const(K_UNIT)
+    F, two = TestLayout.F, const(2.5)
+    quadratic = star_mul(poly_expr([1.0, 0.0, 1.0]), const(J_UNIT))
+    linear = star_mul(Q - const(1.0), Q - const(I_UNIT))
+    return (
+        [Q * const(J_UNIT) * Q, StarSeries("exp", F), exp_star(F), symmetrization(F)]
+        + [const(2.0) * const(I_UNIT) + 1]
+        + [StarMul(f, g), StarMul(g, f), StarMul(f, f), StarMul(two, g), StarMul(g, two)]
+        + [IntPow(child, n) for child in (f, g) for n in range(6)]
+        + [StarSeries(kind, arg) for kind in ("exp", "cos", "sin") for arg in SERIES_ARGS]
+        + [StarSeries(kind, const(J_UNIT)) for kind in ("exp", "cos", "sin")]
+        + [
+            QuotientBySP(quadratic, (1.0, 0.0, 1.0), (1j,), 0.1),
+            QuotientBySP(linear, (1.0, -1.0), (1.0 + 0j,), 0.1),
+            reg_conj(Q * const(I_UNIT) + const(2.0)),
+        ]
+    )
+
+
+class TestProgram:
+    """A tree is compiled once into a flat program with folded constants."""
+
+    def test_matches_the_recursive_evaluator(self):
+        rng = np.random.default_rng(11)
+        zs = rng.uniform(-1.5, 1.5, 50) + 1j * rng.uniform(-1.0, 1.0, 50)
+        zs = np.concatenate([zs, [1.02 + 0.01j, 1.05j, 0.02 + 1.01j]])  # quotient patches
+        for tree in program_test_trees():
+            want = recursive_stem(tree, zs)
+            for _ in range(2):  # compiled by the first call, reused by the second
+                got = eval_stem_many(tree, zs)
+                assert got.shape == (zs.size, 4) and np.array_equal(got, want), tree
+
+    @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
+    def test_series_of_a_constant_fills_every_point(self, kind):
+        tree = StarSeries(kind, const(J_UNIT))
+        upper = np.array([0.3 + 0.5j, -0.7 + 0.2j, 1.1 + 0.9j])
+        for zs in (upper, upper.conj(), np.array([0.3 + 0.5j, -0.7 - 0.2j]), upper[:1]):
+            got = eval_stem_many(tree, zs)
+            assert got.shape == (zs.size, 4) and got.flags.writeable
+            assert np.array_equal(got, recursive_stem(tree, zs))
+
+    def test_a_folded_row_is_not_handed_out(self):
+        tree = const(2.0) * const(I_UNIT) + 1
+        got = eval_stem_many(tree, [0.5 + 0.5j])
+        got[0, 0] = 7.0
+        assert eval_stem_many(tree, [0.5 + 0.5j])[0, 0] == 1.0
+
+    def test_overflow_is_not_folded_away(self):
+        # compiled first where overflow is ignored, the tree must still meet
+        # the overflow at every later evaluation, as a fresh tree does
+        tree = ScalarApply("exp", const(800.0)) * Q
+        with pytest.raises(DomainError):
+            evaluate(tree, Quaternion(0.5, 0.5, 0.0, 0.0))
+        with shared_stem(tree, np.array([0.5 + 0.5j])):
+            pass
+        for t in (tree, ScalarApply("exp", const(800.0)) * Q):
+            for _ in range(2):
+                with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                    eval_stem_many(t, [0.5 + 0.5j])
+
+    @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold", "exp"])
+    def test_matches_the_recursive_evaluator_on_the_benchmark_families(self, route, wl):
+        rng = random.Random(7)
+        slice_dom = wl.grid("slice", 24, rects=[wl.SLICE_RECT])
+        product_dom = wl.grid("product", 24, rects=[wl.PRODUCT_RECT])
+        if route == "exp":
+            fs = [parse_expr(wl.exp_source(rng, shape)) for shape in range(len(wl.EXP_SHAPES))]
+            trees = [exp_star(f) for f in fs] + [StarSeries("exp", f) for f in fs]
+            dom, g = product_dom, None
+        else:
+            if route == "scalar":
+                g, dom = parse_expr(wl.scalar_source(rng)[0]), slice_dom
+            elif route == "angle":
+                g, dom = exp_star(parse_expr(wl.angle_source(rng))), slice_dom
+            elif route == "null-vector":
+                g, dom = parse_expr(wl.null_vector_source(rng)), product_dom
+            else:
+                g = parse_expr(wl.fold_source(rng))
+                dom = wl.grid("product", 24, discs=[wl.BALL_DISC])
+            res = log_star(g, dom)
+            assert res.case == route
+            trees = [g, symmetrization(vect_part(g)), res.f, exp_star(res.f)]
+        zs = dom.node_z
+        for tree in trees:
+            assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
+        if g is not None:  # the preset program of a shared stem
+            gvs = symmetrization(vect_part(g))
+            with shared_stem(g, zs) as G:
+                got = eval_stem_many(gvs, zs)
+            assert np.array_equal(got, recursive_stem(gvs, zs, preset=(g, G)))
+
+    def test_fold_input_folds_its_constants(self, wl):
+        # c p (-1 + q^2 i + sqrt2 q j + k) conj(p): 52 nodes, 42 of them in
+        # constant subtrees (the rotated vectors and the scale c)
+        g = parse_expr(wl.fold_source(random.Random(1)))
+        assert steps(g) == 10
+        assert steps(symmetrization(vect_part(g))) == 12
+        assert steps(const(2.0) * const(I_UNIT) + 1) == 0
+
+    def test_intermediates_are_freed_after_their_last_use(self):
+        tree = Q * const(1.0)
+        for k in range(2, 201):
+            tree = tree + Q * const(float(k))
+        zs = np.linspace(-1.0, 1.0, 3209) + 0.5j
+        eval_stem_many(tree, zs[:1])  # compiled outside the measurement
+        tracemalloc.start()
+        try:
+            C = eval_stem_many(tree, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a cache of every intermediate holds 400 stems
+        assert peak < 8 * C.nbytes
+
+    def test_preset_stem_is_not_kept_after_the_block(self):
+        f = star_mul(Q, const(I_UNIT)) + Q
+        tree = symmetrization(vect_part(f)) + f
+        nodes = np.array([0.3 + 0.5j, 1.1 + 0.2j, -0.4 + 0.9j])
+        with shared_stem(f, nodes) as C:
+            ref = weakref.ref(C)  # no point below the axis: C is the preset stem
+            eval_stem_many(tree, nodes)
+            del C
+        assert ref() is None
+
+    def test_compiling_keeps_equality_hash_and_repr(self, wl):
+        source = wl.fold_source(random.Random(2))
+        tree, twin = parse_expr(source), parse_expr(source)
+        before = hash(tree), repr(tree)
+        zs = random_points(9)
+        eval_stem_many(tree, zs)
+        with shared_stem(tree.right, zs):
+            eval_stem_many(tree, zs)
+        assert expr_module._program(tree, None).steps  # compiled
+        assert tree == twin and hash(tree) == hash(twin)
+        assert (hash(tree), repr(tree)) == before == (hash(twin), repr(twin))

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,20 +344,6 @@ def test_no_witness_when_continuation_stalls(monkeypatch):
 # invariants and reporting
 
 
-@pytest.fixture(scope="module")
-def wl():
-    """The benchmark's input families, from perfbench/workloads.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
-
-
 @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
 def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
     # the benchmark families at small grids; bisection midpoints, contours
@@ -374,15 +357,15 @@ def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
         g, dom = parse_expr(wl.null_vector_source(rng)), wl.grid("product", 32, rects=[wl.PRODUCT_RECT])
     else:
         g, dom = parse_expr(wl.fold_source(rng)), wl.grid("product", 32, discs=[wl.BALL_DISC])
-    evaluate = expr_module._eval
+    run = expr_module._run
     computed = []
 
-    def counting(node, z, cache):
-        if node is g and z.size == dom.n_nodes and id(node) not in cache:
+    def counting(program, z, preset):
+        if id(g) in program.computed and z.size == dom.n_nodes:
             computed.append(z.size)
-        return evaluate(node, z, cache)
+        return run(program, z, preset)
 
-    monkeypatch.setattr(expr_module, "_eval", counting)
+    monkeypatch.setattr(expr_module, "_run", counting)
     assert log_star(g, dom).case == route
     assert len(computed) == 1
 

@@ -86,6 +86,14 @@ class TestSplit:
         _, _, unit = split(Quaternion(2.0, 0.0, -3.0, 0.0))
         assert unit == -J_UNIT  # y > 0 forces the unit to flip
 
+    def test_huge_components_keep_the_norms_finite(self):
+        # squared components overflowed, so this point used to split as real
+        q = Quaternion(1.0, 1e200, 1e200, 0.0)
+        assert abs(q) == q.vec_norm() == math.hypot(1e200, 1e200)
+        x, y, unit = split(q)
+        assert (x, y) == (1.0, q.vec_norm())
+        assert is_imaginary_unit(unit, 1e-15)
+
 
 class TestExp:
     def exp_series(self, q: Quaternion, terms: int = 200) -> Quaternion:
