@@ -1,18 +1,20 @@
 """Continuation of multivalued scalar data over domain grids.
 
 Lifted fields store one complex value per grid node, exact there by
-construction: log lifts snap to Log(u) + 2 pi i k and mu lifts end on a
-Newton-polished root, so verification at nodes sees no continuation drift.
-Between nodes a field continues one more edge, from the nearest node to the
-point, with the same step as the grid walk, so off-node values are exact too.
+construction: log lifts snap to Log(u) + 2 pi i k and mu lifts store the
+nearest closed-form root (+-arccos t + 2 pi n)**2, so verification at nodes
+sees no continuation drift.  Between nodes a field continues one more edge,
+from the nearest node to the point, with the same step as the grid walk, so
+off-node values are exact too.
 
 One continuation engine serves the log, angle and mu lifts.  It walks the
 breadth-first tree of the grid graph level by level: all (parent, child)
 edges of a level advance the lifted coordinate in one batched step (a
-principal log step, or a Newton step towards a root of mu).  Only the edges
+principal log step, or a step to the nearest root of mu).  Only the edges
 whose step fails, because it turns by more than the safety angle pi/4 or
-Newton does not settle, are bisected, with the target evaluated at their
-midpoints in one batched call per round, up to a depth limit.
+another root of mu lies nearly as close, are bisected, with the target
+evaluated at their midpoints in one batched call per round, up to a depth
+limit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .domain import BasicDomainSpec
 from .errors import BranchPointHit, LiftStep, OutsideDomain, Vanishing
-from .branches import mu, nu
 
 SAFETY = math.pi / 4
 MAX_DEPTH = 10
@@ -39,7 +40,8 @@ _WINDOW = np.mgrid[-2:3, -2:3].reshape(2, -1)
 class Walk:
     """How a lifted coordinate follows its target along a batch of straight edges.
 
-    ``step(v, ta, tb) -> (vb, ok)`` advances values from targets ta to tb, and
+    ``step(v, ta, tb) -> (vb, ok)`` advances values from targets ta to tb in
+    closed form, a principal log step or the nearest root of mu, and
     ``settle(v_start, v_end, t_end)`` gives the stored end values and the step
     sizes.  Failed steps are bisected by :func:`_bisect`.
     """
@@ -343,7 +345,6 @@ def lift_angle(
 # mu lift (branch-free inverse of mu along the grid)
 
 
-PSI_CHART = 0.8
 _BP_TOL = 1e-9
 
 
@@ -355,9 +356,11 @@ def lift_mu(
 ) -> LiftedScalarField:
     """Continuous G with mu(G) = t over the grid and G(seed) in the principal patch.
 
-    The seed must be a point where t is close to 1 (G close to 0).  Branch
-    points of the inverse are the fold values t = -1 (always) and t = +1 away
-    from the seed sphere; hitting either aborts with BranchPointHit.
+    The seed must be a point where t is close to 1 (G close to 0); its value
+    is (arccos t)**2.  Each step moves to the nearest closed-form root
+    (+-arccos t + 2 pi n)**2.  Branch points of the inverse are the fold
+    values t = -1 (always) and t = +1 away from the seed sphere; hitting
+    either aborts with BranchPointHit.
     """
     t_nodes = np.asarray(t_fn(domain.node_z), dtype=complex)
     near_minus = np.abs(t_nodes + 1.0) <= _BP_TOL
@@ -366,10 +369,7 @@ def lift_mu(
         raise BranchPointHit(f"{name}: t attains -1 near {z_bad}")
 
     base_node = domain.nearest_node(seed)
-    t0 = t_nodes[base_node : base_node + 1]
-    g0, ok = _polish_G(np.arccos(t0) ** 2, t0)
-    if not ok[0]:
-        raise BranchPointHit(f"{name}: cannot seed the principal patch at {seed}")
+    g0 = complex(np.arccos(t_nodes[base_node]) ** 2)
 
     def stalled(za, zb, tb, depth):
         if min(abs(tb - 1.0), abs(tb + 1.0)) < 1e-6:
@@ -377,63 +377,30 @@ def lift_mu(
         return LiftStep(f"{name}: continuation stalled between {za} and {zb}")
 
     walk = Walk(t_fn, _mu_step, _mu_settle, stalled)
-    values, max_depth, max_step = _continue(domain, base_node, g0[0], t_nodes, walk)
+    values, max_depth, max_step = _continue(domain, base_node, g0, t_nodes, walk)
     return LiftedScalarField(domain, values, "mu", base_node, max_depth, max_step, name, walk)
 
 
-def _mu_step(g1, t1, t2):
-    """Steps from g1 to the nearby roots of mu(G) = t2, and where they succeed.
+def _mu_step(g, ta, tb):
+    """Steps from g to the nearest root of mu(G) = tb, and where they are safe.
 
-    Near G = 0 Newton runs in the G chart and may move G by at most 1.
-    Elsewhere it runs for psi = sqrt(G), where mu(G) = cos(psi), and may turn
-    psi by less than the safety angle.
+    The roots are G = psi**2 for psi in +-arccos tb + 2 pi Z, and mu(G) =
+    cos(psi).  For each sign the root psi nearest sqrt(g) is a candidate; the
+    step takes the nearer one.  It is safe when it moves psi by less than the
+    safety angle and the other candidate lies more than twice as far, unless
+    that one is its negative, which gives the same G.
     """
-    psi1 = np.sqrt(g1)
-    near = np.abs(psi1) < PSI_CHART
-    far = ~near
-    g2 = np.empty_like(g1)
-    ok = np.empty(g1.shape, dtype=bool)
-    g, conv = _polish_G(g1[near], t2[near])
-    g2[near] = g
-    ok[near] = conv & (np.abs(g - g1[near]) <= 1.0)
-    psi, conv = _newton(psi1[far], t2[far], np.sin, np.cos, 1.0)
-    g2[far] = psi * psi
-    ok[far] = conv & (np.abs(psi - psi1[far]) < SAFETY)
-    return g2, ok
+    psi = np.sqrt(g)
+    alpha = np.arccos(tb)
+    cand = np.stack([alpha, -alpha])
+    cand += TWO_PI * np.rint((psi - cand).real / TWO_PI)
+    dist = np.abs(cand - psi)
+    order = np.argsort(dist, axis=0, kind="stable")
+    near, other = np.take_along_axis(cand, order, axis=0)
+    d_near, d_other = np.take_along_axis(dist, order, axis=0)
+    ok = (d_near < SAFETY) & ((d_other > 2.0 * d_near) | (other == -near))
+    return near * near, ok
 
 
 def _mu_settle(g_parent, g, t):
     return g, np.abs(np.sqrt(g) - np.sqrt(g_parent))
-
-
-def _polish_G(g, t):
-    """Newton iterations for mu(G) = t in the G chart, and where they converged."""
-    return _newton(g, t, nu, mu, 2.0)
-
-
-def _newton(x, t, d_fn, f_fn, scale):
-    """Newton for f(x) = t with f' = -d / scale, each element on its own.
-
-    An element converges once its step is at most 1e-14 (1 + |x|); it fails
-    when |d(x)| < 1e-12 or after 40 iterations.  Returns x and the
-    converged mask.
-    """
-    x = x.copy()
-    ok = np.zeros(x.shape, dtype=bool)
-    live = np.arange(x.size)
-    for _ in range(40):
-        if not live.size:
-            break
-        d = d_fn(x[live])
-        regular = ~(np.abs(d) < 1e-12)
-        live, d = live[regular], d[regular]
-        if not live.size:
-            break
-        xl = x[live]
-        step = scale * (f_fn(xl) - t[live]) / d
-        xl = xl + step
-        x[live] = xl
-        done = np.abs(step) <= 1e-14 * (1.0 + np.abs(xl))
-        ok[live[done]] = True
-        live = live[~done]
-    return x, ok

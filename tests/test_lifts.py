@@ -213,7 +213,7 @@ def test_mu_lift_tracks_the_square(product_disc):
     assert np.abs(fld.values - g_true).max() <= 1e-11
     base = fld.base_node
     assert abs(fld.values[base]) <= 1e-12
-    assert np.abs(g_true).max() > 0.8 ** 2  # both Newton charts were exercised
+    assert np.abs(g_true).max() > 0.8 ** 2  # G leaves |psi| < 0.8
 
 
 def test_mu_lift_solves_mu_of_g(product_disc):
@@ -247,6 +247,40 @@ def test_mu_lift_depth_limit_raises(product_rect):
 
     with pytest.raises(LiftStep):
         lift_mu(t, product_rect, seed=0.4 + 0.4j)
+
+
+def sheet_walk(z):
+    # psi = 1.7 (z + 2) runs from Re psi = 0 to 6.8 over x in [-2, 2], so
+    # t = cos(psi) crosses the slit (-inf, -1] of arccos at Re psi = pi and
+    # [1, inf) at Re psi = 2 pi, from strip 0 to strip 2
+    return 1.7 * (np.asarray(z) + 2.0)
+
+
+def test_mu_lift_crosses_both_slits_of_arccos(product_rect):
+    fld = lift_mu(lambda z: np.cos(sheet_walk(z)), product_rect, seed=-2.0 + 0.3j)
+    # G = psi**2 for both psi = +-1.7 (z + 2)
+    g_true = sheet_walk(product_rect.node_z) ** 2
+    assert np.abs(fld.values - g_true).max() <= 1e-14 * np.abs(g_true).max()
+
+
+@pytest.mark.parametrize(
+    "y0, seed",
+    [(0.02, -2.0 + 0.5j), (0.01, -2.0 + 0.5j), (0.02, -2.0 + 0.02j)],
+    ids=["y0=0.02", "y0=0.01", "y0=0.02-corner-seed"],
+)
+def test_mu_lift_keeps_its_root_where_two_roots_nearly_meet(y0, seed):
+    # at Re psi = 2 pi, y = y0 the target comes within 6e-4 (y0 = 0.02) and
+    # 1.5e-4 (y0 = 0.01) of the fold value +1, where the roots 2 pi +- arccos t
+    # nearly meet; steps there must not jump between them.  Seeded at the
+    # lower left corner, the bottom row is reached along its horizontal
+    # edges, which pass 0.034 from psi = pi and 2 pi at a step of 0.106 in
+    # psi; on the edge across Re psi = pi the wrong root 2 pi - psi_b is
+    # nearer than psi_b, but not twice as near, so the edge is bisected
+    dom = BasicDomainSpec(rects=[(-2.0, 2.0, y0, 1.1)], kind="product")
+    assert np.abs(np.cos(sheet_walk(dom.node_z)) - 1.0).min() < 1.5 * y0 ** 2
+    fld = lift_mu(lambda z: np.cos(sheet_walk(z)), dom, seed=seed)
+    g_true = sheet_walk(dom.node_z) ** 2
+    assert np.abs(fld.values - g_true).max() <= 1e-14 * np.abs(g_true).max()
 
 
 # ---------------------------------------------------------------------------
