@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ class Disc:
         return self.cx - self.r, self.cx + self.r, self.cy - self.r, self.cy + self.r
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainReport:
     ok: bool
     kind: str
@@ -94,6 +95,18 @@ class DomainReport:
         }
 
 
+def _count_regions(mask: np.ndarray) -> int:
+    """Number of 4-connected regions of ``mask``, each flooded from its first cell."""
+    left = mask.copy()
+    count = 0
+    while left.any():
+        seed = np.zeros_like(mask)
+        seed.flat[left.argmax()] = True
+        left &= ~_flood(mask, seed)
+        count += 1
+    return count
+
+
 def _flood(mask: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Cells of ``mask`` reachable from ``seeds`` by 4-neighbour steps."""
     reached = seeds & mask
@@ -110,7 +123,11 @@ def _flood(mask: np.ndarray, seeds: np.ndarray) -> np.ndarray:
 
 
 class BasicDomainSpec:
-    """Leaf region, kind flag and grid of an axially symmetric basic domain."""
+    """Leaf region, kind flag and grid of an axially symmetric basic domain.
+
+    A domain is immutable after construction, so its validation report is
+    worked out once, on first use, and kept.
+    """
 
     def __init__(self, rects=(), discs=(), kind: str = "slice", h: float | None = None):
         if kind not in ("slice", "product"):
@@ -219,44 +236,48 @@ class BasicDomainSpec:
         d = self.boundary_dist(self.node_z)
         return int(np.argmax(d))
 
+    @property
+    def neighbours(self) -> np.ndarray:
+        """Neighbour table of the grid graph: one row per node, -1 where absent.
+
+        Columns hold the left, right, down and up neighbours, in that order.
+        It is built on each access rather than kept: that takes about 0.1 ms
+        at 128 divisions, and a kept int64 table would hold its memory for
+        the life of the domain.
+        """
+        idx = np.pad(self.node_index, 1, constant_values=-1)
+        inner = idx[1:-1, 1:-1] >= 0
+        return np.stack(
+            [
+                idx[1:-1, :-2][inner],
+                idx[1:-1, 2:][inner],
+                idx[:-2, 1:-1][inner],
+                idx[2:, 1:-1][inner],
+            ],
+            axis=1,
+        )
+
     # -- validation ---------------------------------------------------
 
-    def validate(self, strict: bool = True) -> DomainReport:
+    @cached_property
+    def report(self) -> DomainReport:
+        """Connectivity, simple connectivity and kind checks of the grid, made once."""
         mask = self.mask
         n_nodes = int(mask.sum())
         problems = []
-        n_components = 0
-        n_holes = 0
         meets_axis = bool(n_nodes and (self.node_y == 0.0).any())
 
+        n_components = _count_regions(mask)
         if n_nodes == 0:
             problems.append("grid has no nodes")
-        else:
-            seen = np.zeros_like(mask)
-            while (mask & ~seen).any():
-                j, i = np.argwhere(mask & ~seen)[0]
-                seed = np.zeros_like(mask)
-                seed[j, i] = True
-                seen |= _flood(mask, seed)
-                n_components += 1
-            if n_components != 1:
-                problems.append(f"leaf splits into {n_components} grid components")
-
-            comp = np.pad(~mask, 1, constant_values=True)
-            border = np.zeros_like(comp)
-            border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
-            outside = _flood(comp, border)
-            holes = comp & ~outside
-            n_holes = 0
-            if holes.any():
-                seen_h = np.zeros_like(holes)
-                while (holes & ~seen_h).any():
-                    j, i = np.argwhere(holes & ~seen_h)[0]
-                    seed = np.zeros_like(holes)
-                    seed[j, i] = True
-                    seen_h |= _flood(holes, seed)
-                    n_holes += 1
-                problems.append(f"leaf has {n_holes} hole(s); slice components not simply connected")
+        elif n_components != 1:
+            problems.append(f"leaf splits into {n_components} grid components")
+        comp = np.pad(~mask, 1, constant_values=True)
+        border = np.zeros_like(comp)
+        border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
+        n_holes = _count_regions(comp & ~_flood(comp, border))
+        if n_holes:
+            problems.append(f"leaf has {n_holes} hole(s); slice components not simply connected")
 
         if self.kind == "slice":
             if not meets_axis:
@@ -277,7 +298,7 @@ class BasicDomainSpec:
             if meets_axis:
                 problems.append("product domain grid contains real nodes")
 
-        report = DomainReport(
+        return DomainReport(
             ok=not problems,
             kind=self.kind,
             n_nodes=n_nodes,
@@ -286,9 +307,12 @@ class BasicDomainSpec:
             meets_axis=meets_axis,
             message="; ".join(problems),
         )
-        if strict and not report.ok:
-            raise NotBasic(report.message)
-        return report
+
+    def validate(self, strict: bool = True) -> DomainReport:
+        """The domain's report; raises NotBasic when ``strict`` and it is not ok."""
+        if strict and not self.report.ok:
+            raise NotBasic(self.report.message)
+        return self.report
 
     # -- serialization ------------------------------------------------
 

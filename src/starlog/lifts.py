@@ -138,24 +138,6 @@ def _lattice_node(domain: BasicDomainSpec, ix, iy) -> np.ndarray:
     return np.where(inside, domain.node_index[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)], -1)
 
 
-def grid_neighbours(domain: BasicDomainSpec) -> np.ndarray:
-    """Neighbour table of the grid graph: one row per node, -1 where absent.
-
-    Columns hold the left, right, down and up neighbours, in that order.
-    """
-    idx = np.pad(domain.node_index, 1, constant_values=-1)
-    inner = idx[1:-1, 1:-1] >= 0
-    return np.stack(
-        [
-            idx[1:-1, :-2][inner],
-            idx[1:-1, 2:][inner],
-            idx[:-2, 1:-1][inner],
-            idx[2:, 1:-1][inner],
-        ],
-        axis=1,
-    )
-
-
 def bfs_levels(domain: BasicDomainSpec, base_node: int):
     """Yield (parents, children) for each level of the breadth-first tree from base_node.
 
@@ -163,7 +145,7 @@ def bfs_levels(domain: BasicDomainSpec, base_node: int):
     neighbours left, right, down, up: children come in the order the queue
     discovers them, and each belongs to the first parent that reaches it.
     """
-    nbr = grid_neighbours(domain)
+    nbr = domain.neighbours
     seen = np.zeros(domain.n_nodes, dtype=bool)
     seen[base_node] = True
     frontier = np.array([base_node])

@@ -55,7 +55,7 @@ from .expr import (
     stem_complex,
     sup_parts,
 )
-from .lifts import grid_neighbours, lift_angle, lift_log, lift_mu
+from .lifts import lift_angle, lift_log, lift_mu
 from .quaternion import VERIFY_UNITS, qsym
 from .starexp import exp_star
 from .vectorial import (
@@ -214,7 +214,7 @@ def _slit_ok(t_nodes: np.ndarray, domain: BasicDomainSpec) -> tuple[bool, float]
     margin = float(dist.min())
     if margin <= _SLIT_TOL:
         return False, margin
-    nbr = grid_neighbours(domain)
+    nbr = domain.neighbours
     n1 = np.repeat(np.arange(domain.n_nodes), 2)
     n2 = nbr[:, [1, 3]].ravel()  # right and up: each edge once
     n1, n2 = n1[n2 >= 0], n2[n2 >= 0]
@@ -505,10 +505,8 @@ def _fold_route(g, domain, branch, report):
 # entry point
 
 
-def residual_sup(f: SliceExpr, g: SliceExpr, domain: BasicDomainSpec) -> float:
-    """sup |exp_star(f) - g| / (1 + |g|) over grid nodes and check units."""
-    E = eval_stem_many(exp_star(f), domain.node_z)
-    G = eval_stem_many(g, domain.node_z)
+def stem_distance(E: np.ndarray, G: np.ndarray) -> float:
+    """sup |E - G| / (1 + |G|) over the rows of two stems and the check units."""
     worst = 0.0
     for unit in VERIFY_UNITS:
         ev = slice_values(E, unit)
@@ -517,6 +515,13 @@ def residual_sup(f: SliceExpr, g: SliceExpr, domain: BasicDomainSpec) -> float:
         den = 1.0 + np.linalg.norm(gv, axis=1)
         worst = max(worst, float((num / den).max()))
     return worst
+
+
+def residual_sup(f: SliceExpr, g: SliceExpr, domain: BasicDomainSpec) -> float:
+    """sup |exp_star(f) - g| / (1 + |g|) over grid nodes and check units."""
+    E = eval_stem_many(exp_star(f), domain.node_z)
+    G = eval_stem_many(g, domain.node_z)
+    return stem_distance(E, G)
 
 
 def log_star(

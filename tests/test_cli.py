@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import starlog
 import starlog.expr as expr_module
-from starlog import cli
+from starlog import cli, errors
 from starlog.cli import CSV_HEADER, main
 from starlog.domain import BasicDomainSpec
 from starlog.parse import MAX_DEPTH
@@ -167,6 +168,34 @@ def test_log_star_vanishing_exit(domains):
     assert main(["log-star", "q", "--domain", domains["slice"]]) == 4
 
 
+def test_log_star_boundary_zero_exit(tmp_path, capsys):
+    # the zero of g_v at z = i sits on the rim of this disc
+    path = tmp_path / "rim.json"
+    BasicDomainSpec(discs=[(0.0, 0.6, 0.4)], kind="product", h=1.0 / 32.0).dump(path)
+    assert main(["log-star", ISOLATED, "--domain", str(path)]) == 4
+    assert "domain boundary" in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    subclasses = list(_subclasses(errors.StarlogError))
+    assert errors.LiftStep in subclasses  # found through LiftError
+    for sub in subclasses:
+        code = cli.exit_code_for(sub.__new__(sub))
+        assert 2 <= code <= 6, sub.__name__
+        assert f"`{code}`" in documented, sub.__name__
+    assert cli.exit_code_for(errors.BoundaryZero("rim")) == cli.EXIT_CONDITION
+    assert cli.exit_code_for(errors.FactorResidual("left over")) == cli.EXIT_RESIDUAL
+    assert cli.exit_code_for(errors.RealInput("real")) == cli.EXIT_DOMAIN
+
+
 OVERFLOWING = pytest.mark.parametrize(
     "expr", ["exp(800*q)", "1e300*q*i + 1e300", "exp(q)*1e300"], ids=["exp", "sym", "scaled-exp"]
 )
@@ -259,6 +288,18 @@ def test_verify_log_suite_product(domains, capsys):
     assert "[PASS] log-roundtrip[null-vector]" in out
     assert "[PASS] log-branch-shift[m=1]" in out
     assert "[PASS] log-reject[parity]" in out
+
+
+def test_verify_row_seconds_add_up_to_at_most_the_run(domains, tmp_path):
+    # each row is timed from the previous one, so the rows never overlap
+    report = tmp_path / "all.json"
+    start = time.perf_counter()
+    assert main(["verify", "--domain", domains["slice"], "--json", str(report)]) == 0
+    wall = time.perf_counter() - start
+    seconds = [r["seconds"] for r in json.loads(report.read_text())]
+    assert len(seconds) == 44
+    assert min(seconds) >= 0.0
+    assert sum(seconds) <= wall
 
 
 def test_verify_exp_suite(domains):

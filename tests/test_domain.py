@@ -5,8 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from starlog import domain as domain_module
 from starlog.domain import MAX_NODES, BasicDomainSpec, validate_domain
 from starlog.errors import DomainError, NotBasic
+from starlog.logarithm import check_conditions, log_star
+from starlog.parse import parse_expr
 
 
 def test_slice_rect_grid_aligned_to_axis():
@@ -55,6 +58,8 @@ def test_disconnected_rejected():
     )
     with pytest.raises(NotBasic, match="components"):
         validate_domain(d)
+    report = d.validate(strict=False)
+    assert not report.ok and report.n_components == 2
 
 
 def test_hole_rejected():
@@ -71,6 +76,8 @@ def test_hole_rejected():
     )
     with pytest.raises(NotBasic, match="hole"):
         validate_domain(d)
+    report = d.validate(strict=False)
+    assert not report.ok and report.n_holes == 1
 
 
 def test_product_touching_axis_rejected():
@@ -154,3 +161,37 @@ def test_split_real_trace_rejected():
     )
     with pytest.raises(NotBasic, match="real trace"):
         validate_domain(d)
+
+
+def test_validation_floods_once_per_domain(monkeypatch):
+    # a domain is immutable, so its report is worked out once and kept
+    d = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 16.0)
+    report = d.validate()
+    floods = []
+    flood = domain_module._flood
+
+    def counting(mask, seeds):
+        floods.append(mask.shape)
+        return flood(mask, seeds)
+
+    monkeypatch.setattr(domain_module, "_flood", counting)
+    g = parse_expr("exp(0.5*q^2 + 1.0)")
+    log_star(g, d)
+    log_star(g, d)
+    check_conditions(g, d)
+    assert d.validate() is report
+    assert floods == []
+
+
+def test_neighbour_table_columns():
+    # left, right, down, up; -1 off the grid
+    d = BasicDomainSpec(rects=[(0.0, 2.0, 0.0, 1.0)], kind="slice", h=1.0)
+    assert d.node_index.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert d.neighbours.tolist() == [
+        [-1, 1, -1, 3],
+        [0, 2, -1, 4],
+        [1, -1, -1, 5],
+        [-1, 4, 0, -1],
+        [3, 5, 1, -1],
+        [4, -1, 2, -1],
+    ]

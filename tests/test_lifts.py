@@ -265,8 +265,22 @@ def test_mu_lift_crosses_both_slits_of_arccos(product_rect):
 
 @pytest.mark.parametrize(
     "y0, seed",
-    [(0.02, -2.0 + 0.5j), (0.01, -2.0 + 0.5j), (0.02, -2.0 + 0.02j)],
-    ids=["y0=0.02", "y0=0.01", "y0=0.02-corner-seed"],
+    [
+        (0.02, -2.0 + 0.5j),
+        (0.01, -2.0 + 0.5j),
+        (0.02, -2.0 + 0.02j),
+        pytest.param(
+            0.01,
+            -2.0 + 0.01j,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="a bottom-row edge passes psi = pi at a sixth of its length and "
+                "lands on the wrong root, with the rival more than twice as far; "
+                "the mu-lift closure check of ROADMAP item 1(b) should catch it",
+            ),
+        ),
+    ],
+    ids=["y0=0.02", "y0=0.01", "y0=0.02-corner-seed", "y0=0.01-corner-seed"],
 )
 def test_mu_lift_keeps_its_root_where_two_roots_nearly_meet(y0, seed):
     # at Re psi = 2 pi, y = y0 the target comes within 6e-4 (y0 = 0.02) and
