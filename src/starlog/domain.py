@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NotBasic
+from .errors import DomainError, LiftStep, NotBasic
 
 DEFAULT_GRID_DIVISIONS = 64
 MAX_NODES = 1_000_000  # lattice points of a grid; 78x the 128-division ball leaf disc
+# breadth-first trees a domain keeps, one per base node, least recently used
+# dropped first: the fold route's mu base node depends on g
+BFS_TREES_KEPT = 4
 _EDGE_TOL = 1e-9
 
 
@@ -122,11 +126,46 @@ def _flood(mask: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return reached
 
 
+def _fifo_tree(nbr: np.ndarray, base_node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The FIFO breadth-first tree of the graph with neighbour table nbr, level by level."""
+    seen = np.zeros(nbr.shape[0], dtype=bool)
+    seen[base_node] = True
+    frontier = np.array([base_node])
+    parents, children, sizes = [], [], [0]
+    while True:
+        cand = nbr[frontier].ravel()
+        par = np.repeat(frontier, nbr.shape[1])
+        keep = cand >= 0
+        keep[keep] = ~seen[cand[keep]]
+        cand, par = cand[keep], par[keep]
+        _, first = np.unique(cand, return_index=True)
+        first.sort()
+        frontier = cand[first]
+        if not frontier.size:
+            break
+        seen[frontier] = True
+        parents.append(par[first])
+        children.append(frontier)
+        sizes.append(frontier.size)
+    if not seen.all():
+        raise LiftStep("grid graph is not connected; domain validation should have caught this")
+    # the empty last frontier keeps the concatenation typed on a one-node grid
+    tree = (
+        np.concatenate(parents + [frontier]),
+        np.concatenate(children + [frontier]),
+        np.cumsum(sizes),
+    )
+    for a in tree:
+        a.flags.writeable = False
+    return tree
+
+
 class BasicDomainSpec:
     """Leaf region, kind flag and grid of an axially symmetric basic domain.
 
     A domain is immutable after construction, so its validation report is
-    worked out once, on first use, and kept.
+    worked out once, on first use, and kept, and so are the breadth-first
+    trees of its last few base nodes.
     """
 
     def __init__(self, rects=(), discs=(), kind: str = "slice", h: float | None = None):
@@ -150,6 +189,7 @@ class BasicDomainSpec:
         diam = max(self.xmax - self.xmin, self.ymax - self.ymin)
         self.h = diam / DEFAULT_GRID_DIVISIONS if h is None else float(h)
         self._build_grid()
+        self._bfs_trees: OrderedDict[int, tuple] = OrderedDict()
 
     # -- construction -------------------------------------------------
 
@@ -256,6 +296,28 @@ class BasicDomainSpec:
             ],
             axis=1,
         )
+
+    def bfs_tree(self, base_node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The breadth-first tree of the grid graph from base_node, built once and kept.
+
+        Returns (parents, children, level_starts): edge e runs from
+        parents[e] to children[e], and level L + 1 holds the edges
+        level_starts[L]:level_starts[L + 1].  The tree is the one a FIFO
+        queue builds when each parent scans its neighbours left, right,
+        down, up: children come in the order the queue discovers them, and
+        each belongs to the first parent that reaches it.  The arrays are
+        read-only; the trees of the last BFS_TREES_KEPT base nodes are kept.
+        """
+        base_node = int(base_node)
+        tree = self._bfs_trees.get(base_node)
+        if tree is None:
+            tree = _fifo_tree(self.neighbours, base_node)
+            self._bfs_trees[base_node] = tree
+            if len(self._bfs_trees) > BFS_TREES_KEPT:
+                self._bfs_trees.popitem(last=False)
+        else:
+            self._bfs_trees.move_to_end(base_node)
+        return tree
 
     # -- validation ---------------------------------------------------
 

@@ -1,20 +1,22 @@
 """Continuation of multivalued scalar data over domain grids.
 
 Lifted fields store one complex value per grid node, exact there by
-construction: log lifts snap to Log(u) + 2 pi i k and mu lifts store the
-nearest closed-form root (+-arccos t + 2 pi n)**2, so verification at nodes
-sees no continuation drift.  Between nodes a field continues one more edge,
-from the nearest node to the point, with the same step as the grid walk, so
-off-node values are exact too.
+construction: log lifts store Log(u) + 2 pi i k for an integer sheet label k,
+and mu lifts store the nearest closed-form root (+-arccos t + 2 pi n)**2, so
+verification at nodes sees no continuation drift.  Between nodes a field
+continues one more edge, from the nearest node to the point, with the same
+step as the grid lift, so off-node values are exact too.
 
-One continuation engine serves the log, angle and mu lifts.  It walks the
-breadth-first tree of the grid graph level by level: all (parent, child)
-edges of a level advance the lifted coordinate in one batched step (a
-principal log step, or a step to the nearest root of mu).  Only the edges
-whose step fails, because it turns by more than the safety angle pi/4 or
-another root of mu lies nearly as close, are bisected, with the target
-evaluated at their midpoints in one batched call per round, up to a depth
-limit.
+All lifts follow the breadth-first tree of the grid graph from a base node,
+which the domain builds once and keeps.  A log lift (an angle lift is one)
+takes a principal log step along every tree edge at once and turns each into
+an integer change of sheet label; the labels are summed from the base, level
+by level.  The mu lift walks the tree one level at a time: all (parent,
+child) edges of a level step to the nearest root of mu in one batch.  In both,
+only the edges whose step fails, because it turns by more than the safety
+angle pi/4 or another root of mu lies nearly as close, are bisected, with the
+target evaluated at their midpoints in one batched call per round, up to a
+depth limit.
 """
 
 from __future__ import annotations
@@ -53,15 +55,16 @@ class Walk:
     vanished: Callable | None = None
 
     def advance(self, za, ta, va, zb, tb):
-        """End values of edges from za to zb, the deepest bisection and the step sizes."""
+        """End values of edges from za to zb, the deepest bisection, the step
+        sizes and the number of edges bisected."""
         v, ok = self.step(va, ta, tb)
         depth = 0
-        if not ok.all():
-            bad = np.nonzero(~ok)[0]
+        bad = np.flatnonzero(~ok)
+        if bad.size:
             v[bad], depths = _bisect((za[bad], ta[bad], va[bad]), (zb[bad], tb[bad]), self)
             depth = int(depths.max())
         vb, sizes = self.settle(va, v, tb)
-        return vb, depth, sizes
+        return vb, depth, sizes, bad.size
 
 
 @dataclass
@@ -74,6 +77,7 @@ class LiftedScalarField:
     base_node: int
     refinement_level: int
     max_step: float
+    bisected_edges: int  # tree edges whose direct step failed
     name: str
     walk: Walk
 
@@ -128,6 +132,7 @@ class LiftedScalarField:
             ],
             "refinement_level": int(self.refinement_level),
             "max_step": float(self.max_step),
+            "bisected_edges": int(self.bisected_edges),
         }
 
 
@@ -138,50 +143,28 @@ def _lattice_node(domain: BasicDomainSpec, ix, iy) -> np.ndarray:
     return np.where(inside, domain.node_index[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)], -1)
 
 
-def bfs_levels(domain: BasicDomainSpec, base_node: int):
-    """Yield (parents, children) for each level of the breadth-first tree from base_node.
-
-    The tree is the one a FIFO queue builds when each parent scans its
-    neighbours left, right, down, up: children come in the order the queue
-    discovers them, and each belongs to the first parent that reaches it.
-    """
-    nbr = domain.neighbours
-    seen = np.zeros(domain.n_nodes, dtype=bool)
-    seen[base_node] = True
-    frontier = np.array([base_node])
-    while frontier.size:
-        cand = nbr[frontier].ravel()
-        parents = np.repeat(frontier, 4)
-        keep = cand >= 0
-        keep[keep] = ~seen[cand[keep]]
-        cand, parents = cand[keep], parents[keep]
-        _, first = np.unique(cand, return_index=True)
-        first.sort()
-        frontier = cand[first]
-        seen[frontier] = True
-        if frontier.size:
-            yield parents[first], frontier
-    if not seen.all():
-        raise LiftStep("grid graph is not connected; domain validation should have caught this")
-
-
 def _continue(domain, base_node, base_value, t_nodes, walk: Walk):
     """Continue a lifted coordinate over the grid, one breadth-first level at a time.
 
-    Returns the node values, the deepest bisection and the largest step.
+    Returns the node values, the deepest bisection, the largest step and the
+    number of edges bisected.
     """
+    parents, children, starts = domain.bfs_tree(base_node)
     values = np.full(domain.n_nodes, np.nan, dtype=complex)
     values[base_node] = base_value
     zs = domain.node_z
-    max_depth = 0
+    max_depth = bisected = 0
     max_step = 0.0
-    for par, ch in bfs_levels(domain, base_node):
-        values[ch], depth, sizes = walk.advance(
+    starts = starts.tolist()
+    for a, b in zip(starts[:-1], starts[1:]):
+        par, ch = parents[a:b], children[a:b]
+        values[ch], depth, sizes, n_bad = walk.advance(
             zs[par], t_nodes[par], values[par], zs[ch], t_nodes[ch]
         )
         max_depth = max(max_depth, depth)
         max_step = max(max_step, float(sizes.max()))
-    return values, max_depth, max_step
+        bisected += n_bad
+    return values, max_depth, max_step, bisected
 
 
 def _bisect(start, end, walk: Walk):
@@ -256,6 +239,14 @@ def lift_log(
     ``u`` maps complex arrays to complex arrays.  The base value defaults to
     the principal logarithm at a real-axis node (slice domains) or an interior
     node (product domains).
+
+    Node values are Log u + 2 pi i k.  Each edge of the domain's breadth-first
+    tree changes the sheet label k by an integer: the principal step from its
+    parent where that turns by less than the safety angle, else the walk of
+    :func:`_bisect` from Log u at the parent.  The failing edges are bisected
+    as one batch in breadth-first order, so the first to fail raises, as in a
+    level-by-level walk.  The labels are then summed from the base, level by
+    level, in exact integer arithmetic.
     """
     t_nodes = np.asarray(u(domain.node_z), dtype=complex)
     if not np.all(np.isfinite(t_nodes)) or np.min(np.abs(t_nodes)) < 1e-300:
@@ -269,21 +260,63 @@ def lift_log(
     else:
         base_value = complex(_snap_log(complex(base_value), t_nodes[base_node]))
 
+    walk = _log_walk(u, name)
+    log_t = np.log(t_nodes)
+    arg = log_t.imag
+    parents, children, starts = domain.bfs_tree(base_node)
+    turn = _turn(t_nodes[parents], t_nodes[children])
+    reached = arg[parents] + turn
+    max_depth = 0
+    bad = np.flatnonzero(np.abs(turn) >= SAFETY)  # the steps _log_step refuses
+    if bad.size:
+        par, ch = parents[bad], children[bad]
+        zs = domain.node_z
+        v, depths = _bisect((zs[par], t_nodes[par], log_t[par]), (zs[ch], t_nodes[ch]), walk)
+        reached[bad] = v.imag
+        turn[bad] = v.imag - arg[par]
+        max_depth = int(depths.max())
+    steps = _sheet_step(reached, arg[children])
+    k = np.full(domain.n_nodes, _sheet_step(base_value.imag, arg[base_node]))
+    changed = np.flatnonzero(steps)
+    if changed.size:  # down to the first level with a change of sheet, k is the base's
+        starts = starts[np.searchsorted(starts, changed[0], side="right") - 1 :].tolist()
+        for a, b in zip(starts[:-1], starts[1:]):
+            k[children[a:b]] = k[parents[a:b]] + steps[a:b]
+    values = _on_sheet(log_t, k)
+    values[base_node] = base_value  # as given, down to the sign of a zero part
+    max_step = float(np.abs(turn).max()) if turn.size else 0.0
+    return LiftedScalarField(
+        domain, values, "log", base_node, max_depth, max_step, bad.size, name, walk
+    )
+
+
+def _log_walk(u, name: str) -> Walk:
+    """The log walk of target u, which off-node samples and bisection follow."""
+
     def stalled(za, zb, tb, depth):
         return LiftStep(f"{name}: step too large between {za} and {zb} at depth {depth}")
 
     def vanished(za, zb):
         return Vanishing(f"{name}: target vanishes near {za}..{zb}")
 
-    walk = Walk(u, _log_step, _log_settle, stalled, vanished)
-    values, max_depth, max_step = _continue(domain, base_node, base_value, t_nodes, walk)
-    return LiftedScalarField(domain, values, "log", base_node, max_depth, max_step, name, walk)
+    return Walk(u, _log_step, _log_settle, stalled, vanished)
+
+
+def _turn(ta, tb):
+    """The principal angle Arg(tb / ta) turned by a log step from ta to tb.
+
+    ``np.angle`` skips the log of the modulus that ``np.log`` works out, so it
+    is many times faster, and it agrees with ``np.log(tb / ta).imag`` to an
+    ulp.  A log step needs no real part: each continued value is snapped onto
+    Log t, which only reads its imaginary part.
+    """
+    return np.angle(tb / ta)
 
 
 def _log_step(v, ta, tb):
-    """Principal steps Log(tb / ta), accepted below the safety angle."""
-    delta = np.log(tb / ta)
-    return v + delta, np.abs(delta.imag) < SAFETY
+    """Principal steps i Arg(tb / ta) of the angle, accepted below the safety angle."""
+    turn = _turn(ta, tb)
+    return v + 1j * turn, np.abs(turn) < SAFETY
 
 
 def _log_settle(v_parent, v, t):
@@ -293,7 +326,17 @@ def _log_settle(v_parent, v, t):
 
 def _snap_log(v, t):
     principal = np.log(t)
-    k = np.rint((v.imag - principal.imag) / TWO_PI) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return _on_sheet(principal, _sheet_step(v.imag, principal.imag))
+
+
+def _sheet_step(reached, arg):
+    """Sheets between an angle reached by continuation and the principal angle
+    Arg t at its end: the integer rint((reached - Arg t) / 2 pi)."""
+    return np.rint((reached - arg) / TWO_PI).astype(np.int64)
+
+
+def _on_sheet(principal, k):
+    """Log t + 2 pi i k from the principal log and an integer sheet label."""
     return principal + 1j * (TWO_PI * k)
 
 
@@ -359,8 +402,8 @@ def lift_mu(
         return LiftStep(f"{name}: continuation stalled between {za} and {zb}")
 
     walk = Walk(t_fn, _mu_step, _mu_settle, stalled)
-    values, max_depth, max_step = _continue(domain, base_node, g0, t_nodes, walk)
-    return LiftedScalarField(domain, values, "mu", base_node, max_depth, max_step, name, walk)
+    values, *work = _continue(domain, base_node, g0, t_nodes, walk)
+    return LiftedScalarField(domain, values, "mu", base_node, *work, name, walk)
 
 
 def _mu_step(g, ta, tb):

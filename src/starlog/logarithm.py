@@ -88,8 +88,16 @@ class BranchSpec:
     n: int = 0
 
     def __post_init__(self):
-        if self.m != int(self.m) or self.n != int(self.n):
-            raise ConditionFailed("periods", "branch indices must be integers")
+        try:
+            m, n = int(self.m), int(self.n)
+        except (TypeError, ValueError, OverflowError):  # None, text, nan, inf
+            m = n = None
+        if m is None or m != self.m or n != self.n:
+            raise ConditionFailed(
+                "periods", f"branch indices must be integers, got ({self.m!r}, {self.n!r})"
+            )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n}

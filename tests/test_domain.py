@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from starlog import domain as domain_module
-from starlog.domain import MAX_NODES, BasicDomainSpec, validate_domain
-from starlog.errors import DomainError, NotBasic
+from starlog.domain import BFS_TREES_KEPT, MAX_NODES, BasicDomainSpec, validate_domain
+from starlog.errors import DomainError, LiftStep, NotBasic
 from starlog.logarithm import check_conditions, log_star
 from starlog.parse import parse_expr
 
@@ -195,3 +195,36 @@ def test_neighbour_table_columns():
         [3, 5, 1, -1],
         [4, -1, 2, -1],
     ]
+
+
+def test_bfs_tree_is_kept_for_the_last_base_nodes(monkeypatch):
+    builds = []
+    build = domain_module._fifo_tree
+
+    def counting(nbr, base_node):
+        builds.append(base_node)
+        return build(nbr, base_node)
+
+    monkeypatch.setattr(domain_module, "_fifo_tree", counting)
+    d = BasicDomainSpec(rects=[(0.0, 2.0, 0.0, 1.0)], kind="slice", h=0.25)
+    assert BFS_TREES_KEPT == 4
+    first = d.bfs_tree(0)
+    assert d.bfs_tree(0) is first
+    for base in range(1, 6):
+        d.bfs_tree(base)
+        d.bfs_tree(1)  # the most recently used tree stays
+    assert builds == [0, 1, 2, 3, 4, 5]
+    assert list(d._bfs_trees) == [3, 4, 5, 1]
+    parents, children, starts = d.bfs_tree(5)
+    assert builds == [0, 1, 2, 3, 4, 5]
+    assert sorted(children.tolist()) == [n for n in range(d.n_nodes) if n != 5]
+    assert starts[0] == 0 and starts[-1] == parents.size == d.n_nodes - 1
+    assert not (parents.flags.writeable or children.flags.writeable or starts.flags.writeable)
+
+
+def test_bfs_tree_of_a_disconnected_grid_raises_and_keeps_nothing():
+    d = BasicDomainSpec(rects=[(0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)], kind="slice", h=0.25)
+    assert not d.report.ok
+    with pytest.raises(LiftStep, match="not connected"):
+        d.bfs_tree(0)
+    assert not d._bfs_trees

@@ -7,17 +7,22 @@ from collections import deque
 import numpy as np
 import pytest
 
+from starlog import domain as domain_module
+from starlog.algebra import symmetrization
 from starlog.domain import BasicDomainSpec
 from starlog.errors import BranchPointHit, LiftStep, OutsideDomain, Vanishing
 from starlog.branches import mu
-from starlog.expr import GridFieldExpr, ScalarApply, const, evaluate, stem_complex
+from starlog.expr import GridFieldExpr, Q, ScalarApply, const, evaluate, stem_complex
 from starlog.lifts import (
     SAFETY,
-    bfs_levels,
+    _continue,
+    _log_walk,
     lift_angle,
     lift_log,
     lift_mu,
 )
+from starlog.logarithm import log_star
+from starlog.parse import parse_expr
 from starlog.quaternion import Quaternion
 
 
@@ -81,7 +86,11 @@ def fifo_levels(domain: BasicDomainSpec, base: int) -> list[list[tuple[int, int]
 def test_levels_reproduce_the_fifo_tree(domain):
     for base in (domain.interior_node(), 0, domain.n_nodes - 1):
         want = fifo_levels(domain, base)
-        got = [list(zip(p.tolist(), c.tolist())) for p, c in bfs_levels(domain, base)]
+        parents, children, starts = domain.bfs_tree(base)
+        got = [
+            list(zip(parents[a:b].tolist(), children[a:b].tolist()))
+            for a, b in zip(starts[:-1], starts[1:])
+        ]
         assert got == want
         assert sum(map(len, got)) == domain.n_nodes - 1
 
@@ -93,6 +102,110 @@ def test_log_lift_bisects_only_where_needed(product_rect):
     assert fld.refinement_level >= 1
     diff = fld.values - 1j * K * product_rect.node_z
     assert np.abs(diff - diff[0]).max() <= 1e-12
+
+
+# the fold-64 benchmark input of seed 1 on the radius-0.5 ball leaf disc
+FOLD_SEED_1 = (
+    "0.7015463661686019*(-1 + q^2*(0.3567937285917149*i + 0.5609154498714471*j"
+    " - 0.7470422299529886*k) + 1.4142135623730951*q*(- 0.5122239906461238*i"
+    " - 0.5512810475513543*j - 0.6585710212401098*k) + (- 0.7812328837447777*i"
+    " + 0.6176269624184113*j + 0.09062072969042423*k))"
+)
+
+
+def _targets():
+    product = BasicDomainSpec(rects=[(-2.0, 2.0, 0.3, 1.1)], kind="product")
+    ball = BasicDomainSpec(discs=[(0.0, 1.0, 0.5)], kind="product", h=1.0 / 64)
+    sym = symmetrization(parse_expr(FOLD_SEED_1))
+    return {
+        "square-across-the-cut": (lambda z: z * z, product),
+        "fast-turn": (lambda z: np.exp(16j * z), product),
+        # 4 radians per horizontal edge: past half a turn, the principal step
+        # would land one sheet off
+        "past-half-a-turn": (lambda z: np.exp(64j * z), product),
+        "fold-64-sym-log": (lambda z: stem_complex(sym, z), ball),
+    }
+
+
+@pytest.mark.parametrize(
+    "target", ["square-across-the-cut", "fast-turn", "past-half-a-turn", "fold-64-sym-log"]
+)
+def test_log_labels_reproduce_the_level_walk(target):
+    u, domain = _targets()[target]
+    fld = lift_log(u, domain)
+    t_nodes = u(domain.node_z)
+    base = fld.base_node
+    values, depth, max_step, bisected = _continue(
+        domain, base, fld.values[base], t_nodes, fld.walk
+    )
+    assert np.array_equal(fld.values, values)
+    assert fld.refinement_level == depth
+    assert fld.bisected_edges == bisected
+    assert fld.max_step == pytest.approx(max_step, rel=1e-12)
+    if target in ("fast-turn", "past-half-a-turn"):
+        assert depth >= 1
+
+
+def _level_walk_error(u, domain, name):
+    t_nodes = u(domain.node_z)
+    base = domain.interior_node()
+    with pytest.raises(Exception) as err:
+        _continue(domain, base, complex(np.log(t_nodes[base])), t_nodes, _log_walk(u, name))
+    return err
+
+
+def test_log_labels_fail_like_the_level_walk(product_rect):
+    parents, children, _ = product_rect.bfs_tree(product_rect.interior_node())
+    zs = product_rect.node_z
+    e = parents.size // 2
+    z0 = 0.5 * (zs[parents[e]] + zs[children[e]])  # the midpoint of a tree edge
+    # a full third of a turn per segment at every depth down to the limit
+    K = (2.0 * np.pi / 3.0) * 2**10 / product_rect.h
+    cases = [
+        (lambda z: z - z0, Vanishing),
+        (lambda z: np.exp(1j * K * np.real(z)), LiftStep),
+    ]
+    for u, cls in cases:
+        want = _level_walk_error(u, product_rect, "L")
+        assert want.type is cls
+        with pytest.raises(cls) as got:
+            lift_log(u, product_rect, name="L")
+        assert str(got.value) == str(want.value)
+
+
+def test_bisected_edges_count_the_failed_tree_steps(product_rect, product_disc):
+    fld = lift_log(lambda z: np.exp(16j * z), product_rect)
+    parents, children, _ = product_rect.bfs_tree(fld.base_node)
+    across = product_rect.node_y[parents] == product_rect.node_y[children]
+    # every horizontal edge turns by 16 h = 1 > pi/4; vertical ones do not turn
+    assert fld.as_json()["bisected_edges"] == fld.bisected_edges == int(across.sum())
+    assert lift_log(lambda z: z * z + 2.0, product_rect).bisected_edges == 0
+    # the mu lift counts level by level; each level steps from its parents' stored values
+    t = lambda z: np.cos(8.0 * (z - 1j))
+    fld = lift_mu(t, product_disc, seed=1j)
+    parents, children, _ = product_disc.bfs_tree(fld.base_node)
+    tz = t(product_disc.node_z)
+    _, ok = fld.walk.step(fld.values[parents], tz[parents], tz[children])
+    assert fld.bisected_edges == int((~ok).sum()) > 0
+
+
+def test_lifts_share_one_tree_per_base_node(monkeypatch):
+    builds = []
+    build = domain_module._fifo_tree
+
+    def counting(nbr, base_node):
+        builds.append(base_node)
+        return build(nbr, base_node)
+
+    monkeypatch.setattr(domain_module, "_fifo_tree", counting)
+    domain = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 32)
+    g = (Q * Q + const(2.0)) * const(Quaternion(0.0, 0.0, 1.0, 0.0))
+    first = log_star(g, domain)
+    assert first.case == "angle"
+    bases = {tuple(first.diagnostics[key]["base"]) for key in ("sym_lift", "phase")}
+    assert len(builds) == len(set(builds)) == len(bases)
+    log_star(g, domain)
+    assert len(builds) == len(bases)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,26 @@ def test_scalar_product_branch_family(product_rect):
     assert np.abs(np.exp(d1) - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "index", [float("nan"), math.inf, "a", None, 1.5], ids=["nan", "inf", "text", "none", "half"]
+)
+def test_branch_index_that_is_not_an_integer_fails_the_periods_condition(index, slice_rect):
+    for pair in ((index, 0), (0, index)):
+        with pytest.raises(ConditionFailed) as err:
+            BranchSpec(*pair)
+        assert err.value.condition == "periods"
+        with pytest.raises(ConditionFailed) as err:
+            log_star(Q * Q + const(2.0), slice_rect, pair)
+        assert err.value.condition == "periods"
+
+
+def test_branch_indices_are_stored_as_ints():
+    branch = BranchSpec(1.0, np.int64(-2))
+    assert type(branch.m) is int and type(branch.n) is int
+    assert branch.to_json() == {"m": 1, "n": -2}
+    assert branch == BranchSpec(1, -2)
+
+
 def test_vanishing_input_rejected(slice_rect):
     with pytest.raises(Vanishing):
         log_star(Q, slice_rect)  # 0 is a grid node
