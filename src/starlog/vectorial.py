@@ -1,13 +1,20 @@
 """Zero sets and structure of the vectorial part of a slice function.
 
 Scalar coefficients of slice functions have holomorphic stem components, so
-zeros are located by the argument principle: winding counts over rectangles
-with adaptive boundary sampling, subdivided until each zero sits alone in a
-negligibly small cell, then polished by multiplicity-aware Newton steps.
-The work runs in batched rounds with one stem evaluation each: every open
-winding count of a round, every cell of a subdivision level, and every zero
-of a Newton iteration share one call.  Zeros come back in the depth-first
-order of the quadrant subdivision (lower left, lower right, upper left,
+zeros are located by the argument principle.  A winding count with adaptive
+boundary sampling around the padded bounding box gives their number; when it
+is not 0, one pass over the values at the grid nodes places them.  A cell
+whose corner values turn by less than pi/4 along every edge holds no zero.
+The other cells form clusters, each counted on its own rectangle.  A cluster
+inside the box that holds zeros seeds multiplicity-aware Newton steps from
+its lattice point of least modulus, and a winding count on a tiny square
+around the result certifies it.  Only a cluster that fails its certificate,
+or one that reaches the box contour, is subdivided until each zero sits
+alone in a negligibly small cell.  The work
+runs in batched rounds with one stem evaluation each: every open winding
+count of a round, every cell of a subdivision level, and every zero of a
+Newton iteration share one call.  Zeros come back in the depth-first order
+of a quadrant subdivision of the box (lower left, lower right, upper left,
 upper right at each cut).
 
 Zeros of the symmetrized vectorial part split into three kinds.  At a real
@@ -43,6 +50,7 @@ from .expr import (
     StarMul,
     const,
     eval_stem_many,
+    shared_stem,
     stem_complex,
     sup_parts,
 )
@@ -229,7 +237,8 @@ def _split(F, rect, count: int, ftol: float, stop: float) -> list:
 def _polish(F, found: list, scale: float) -> list:
     """Multiplicity-aware Newton steps on every (z, multiplicity) in lock
     step, with one F call per iteration on the points and their +-delta
-    neighbours.  The updates run in Python complex arithmetic."""
+    neighbours.  The updates run in Python complex arithmetic.  A zero whose
+    iterates never meet the tolerance comes back as None."""
     zs = [z for z, _ in found]
     best = [(math.inf, z) for z in zs]  # (|F|, z) at each zero's closest iterate
     open_ = list(range(len(zs)))
@@ -268,14 +277,221 @@ def _polish(F, found: list, scale: float) -> list:
             if abs(complex(v)) > 1e-11 * scale:
                 # the steps at a multiple zero can wander in rounding noise away
                 # from an iterate that already met the tolerance: go back to it
-                if best[i][0] > 1e-11 * scale:
-                    raise NoConvergence(f"zero near {zs[i]} did not polish below tolerance")
-                zs[i] = best[i][1]
+                zs[i] = best[i][1] if best[i][0] <= 1e-11 * scale else None
     return zs
+
+
+# ---------------------------------------------------------------------------
+# the node pass: zeros seeded from the grid
+
+
+def _grid_values(F, domain: BasicDomainSpec, node_vals, box) -> tuple:
+    """Cell breaks (bx, by) and the values W of F at every break point.
+
+    The breaks are the domain's grid lines, framed by the edges of the search
+    box: the full xs x ys lattice, mirrored below the axis on slice domains,
+    and a ring on the box contour.  The nodes keep ``node_vals``, the mirrored
+    rows are their conjugates, and one F call fills in the lattice points off
+    the domain and the ring.
+    """
+    mask, ys = domain.mask, domain.ys
+    X, Y = np.meshgrid(domain.xs, ys)
+    off = ~mask
+    n_off = int(off.sum())
+    if domain.kind == "slice":
+        low = ys.size - (1 if ys.size and ys[0] == 0.0 else 0)  # the axis row is its own mirror
+        ys = np.concatenate([-ys[::-1][:low], ys])
+    bx = np.concatenate([[box[0]], domain.xs, [box[1]]])
+    by = np.concatenate([[box[2]], ys, [box[3]]])
+    ring = [bx + 1j * box[2], bx + 1j * box[3], box[0] + 1j * ys, box[1] + 1j * ys]
+    with np.errstate(all="ignore"):  # a value that is not finite makes its cells unsafe
+        vals = np.asarray(F(np.concatenate([X[off] + 1j * Y[off]] + ring)), dtype=complex)
+    U = np.empty(mask.shape, dtype=complex)
+    U[mask] = node_vals
+    U[off] = vals[:n_off]
+    if domain.kind == "slice":
+        U = np.concatenate([U[::-1][:low].conj(), U])
+    W = np.empty((by.size, bx.size), dtype=complex)
+    W[1:-1, 1:-1] = U
+    ends = np.cumsum([bx.size, bx.size, ys.size])
+    W[0], W[-1], W[1:-1, 0], W[1:-1, -1] = np.split(vals[n_off:], ends)
+    return bx, by, W
+
+
+def _unsafe_cells(W, ftol: float) -> np.ndarray:
+    """Cells of the break lattice whose corner values do not certify them.
+
+    A cell is safe when every edge step ``np.angle(w_b / w_a)`` is under pi/4
+    and no corner is near zero or not finite.  Its four steps then turn by
+    less than pi in all, so its winding rounds to 0: a safe cell holds no zero.
+    """
+    good = np.isfinite(W) & (np.abs(W) > ftol)
+    with np.errstate(all="ignore"):
+        okx = good[:, 1:] & good[:, :-1] & (np.abs(np.angle(W[:, 1:] / W[:, :-1])) < np.pi / 4)
+        oky = good[1:] & good[:-1] & (np.abs(np.angle(W[1:] / W[:-1])) < np.pi / 4)
+    return ~(okx[:-1] & okx[1:] & oky[:, :-1] & oky[:, 1:])
+
+
+def _components(mask: np.ndarray) -> np.ndarray:
+    """Labels of the 8-connected components of ``mask`` (-1 outside it)."""
+    ny, nx = mask.shape
+    lab = np.where(mask, np.arange(mask.size).reshape(mask.shape), -1)
+    while True:
+        p = np.pad(lab, 1, constant_values=-1)
+        new = lab.copy()
+        for dj in range(3):
+            for di in range(3):
+                np.maximum(new, p[dj : dj + ny, di : di + nx], out=new)
+        new[~mask] = -1
+        new[mask] = new.flat[new[mask]]  # a label is a cell of the component: take its label
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _clusters(bad: np.ndarray) -> list:
+    """Inclusive cell ranges (j0, j1, i0, i1) covering the cells of ``bad``:
+    bounding boxes of its 8-connected groups, merged until no two touch.
+
+    Boxes that do not touch, padded by half a cell, do not overlap.
+    """
+    while True:
+        lab = _components(bad)
+        jj, ii = np.nonzero(bad)
+        ids, inv = np.unique(lab[bad], return_inverse=True)
+        j0, i0 = np.full(ids.size, bad.shape[0]), np.full(ids.size, bad.shape[1])
+        j1, i1 = np.full(ids.size, -1), np.full(ids.size, -1)
+        np.minimum.at(j0, inv, jj)
+        np.maximum.at(j1, inv, jj)
+        np.minimum.at(i0, inv, ii)
+        np.maximum.at(i1, inv, ii)
+        boxes = list(zip(j0.tolist(), j1.tolist(), i0.tolist(), i1.tolist()))
+        filled = np.zeros_like(bad)
+        for a, b, c, d in boxes:
+            filled[a : b + 1, c : d + 1] = True
+        if np.array_equal(filled, bad):
+            return boxes
+        bad = filled
+
+
+def _depth_first(found: list, rect, stop: float) -> list:
+    """The (z, multiplicity) pairs ``found`` in the depth-first quadrant
+    order in which _split over ``rect`` meets them.
+
+    Each cell is cut at the first ratio of _CUT_RATIOS whose cut lines pass
+    no zero of odd multiplicity closer than 2**-15 of the cell's side: that
+    near, the phase jumps by an odd multiple of pi along the cut, the sampled
+    counts of its quadrants fail, and _split moves on to the next ratio.  A
+    zero of even multiplicity on a cut turns the phase by no more than the
+    samples see, so _split counts half of it on either side and meets it
+    first on the lower or left one.  A cell holding one zero, or no larger
+    than ``stop``, is a leaf.
+    """
+    out: list = []
+
+    def visit(part, rect):
+        x0, x1, y0, y1 = rect
+        side = max(x1 - x0, y1 - y0)
+        if len(part) < 2 or side <= stop:
+            out.extend(part)
+            return
+        near = 2.0**-15 * side
+        odd = [z for z, m in part if m % 2]
+        for r in _CUT_RATIOS:
+            quads = _quads(x0, x1, y0, y1, r)
+            xm, ym = quads[0][1], quads[0][3]
+            if all(min(abs(z.real - xm), abs(z.imag - ym)) > near for z in odd):
+                break
+        sides = [(z.real - xm > near, z.imag - ym > near) for z, _ in part]
+        for j, quad in enumerate(quads):
+            visit([zm for zm, s in zip(part, sides) if s == (bool(j & 1), bool(j & 2))], quad)
+
+    visit(found, rect)
+    return out
+
+
+def _grid_zeros(
+    F, domain: BasicDomainSpec, node_vals, box, total: int, ftol: float, stop: float, scale: float
+):
+    """Zeros inside the search box from one pass over the node lattice.
+
+    Returns (zeros, cells): certified (z, multiplicity) pairs, and the
+    (centre, count) cells that _split found in the clusters left uncertified,
+    still to be polished.  Raises NoConvergence when a count fails or the
+    counts do not add up to the box count ``total``.
+    """
+    bx, by, W = _grid_values(F, domain, node_vals, box)
+    bad = _unsafe_cells(W, ftol)
+    # a cluster that reaches the box contour takes the whole of that side, so
+    # that its count samples the side where the box count did: a double zero
+    # near a contour can turn the phase by 2 pi between two samples unseen
+    for side in (bad[0], bad[-1], bad[:, 0], bad[:, -1]):
+        if side.any():
+            side[:] = True
+    rects, starts, inner = [], [], []
+    for j0, j1, i0, i1 in _clusters(bad):
+        inner.append(0 < i0 and i1 < bx.size - 2 and 0 < j0 and j1 < by.size - 2)
+        # pad by half a cell into the safe cells around, or up to the box edge
+        rects.append(
+            (
+                bx[0] if i0 == 0 else 0.5 * (bx[i0 - 1] + bx[i0]),
+                bx[-1] if i1 == bx.size - 2 else 0.5 * (bx[i1 + 1] + bx[i1 + 2]),
+                by[0] if j0 == 0 else 0.5 * (by[j0 - 1] + by[j0]),
+                by[-1] if j1 == by.size - 2 else 0.5 * (by[j1 + 1] + by[j1 + 2]),
+            )
+        )
+        # Newton starts from the lattice point of the cluster where |F| is least
+        mags = np.abs(W[j0 : j1 + 2, i0 : i1 + 2])
+        j, i = np.unravel_index(np.argmin(np.where(np.isfinite(mags), mags, np.inf)), mags.shape)
+        starts.append(complex(bx[i0 + i], by[j0 + j]))
+    counts = _windings(F, rects, ftol)
+    if None in counts or sum(counts) != total:
+        raise NoConvergence(f"grid clusters count {counts} zeros, the search box {total}")
+
+    # a cluster on the box contour shares its samples with the box count, and
+    # both can miss the same double zero near the contour: only a subdivision,
+    # which samples ever smaller cells, finds it there
+    clusters = list(zip(rects, starts, counts, inner))
+    seeds = [(rect, start, c) for rect, start, c, ok in clusters if c and ok]
+    todo = [(rect, c) for rect, _, c, ok in clusters if c and not ok]
+    polished = _polish(F, [(start, c) for _, start, c in seeds], scale)
+    # certificate: a square of half-width about _MERGE_TOL around each
+    # polished zero, inside its cluster, holds the cluster's whole count
+    squares = {}
+    for k, ((x0, x1, y0, y1), _, _) in enumerate(seeds):
+        z = polished[k]
+        if z is not None:
+            r = _MERGE_TOL * (1.0 + abs(z))
+            if x0 < z.real - r and z.real + r < x1 and y0 < z.imag - r and z.imag + r < y1:
+                squares[k] = (z.real - r, z.real + r, z.imag - r, z.imag + r)
+    held = dict(zip(squares, _windings(F, list(squares.values()), ftol)))
+    zeros, cells = [], []
+    for k, (rect, _, c) in enumerate(seeds):
+        if held.get(k) == c:
+            zeros.append((polished[k], c))
+        else:
+            todo.append((rect, c))
+    for rect, c in todo:
+        logger.debug(
+            "cluster [%g,%g]x[%g,%g] with %d zero(s) is not certified, subdividing", *rect, c
+        )
+        cells += _split(F, rect, c, ftol, stop)
+    return zeros, cells
 
 
 def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     """Zeros of a slice-preserving function over the domain, as upper stem points.
+
+    The winding number around the bounding box, padded past the boundary,
+    counts the zeros; when it is not 0, one pass over the grid nodes places
+    them.  Clusters of cells whose node values do not certify them zero-free
+    are counted on their own rectangles, and each one inside the box that
+    holds zeros seeds a Newton polish from its lattice point of least |F|.
+    A square of half-width about _MERGE_TOL around the polished zero must
+    hold the cluster's count.  A cluster that fails, or that reaches the box
+    contour, is subdivided and its cells polished.  Zeros come
+    back in depth-first quadrant order of the box (lower left, lower right,
+    upper left, upper right at each cut).
 
     Raises Vanishing when the function is identically zero, BoundaryZero when
     a zero falls inside the ambiguity band around the domain boundary.
@@ -286,7 +502,8 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     def F(zs):
         return stem_complex(expr, np.asarray(zs, dtype=complex))
 
-    scale = float(np.abs(F(domain.node_z)).max())
+    node_vals = F(domain.node_z)
+    scale = float(np.abs(node_vals).max())
     if scale <= 1e-300:
         raise Vanishing("cannot locate zeros of the zero function")
     ftol = 1e-12 * scale
@@ -303,16 +520,25 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
         (total,) = _windings(F, [cell], ftol)
         if total is None:
             continue
+        if total == 0:
+            found, cells = [], []
+            break
         try:
-            found = _split(F, cell, total, ftol, stop)
+            found, cells = _grid_zeros(F, domain, node_vals, cell, total, ftol, stop, scale)
             break
         except NoConvergence:
             continue
     else:
         raise BoundaryZero("a zero sits persistently on the search boundary")
 
+    for z, (centre, m) in zip(_polish(F, cells, scale), cells):
+        if z is None:
+            raise NoConvergence(f"zero near {centre} did not polish below tolerance")
+        found.append((z, m))
+    found = _depth_first(found, cell, stop)
+
     merged: list[tuple[complex, int]] = []
-    for z, (_, m) in zip(_polish(F, found, scale), found):
+    for z, m in found:
         for idx, (zp, mp) in enumerate(merged):
             if abs(z - zp) <= _MERGE_TOL * (1.0 + abs(z)):
                 merged[idx] = ((zp * mp + z * m) / (mp + m), mp + m)
@@ -387,23 +613,25 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
         return VectorialClassReport("zero", [], vect_scale, 0.0)
 
     sym = symmetrization(gv)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym_vals = stem_complex(sym, domain.node_z)
-    _require_finite(sym_vals, "g_v^s")
-    sym_scale = float(np.abs(sym_vals).max())
-    if sym_scale <= 1e-12 * (1.0 + vect_scale * vect_scale):  # inf, not OverflowError
-        if domain.kind == "slice":
-            raise ClassificationError(
-                "the symmetrized vectorial part cannot vanish identically on a "
-                "slice-type domain unless the vectorial part does"
-            )
-        return VectorialClassReport("null-symmetrization", [], vect_scale, sym_scale)
+    # one evaluation of g_v^s at the nodes, which find_zeros_sp reads again
+    with shared_stem(sym, domain.node_z) as S:
+        sym_vals = S[:, 0]
+        _require_finite(sym_vals, "g_v^s")
+        sym_scale = float(np.abs(sym_vals).max())
+        if sym_scale <= 1e-12 * (1.0 + vect_scale * vect_scale):  # inf, not OverflowError
+            if domain.kind == "slice":
+                raise ClassificationError(
+                    "the symmetrized vectorial part cannot vanish identically on a "
+                    "slice-type domain unless the vectorial part does"
+                )
+            return VectorialClassReport("null-symmetrization", [], vect_scale, sym_scale)
+        spheres = find_zeros_sp(sym, domain)
 
     # stem columns of the vector components that do not vanish identically
     live = [1 + i for i in range(3) if comp_sup[i] > ZERO_REL * (1.0 + vect_scale)]
     ftol = 1e-12 * vect_scale
     classified: list[ClassifiedZero] = []
-    for sz in find_zeros_sp(sym, domain):
+    for sz in spheres:
         c = eval_stem_many(gv, [sz.z])[0]
         av, bv = c.real[1:], c.imag[1:]
         point_tol = 1e-9 * (1.0 + vect_scale)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_zeros_come_in_depth_first_order(product_rect):
 
 
 def test_zero_finder_batches_its_stem_calls(monkeypatch):
-    # the double zero at z = i sits at the centre of the disc, on the first cut
+    # the double zero at z = i sits at the centre of the disc, on a grid node
     dom = BasicDomainSpec(discs=[(0.0, 1.0, 0.5)], kind="product", h=1.0 / 64)
     calls = []
 
@@ -106,8 +107,102 @@ def test_zero_finder_batches_its_stem_calls(monkeypatch):
 
     monkeypatch.setattr(vectorial, "stem_complex", counted)
     zeros = find_zeros_sp(symmetrization(vect_part(example_isolated())), dom)
-    assert zeros == [SphereZero(3.2554159193734265e-12 + 0.9999999999795116j, 2)]
-    assert len(calls) <= 120  # one call per cell and per Newton point made 335
+    (zero,) = zeros
+    assert zero.multiplicity == 2
+    assert abs(zero.z - 1j) <= 1e-10
+    # one call per cell and per Newton point made 335, the box subdivision 108
+    assert len(calls) <= 24
+
+
+def _with_zeros(roots):
+    """A real-coefficient polynomial with simple zeros at ``roots`` and, off
+    the axis, at their conjugates."""
+    p = const(1.0)
+    for r in roots:
+        if r.imag == 0.0:
+            p = p * (Q - const(r.real))
+        else:
+            p = p * (Q * Q - const(2.0 * r.real) * Q + const(abs(r) ** 2))
+    return p
+
+
+def _box_search(monkeypatch, expr, domain):
+    """The reference search: _split over the whole padded box, then _polish,
+    with the zeros kept in the order _split finds their cells."""
+
+    def split_box(F, domain, node_vals, box, total, ftol, stop, scale):
+        return [], vectorial._split(F, box, total, ftol, stop)
+
+    with monkeypatch.context() as m:
+        m.setattr(vectorial, "_grid_zeros", split_box)
+        m.setattr(vectorial, "_depth_first", lambda found, rect, stop: found)
+        return find_zeros_sp(expr, domain)
+
+
+def _polar(rho):
+    """The point at distance rho from the centre of the disc (0, 1, 0.5), off every node line."""
+    return 1j + rho * np.exp(0.52j)
+
+
+PRODUCT_64 = BasicDomainSpec(rects=[(0.25, 1.75, 0.25, 1.25)], kind="product", h=1 / 64)
+PRODUCT_32 = BasicDomainSpec(rects=[(0.25, 1.75, 0.25, 1.25)], kind="product", h=1 / 32)
+DISC_32 = BasicDomainSpec(discs=[(0.0, 1.0, 0.5)], kind="product", h=1 / 32)
+SLICE_16 = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1 / 16)
+
+
+@pytest.mark.parametrize(
+    "domain, roots, n",
+    [
+        (PRODUCT_64, [1.013 + 0.731j], 1),
+        (PRODUCT_64, [1.0 + 0.75j], 1),
+        (DISC_32, [_polar(0.49)], 1),
+        (DISC_32, [_polar(0.51)], 0),
+        (PRODUCT_32, [1.01 + 0.71j, 1.0101 + 0.7101j], 2),
+        (SLICE_16, [0.53 + 0j, -0.21 + 0j, 0.3 + 0.6j], 3),
+    ],
+    ids=[
+        "between-nodes", "on-node", "rim-cell", "outside-disc", "two-in-one-cell", "slice-real-axis"
+    ],
+)
+def test_node_pass_matches_the_box_search(monkeypatch, domain, roots, n):
+    p = _with_zeros(roots)
+    zeros = find_zeros_sp(p, domain)
+    ref = _box_search(monkeypatch, p, domain)
+    assert len(zeros) == len(ref) == n
+    for got, want in zip(zeros, ref):
+        assert got.multiplicity == want.multiplicity == 1
+        assert abs(got.z - want.z) <= 1e-10
+    assert sorted(round(z.z.real, 8) for z in zeros) == sorted(round(r.real, 8) for r in roots[:n])
+
+
+def test_failed_certificate_is_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="starlog.vectorial"):
+        zeros = find_zeros_sp(_with_zeros([1.01 + 0.71j, 1.0101 + 0.7101j]), PRODUCT_32)
+    assert [z.multiplicity for z in zeros] == [1, 1]
+    assert any("is not certified" in r.getMessage() for r in caplog.records)
+
+
+def test_node_pass_keeps_the_boundary_band(monkeypatch):
+    # a zero BOUNDARY_MARGIN / 2 inside the rim is ambiguous to both searches
+    p = _with_zeros([_polar(0.5 - 0.5 * vectorial.BOUNDARY_MARGIN)])
+    with pytest.raises(BoundaryZero, match="of the domain boundary"):
+        find_zeros_sp(p, DISC_32)
+    with pytest.raises(BoundaryZero, match="of the domain boundary"):
+        _box_search(monkeypatch, p, DISC_32)
+
+
+def test_cluster_on_the_box_contour_keeps_every_zero():
+    # double zeros 0.0018 inside the edge x = 1: the box count and a count of
+    # their cluster sample that edge alike and can both miss one of the pair,
+    # so a seeded, certified cluster would return the other one alone
+    dom = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1 / 128)
+    simple, double = 0.17253540851416127 + 0.26760291711731843j, 0.998156864416248 + 0.0895374183j
+    try:
+        zeros = find_zeros_sp(_with_zeros([simple, double, double]), dom)
+    except BoundaryZero:
+        return  # the search may give up near the boundary, but not drop a zero
+    assert [z.multiplicity for z in zeros] == [1, 2]
+    assert max(abs(z.z - r) for z, r in zip(zeros, [simple, double])) <= 1e-8
 
 
 def test_double_zero_polish_keeps_its_closest_iterate():
