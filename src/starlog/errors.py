@@ -53,7 +53,8 @@ class BranchDomainViolation(StarlogError):
 
 
 class NoConvergence(StarlogError):
-    """An iteration (series, Newton polish, winding refinement) did not converge."""
+    """An iteration (series, winding refinement) did not converge, or a
+    moment circle of the zero finder did not read its zeros."""
 
 
 class BoundaryZero(StarlogError):

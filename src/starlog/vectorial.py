@@ -6,16 +6,14 @@ boundary sampling around the padded bounding box gives their number; when it
 is not 0, one pass over the values at the grid nodes places them.  A cell
 whose corner values turn by less than pi/4 along every edge holds no zero.
 The other cells form clusters, each counted on its own rectangle.  A cluster
-inside the box that holds zeros seeds multiplicity-aware Newton steps from
-its lattice point of least modulus, and a winding count on a tiny square
-around the result certifies it.  Only a cluster that fails its certificate,
-or one that reaches the box contour, is subdivided until each zero sits
-alone in a negligibly small cell.  The work
-runs in batched rounds with one stem evaluation each: every open winding
-count of a round, every cell of a subdivision level, and every zero of a
-Newton iteration share one call.  Zeros come back in the depth-first order
-of a quadrant subdivision of the box (lower left, lower right, upper left,
-upper right at each cut).
+inside the box is read off a circle inside its rectangle: the Fourier
+coefficients of log F on it give the power sums of the zeros inside (Delves
+and Lyness, Math. Comp. 21, 1967), and its count certifies it.  A cluster
+whose circle fails, or that reaches the box contour, is subdivided into
+negligibly small cells, read off circles of their own.  Each batched round
+(the open winding counts, a subdivision level, the circles of a stage) makes
+one stem evaluation.  Zeros come back in the depth-first order of a quadrant
+subdivision of the box (lower left, lower right, upper left, upper right).
 
 Zeros of the symmetrized vectorial part split into three kinds.  At a real
 point or along a whole sphere every component vanishes and a real-coefficient
@@ -67,7 +65,11 @@ _CELL_STOP = 1e-6  # subdivision stops at this fraction of the search box
 _WIND_START = 32  # boundary samples per cell edge, doubled on demand
 _WIND_CAP = 1 << 14
 _CUT_RATIOS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
-_MERGE_TOL = 3e-6  # evaluation noise splits an m-fold zero about this far apart
+_MERGE_TOL = 3e-6  # zeros this close together come back as one
+_MOMENT_N = 64  # samples per moment circle
+_MOMENT_TOL = 1e-10  # error bound of a moment read, relative to 1 + |z|
+_MOMENT_CAP = 6  # most distinct zeros read off one circle: power sums past it are ill-conditioned
+_CENTRAL_TOL = 1e-10  # central power sums under this, in units of rho^k, make one m-fold zero
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,9 @@ class VectorialClassReport:
 
     def residual_zeros(self) -> list:
         """Zeros surviving after the polynomial factor is divided out."""
-        out = []
-        for zc in self.zeros:
-            if zc.kind == "isolated" or zc.multiplicity > 2 * zc.common_order:
-                out.append(zc)
-        return out
+        return [
+            z for z in self.zeros if z.kind == "isolated" or z.multiplicity > 2 * z.common_order
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -188,7 +188,7 @@ def _quads(x0, x1, y0, y1, rx):
 
 def _split(F, rect, count: int, ftol: float, stop: float) -> list:
     """Cells of at most ``stop`` holding the zeros inside ``rect``, as
-    (centre, count) in depth-first quadrant order.
+    (cell, count) in depth-first quadrant order.
 
     All cells of a level are cut in one batched count of their quadrants; a
     cell whose quadrant counts fail or do not add up to its own retries the
@@ -226,59 +226,58 @@ def _split(F, rect, count: int, ftol: float, stop: float) -> list:
                 pending.append((rect, count, path, r + 1))
             elif max(x1 - x0, y1 - y0) <= 1e4 * stop:
                 # a multiple zero flattens the function below the edge tolerance on
-                # every candidate cut; the cell is one cluster, Newton refines it
+                # every candidate cut; the cell is one cluster, its circle reads it
                 found.append((path, rect, count))
             else:
                 raise NoConvergence("zeros could not be separated from the subdivision cuts")
     found.sort(key=lambda item: item[0])
-    return [(complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), c) for _, (x0, x1, y0, y1), c in found]
+    return [(rect, c) for _, rect, c in found]
 
 
-def _polish(F, found: list, scale: float) -> list:
-    """Multiplicity-aware Newton steps on every (z, multiplicity) in lock
-    step, with one F call per iteration on the points and their +-delta
-    neighbours.  The updates run in Python complex arithmetic.  A zero whose
-    iterates never meet the tolerance comes back as None."""
-    zs = [z for z, _ in found]
-    best = [(math.inf, z) for z in zs]  # (|F|, z) at each zero's closest iterate
-    open_ = list(range(len(zs)))
-    for _ in range(80):
-        if not open_:
-            break
-        deltas = [1e-7 * (1.0 + abs(zs[i])) for i in open_]
-        pts = (
-            [zs[i] for i in open_]
-            + [zs[i] + d for i, d in zip(open_, deltas)]
-            + [zs[i] - d for i, d in zip(open_, deltas)]
-        )
-        vals = np.asarray(F(pts))
-        n = len(open_)
-        still = []
-        for k, (i, delta) in enumerate(zip(open_, deltas)):
-            f0 = complex(vals[k])
-            if abs(f0) < best[i][0]:
-                best[i] = (abs(f0), zs[i])
-            if f0 == 0:
-                continue
-            fp = complex(vals[n + k]) - complex(vals[2 * n + k])
-            fp /= 2.0 * delta
-            if fp == 0:
-                continue
-            step = found[i][1] * f0 / fp
-            zs[i] -= step
-            if abs(step) > 1e-15 * (1.0 + abs(zs[i])):
-                still.append(i)
-        open_ = still
-    for i in open_:
-        logger.debug("zero near %s stopped polishing at the 80-iteration cap", zs[i])
-    if zs:
-        vals = np.asarray(F(zs))
-        for i, v in enumerate(vals):
-            if abs(complex(v)) > 1e-11 * scale:
-                # the steps at a multiple zero can wander in rounding noise away
-                # from an iterate that already met the tolerance: go back to it
-                zs[i] = best[i][1] if best[i][0] <= 1e-11 * scale else None
-    return zs
+def _moments(F, circles, counts, ftol: float) -> list:
+    """Zeros inside circles (c, rho) holding ``counts`` zeros, read off log F
+    at _MOMENT_N points of each circle, one F call for all: with m zeros
+    inside, the coefficient of exp(-ik theta) in L = log|F| + i(arg F - m theta)
+    is -p_k / (k rho^k), p_k the sum of the k-th powers of the zeros' offsets
+    from c.  Returns per circle a list of (z, multiplicity) or the guard that
+    failed: "count", "tail" (the coefficients near order _MOMENT_N / 2, which
+    bound the noise and aliasing of the power sums, allow an error above
+    _MOMENT_TOL) or "cap" (more than _MOMENT_CAP distinct zeros)."""
+    if not circles:
+        return []
+    n = _MOMENT_N
+    theta = 2.0 * np.pi * np.arange(n) / n
+    # the discrete Fourier transform as a matrix: np.fft would load its module
+    dft = np.exp(-1j * theta)[np.outer(np.arange(n), np.arange(n)) % n] / n
+    table = np.asarray(F(np.concatenate([c + rho * np.exp(1j * theta) for c, rho in circles])))
+    out: list = []
+    for (c, rho), m, vals in zip(circles, counts, table.reshape(len(circles), n)):
+        mags = np.abs(vals)
+        ok = m >= 1 and np.isfinite(mags).all() and mags.min() >= min(ftol, 1e-9 * mags.max())
+        steps = np.angle(np.roll(vals, -1) / vals) if ok else None
+        if not ok or np.abs(steps).max() >= 1.5 or abs(steps.sum() / (2.0 * np.pi) - m) >= 1e-6:
+            out.append("count")
+            continue
+        coef = (dft * (np.log(mags) + 1j * (np.unwrap(np.angle(vals)) - m * theta))).sum(axis=1)
+        tail = float(np.abs(coef[3 * n // 8 : 5 * n // 8 + 1]).max())
+        if rho * tail > _MOMENT_TOL * (1.0 + abs(c)):
+            out.append("tail")
+            continue
+        # power sums in units of rho^k, then central sums: 0 at one m-fold zero
+        s = [m] + [-k * coef[n - k] for k in range(1, m + 1)]
+        b = -s[1] / m  # minus the centroid
+        q = [sum(math.comb(k, i) * s[i] * b ** (k - i) for i in range(k + 1)) for k in range(m + 1)]
+        if all(abs(q[k]) <= _CENTRAL_TOL + k * 2**k * tail for k in range(2, m + 1)):
+            out.append([(complex(c - rho * b), m)])
+        elif m > _MOMENT_CAP:
+            out.append("cap")
+        else:  # elementary symmetric sums of the offsets from the centroid
+            e = [1.0]
+            for k in range(1, m + 1):
+                e.append(sum((-1) ** (i - 1) * e[k - i] * q[i] for i in range(1, k + 1)) / k)
+            roots = np.roots([(-1) ** k * ek for k, ek in enumerate(e)])
+            out.append([(complex(c + rho * (v - b)), 1) for v in roots])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +409,32 @@ def _depth_first(found: list, rect, stop: float) -> list:
     return out
 
 
-def _grid_zeros(
-    F, domain: BasicDomainSpec, node_vals, box, total: int, ftol: float, stop: float, scale: float
-):
+def _cell_circles(cells: list) -> list:
+    """Moment circles (centre, radius), each about a cell of _split with its
+    diagonal as radius, and counts.  Cells whose circles meet are joined and
+    their counts summed: _split counts an even zero on a cut half in either
+    cell, and one circle must hold it whole."""
+    circles = [
+        (complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), math.hypot(x1 - x0, y1 - y0))
+        for (x0, x1, y0, y1), _ in cells
+    ]
+    for a, (ca, pa) in enumerate(circles):
+        for b, (cb, pb) in enumerate(circles[:a]):
+            if abs(ca - cb) <= pa + pb:
+                (ra, ma), (rb, mb) = cells[a], cells[b]
+                hull = (min(ra[0], rb[0]), max(ra[1], rb[1]), min(ra[2], rb[2]), max(ra[3], rb[3]))
+                rest = [cell for k, cell in enumerate(cells) if k not in (a, b)]
+                return _cell_circles(rest + [(hull, ma + mb)])
+    return [(circle, m) for circle, (_, m) in zip(circles, cells)]
+
+
+def _grid_zeros(F, domain: BasicDomainSpec, node_vals, box, total: int, ftol: float, stop: float):
     """Zeros inside the search box from one pass over the node lattice.
 
-    Returns (zeros, cells): certified (z, multiplicity) pairs, and the
-    (centre, count) cells that _split found in the clusters left uncertified,
-    still to be polished.  Raises NoConvergence when a count fails or the
-    counts do not add up to the box count ``total``.
+    Returns (zeros, cells): the (z, multiplicity) pairs read off the moment
+    circles of the clusters, and the (cell, count) pairs that _split found
+    in the clusters left over, still to be read.  Raises NoConvergence when
+    a count fails or the counts do not add up to the box count ``total``.
     """
     bx, by, W = _grid_values(F, domain, node_vals, box)
     bad = _unsafe_cells(W, ftol)
@@ -428,22 +444,21 @@ def _grid_zeros(
     for side in (bad[0], bad[-1], bad[:, 0], bad[:, -1]):
         if side.any():
             side[:] = True
-    rects, starts, inner = [], [], []
+    rects, circles, inner = [], [], []
     for j0, j1, i0, i1 in _clusters(bad):
         inner.append(0 < i0 and i1 < bx.size - 2 and 0 < j0 and j1 < by.size - 2)
         # pad by half a cell into the safe cells around, or up to the box edge
-        rects.append(
-            (
-                bx[0] if i0 == 0 else 0.5 * (bx[i0 - 1] + bx[i0]),
-                bx[-1] if i1 == bx.size - 2 else 0.5 * (bx[i1 + 1] + bx[i1 + 2]),
-                by[0] if j0 == 0 else 0.5 * (by[j0 - 1] + by[j0]),
-                by[-1] if j1 == by.size - 2 else 0.5 * (by[j1 + 1] + by[j1 + 2]),
-            )
-        )
-        # Newton starts from the lattice point of the cluster where |F| is least
+        x0 = bx[0] if i0 == 0 else 0.5 * (bx[i0 - 1] + bx[i0])
+        x1 = bx[-1] if i1 == bx.size - 2 else 0.5 * (bx[i1 + 1] + bx[i1 + 2])
+        y0 = by[0] if j0 == 0 else 0.5 * (by[j0 - 1] + by[j0])
+        y1 = by[-1] if j1 == by.size - 2 else 0.5 * (by[j1 + 1] + by[j1 + 2])
+        rects.append((x0, x1, y0, y1))
+        # the moment circle about the lattice point of least |F| lies inside the
+        # rectangle: if it counts the cluster's zeros, it holds them and no other
         mags = np.abs(W[j0 : j1 + 2, i0 : i1 + 2])
         j, i = np.unravel_index(np.argmin(np.where(np.isfinite(mags), mags, np.inf)), mags.shape)
-        starts.append(complex(bx[i0 + i], by[j0 + j]))
+        c = complex(bx[i0 + i], by[j0 + j])
+        circles.append((c, min(2.0 * domain.h, c.real - x0, x1 - c.real, c.imag - y0, y1 - c.imag)))
     counts = _windings(F, rects, ftol)
     if None in counts or sum(counts) != total:
         raise NoConvergence(f"grid clusters count {counts} zeros, the search box {total}")
@@ -451,31 +466,19 @@ def _grid_zeros(
     # a cluster on the box contour shares its samples with the box count, and
     # both can miss the same double zero near the contour: only a subdivision,
     # which samples ever smaller cells, finds it there
-    clusters = list(zip(rects, starts, counts, inner))
-    seeds = [(rect, start, c) for rect, start, c, ok in clusters if c and ok]
-    todo = [(rect, c) for rect, _, c, ok in clusters if c and not ok]
-    polished = _polish(F, [(start, c) for _, start, c in seeds], scale)
-    # certificate: a square of half-width about _MERGE_TOL around each
-    # polished zero, inside its cluster, holds the cluster's whole count
-    squares = {}
-    for k, ((x0, x1, y0, y1), _, _) in enumerate(seeds):
-        z = polished[k]
-        if z is not None:
-            r = _MERGE_TOL * (1.0 + abs(z))
-            if x0 < z.real - r and z.real + r < x1 and y0 < z.imag - r and z.imag + r < y1:
-                squares[k] = (z.real - r, z.real + r, z.imag - r, z.imag + r)
-    held = dict(zip(squares, _windings(F, list(squares.values()), ftol)))
+    held = [k for k, c in enumerate(counts) if c and inner[k]]
+    read = dict(zip(held, _moments(F, [circles[k] for k in held], [counts[k] for k in held], ftol)))
     zeros, cells = [], []
-    for k, (rect, _, c) in enumerate(seeds):
-        if held.get(k) == c:
-            zeros.append((polished[k], c))
-        else:
-            todo.append((rect, c))
-    for rect, c in todo:
-        logger.debug(
-            "cluster [%g,%g]x[%g,%g] with %d zero(s) is not certified, subdividing", *rect, c
-        )
-        cells += _split(F, rect, c, ftol, stop)
+    for k, c in enumerate(counts):
+        got = read.get(k, "contour")
+        if isinstance(got, list):
+            zeros += got
+        elif c:
+            logger.debug(
+                "cluster [%g,%g]x[%g,%g] with %d zero(s) fails its %s guard, subdividing",
+                *rects[k], c, got,
+            )
+            cells += _split(F, rects[k], c, ftol, stop)
     return zeros, cells
 
 
@@ -483,18 +486,15 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     """Zeros of a slice-preserving function over the domain, as upper stem points.
 
     The winding number around the bounding box, padded past the boundary,
-    counts the zeros; when it is not 0, one pass over the grid nodes places
-    them.  Clusters of cells whose node values do not certify them zero-free
-    are counted on their own rectangles, and each one inside the box that
-    holds zeros seeds a Newton polish from its lattice point of least |F|.
-    A square of half-width about _MERGE_TOL around the polished zero must
-    hold the cluster's count.  A cluster that fails, or that reaches the box
-    contour, is subdivided and its cells polished.  Zeros come
-    back in depth-first quadrant order of the box (lower left, lower right,
-    upper left, upper right at each cut).
+    counts the zeros; when it is not 0, _grid_zeros places them from the
+    node values and reads each cluster off one circle, and the cells of the
+    clusters it subdivides are read off circles of their own.  Zeros within
+    _MERGE_TOL of each other come back as one, in the depth-first quadrant
+    order of the box (lower left, lower right, upper left, upper right).
 
     Raises Vanishing when the function is identically zero, BoundaryZero when
-    a zero falls inside the ambiguity band around the domain boundary.
+    a zero falls inside the ambiguity band around the domain boundary, and
+    NoConvergence when the circle of a subdivision cell fails.
     """
     if not expr.slice_preserving:
         raise SlicePreservingRequired("zero search expects a slice-preserving function")
@@ -524,17 +524,18 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
             found, cells = [], []
             break
         try:
-            found, cells = _grid_zeros(F, domain, node_vals, cell, total, ftol, stop, scale)
+            found, cells = _grid_zeros(F, domain, node_vals, cell, total, ftol, stop)
             break
         except NoConvergence:
             continue
     else:
         raise BoundaryZero("a zero sits persistently on the search boundary")
 
-    for z, (centre, m) in zip(_polish(F, cells, scale), cells):
-        if z is None:
-            raise NoConvergence(f"zero near {centre} did not polish below tolerance")
-        found.append((z, m))
+    groups = _cell_circles(cells)
+    for read, (circle, _) in zip(_moments(F, *zip(*groups), ftol) if groups else [], groups):
+        if isinstance(read, str):
+            raise NoConvergence(f"zeros near {circle[0]} fail their moment circle's {read} guard")
+        found += read
     found = _depth_first(found, cell, stop)
 
     merged: list[tuple[complex, int]] = []
@@ -659,11 +660,10 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
                 )
             classified.append(ClassifiedZero(sz.z, sz.multiplicity, "isolated", 0, loc))
 
-    kind = "no-zeros"
-    for zc in classified:
-        if zc.kind == "isolated" or zc.multiplicity > 2 * zc.common_order:
-            kind = "discrete-zeros"
-    return VectorialClassReport(kind, classified, vect_scale, sym_scale)
+    report = VectorialClassReport("no-zeros", classified, vect_scale, sym_scale)
+    if report.residual_zeros():
+        report.kind = "discrete-zeros"
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from starlog import vectorial
 from starlog.algebra import symmetrization, vect_part
 from starlog.domain import BasicDomainSpec
-from starlog.errors import BoundaryZero, DomainError, SlicePreservingRequired, Vanishing
+from starlog.errors import (
+    BoundaryZero,
+    DomainError,
+    SlicePreservingRequired,
+    StarlogError,
+    Vanishing,
+)
 from starlog.expr import Q, UNIT, Const, const, eval_stem_many, stem_complex
 from starlog.parse import parse_expr
 from starlog.quaternion import Quaternion
@@ -110,8 +117,9 @@ def test_zero_finder_batches_its_stem_calls(monkeypatch):
     (zero,) = zeros
     assert zero.multiplicity == 2
     assert abs(zero.z - 1j) <= 1e-10
-    # one call per cell and per Newton point made 335, the box subdivision 108
-    assert len(calls) <= 24
+    # one call per cell and per Newton point made 335, the box subdivision 108,
+    # the node pass with Newton polish 20 and with a moment circle 5
+    assert len(calls) <= 8
 
 
 def _with_zeros(roots):
@@ -127,10 +135,11 @@ def _with_zeros(roots):
 
 
 def _box_search(monkeypatch, expr, domain):
-    """The reference search: _split over the whole padded box, then _polish,
-    with the zeros kept in the order _split finds their cells."""
+    """The reference search: _split over the whole padded box, then the
+    moment circles of its cells, with the zeros kept in the order _split
+    finds their cells."""
 
-    def split_box(F, domain, node_vals, box, total, ftol, stop, scale):
+    def split_box(F, domain, node_vals, box, total, ftol, stop):
         return [], vectorial._split(F, box, total, ftol, stop)
 
     with monkeypatch.context() as m:
@@ -172,14 +181,37 @@ def test_node_pass_matches_the_box_search(monkeypatch, domain, roots, n):
     for got, want in zip(zeros, ref):
         assert got.multiplicity == want.multiplicity == 1
         assert abs(got.z - want.z) <= 1e-10
-    assert sorted(round(z.z.real, 8) for z in zeros) == sorted(round(r.real, 8) for r in roots[:n])
+    # both searches return the known roots, in some order
+    for found in (zeros, ref):
+        assert sorted(z.z.real for z in found) == pytest.approx(
+            sorted(r.real for r in roots[:n]), abs=1e-10
+        )
+        assert all(min(abs(z.z - r) for r in roots) <= 1e-10 for z in found)
 
 
-def test_failed_certificate_is_logged(caplog):
-    with caplog.at_level(logging.DEBUG, logger="starlog.vectorial"):
-        zeros = find_zeros_sp(_with_zeros([1.01 + 0.71j, 1.0101 + 0.7101j]), PRODUCT_32)
+TWO_IN_ONE_CELL = [1.01 + 0.71j, 1.0101 + 0.7101j]
+
+
+def test_two_zeros_in_one_cell_come_back_simple():
+    # 1.4e-4 apart in one cell at h = 1/32: their central power sum is far
+    # from 0, so one moment circle reads them as two simple zeros
+    zeros = find_zeros_sp(_with_zeros(TWO_IN_ONE_CELL), PRODUCT_32)
     assert [z.multiplicity for z in zeros] == [1, 1]
-    assert any("is not certified" in r.getMessage() for r in caplog.records)
+    for r in TWO_IN_ONE_CELL:
+        assert min(abs(z.z - r) for z in zeros) <= 1e-12
+
+
+def test_moment_fallback_is_logged(monkeypatch, caplog):
+    # a cap of one distinct zero per circle sends the cluster to _split
+    monkeypatch.setattr(vectorial, "_MOMENT_CAP", 1)
+    with caplog.at_level(logging.DEBUG, logger="starlog.vectorial"):
+        zeros = find_zeros_sp(_with_zeros(TWO_IN_ONE_CELL), PRODUCT_32)
+    assert [z.multiplicity for z in zeros] == [1, 1]
+    for r in TWO_IN_ONE_CELL:
+        assert min(abs(z.z - r) for z in zeros) <= 1e-12
+    events = [r.getMessage() for r in caplog.records if "guard, subdividing" in r.getMessage()]
+    assert len(events) == 1
+    assert events[0].startswith("cluster [") and "with 2 zero(s) fails its cap guard" in events[0]
 
 
 def test_node_pass_keeps_the_boundary_band(monkeypatch):
@@ -205,10 +237,25 @@ def test_cluster_on_the_box_contour_keeps_every_zero():
     assert max(abs(z.z - r) for z, r in zip(zeros, [simple, double])) <= 1e-8
 
 
-def test_double_zero_polish_keeps_its_closest_iterate():
+@pytest.mark.parametrize("y", [1.24999, 1.24995, 1.249999])
+def test_double_zero_near_a_rect_edge_is_never_halved(y):
+    # a double zero 1e-6 to 5e-5 inside the top edge lies that close to the
+    # box contour, whose sampled count can read it as one zero; the moment
+    # circle of the _split cell that holds it then counts 2, not 1
+    double = 1.013 + 1j * y
+    try:
+        zeros = find_zeros_sp(_with_zeros([0.7 + 0.6j, double, double]), PRODUCT_32)
+    except StarlogError:
+        return
+    assert sorted((z.multiplicity, z.z.real) for z in zeros) == pytest.approx(
+        [(1, 0.7), (2, double.real)], abs=1e-9
+    )
+
+
+def test_double_zero_of_a_rotated_fold_input_is_exact():
     # a rotated, scaled copy of example_isolated(): Newton steps at the double
-    # zero z = i start 1e-7 from it and wander in rounding noise to 2e-6, past
-    # the tolerance, by the 80-iteration cap
+    # zero z = i wandered in rounding noise to 2e-6 from it; its moment circle
+    # is centred on the node z = i and reads it to rounding
     g = parse_expr(
         "1.3202023303049497*(-1 + q^2*(0.9014148099256483*i - 0.14620083886720656*j"
         " + 0.4075250362385513*k) + 1.4142135623730951*q*(- 0.4058813211662008*i"
@@ -218,7 +265,7 @@ def test_double_zero_polish_keeps_its_closest_iterate():
     dom = BasicDomainSpec(discs=[(0.0, 1.0, 0.5)], kind="product", h=1.0 / 64)
     (zero,) = find_zeros_sp(symmetrization(vect_part(g)), dom)
     assert zero.multiplicity == 2
-    assert abs(zero.z - 1j) <= 1e-6
+    assert abs(zero.z - 1j) <= 1e-12
 
 
 def test_no_zeros_inside(slice_rect):
@@ -246,6 +293,103 @@ def test_zero_on_domain_boundary_is_ambiguous():
     dom = BasicDomainSpec(rects=[(-1.5, 1.5, 0.0, 1.0)], kind="slice")
     with pytest.raises(BoundaryZero):
         find_zeros_sp(Q * Q + const(1.0), dom)
+
+
+# the zero-set property: real-coefficient polynomials with known zeros, some
+# double, on rects and discs of both kinds at coarse grid steps
+ZERO_SET_DOMAINS = {
+    (kind, shape, divisions): BasicDomainSpec(**spec, kind=kind, h=1.0 / divisions)
+    for kind, shape, spec in [
+        ("slice", "rect", {"rects": [(-1.0, 1.0, 0.0, 1.0)]}),
+        ("slice", "disc", {"discs": [(0.0, 0.0, 1.0)]}),
+        ("product", "rect", {"rects": [(0.25, 1.75, 0.25, 1.25)]}),
+        ("product", "disc", {"discs": [(0.0, 1.0, 0.5)]}),
+    ]
+    for divisions in (8, 16)
+}
+
+
+def _near_edge(draw, dom) -> complex:
+    """A point at a drawn signed distance from the domain's edge, inside
+    where the distance is positive."""
+    d = draw(st.sampled_from([1e-6, 1e-4, -1e-4, 1e-2]))
+    t = draw(st.floats(0.0, 1.0))
+    if dom.discs:
+        (disc,) = dom.discs
+        phi = (math.pi if dom.kind == "slice" else 2.0 * math.pi) * t
+        return complex(disc.cx, disc.cy) + (disc.r - d) * complex(math.cos(phi), math.sin(phi))
+    (rect,) = dom.rects
+    x, y = rect.x0 + t * (rect.x1 - rect.x0), rect.y0 + t * (rect.y1 - rect.y0)
+    sides = [complex(x, rect.y1 - d), complex(rect.x0 + d, y), complex(rect.x1 - d, y)]
+    if dom.kind == "product":
+        sides.append(complex(x, rect.y0 + d))
+    return draw(st.sampled_from(sides))
+
+
+@st.composite
+def _zero_sets(draw):
+    """A domain key and (zero, multiplicity) pairs: zeros on the upper leaf
+    within 0.25 of the domain, half of them near its edge, 1e-4 apart from
+    each other and from their conjugates at least."""
+    key = draw(st.sampled_from(sorted(ZERO_SET_DOMAINS)))
+    dom = ZERO_SET_DOMAINS[key]
+    roots = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            z = _near_edge(draw, dom)
+        elif dom.kind == "slice" and draw(st.booleans()):
+            z = complex(draw(st.floats(dom.xmin - 0.25, dom.xmax + 0.25)), 0.0)
+        else:
+            z = complex(
+                draw(st.floats(dom.xmin - 0.25, dom.xmax + 0.25)),
+                draw(st.floats(max(dom.ymin - 0.25, 0.05), dom.ymax + 0.25)),
+            )
+        assume(z.imag >= 0.0)
+        roots.append((z, draw(st.sampled_from([1, 1, 2]))))
+    pts = [r for r, _ in roots] + [r.conjugate() for r, _ in roots if r.imag > 0.0]
+    assume(all(abs(a - b) >= 1e-4 for i, a in enumerate(pts) for b in pts[:i]))
+    return key, roots
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_zero_sets())
+def test_zero_set_is_found_or_refused(case):
+    key, roots = case
+    dom = ZERO_SET_DOMAINS[key]
+    margin = vectorial.BOUNDARY_MARGIN
+    dists = [float(dom.boundary_dist(r)) for r, _ in roots]
+    # a zero this near the edge of the band may land on either side of it
+    assume(not any(0.5 * margin <= abs(d) <= 2.0 * margin for d in dists))
+    p = const(1.0)
+    for r, m in roots:
+        for _ in range(m):
+            p = p * _with_zeros([r])
+    try:
+        zeros = find_zeros_sp(p, dom)
+    except StarlogError:
+        return
+    assert all(abs(d) > margin for d in dists), "a zero in the boundary band came back"
+    want = [(r, m) for (r, m), d in zip(roots, dists) if d > margin]
+    assert len(zeros) == len(want)
+    for r, m in want:
+        assert sum(abs(z.z - r) <= 1e-9 and z.multiplicity == m for z in zeros) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="the box count misses a double zero at its corner")
+def test_double_zero_at_a_box_corner_is_not_dropped():
+    # a shrunk draw of the zero-set property: the double zero near the corner
+    # (-1, 1) lies 1.25e-4 from the corner of the padded box, far closer than
+    # its samples, which miss its turn: the box counts 5 zeros, not 9, and the
+    # search returns the other three without it
+    corner = -0.9999998807907104 + 0.999999j
+    roots = [0.25 + 0.3474419710778104j, 0.3474419710778104 + 0.647783705947183j]
+    roots.append(0.20799346327452595)
+    dom = ZERO_SET_DOMAINS["slice", "rect", 8]
+    try:
+        zeros = find_zeros_sp(_with_zeros(roots + [corner, corner]), dom)
+    except StarlogError:
+        return
+    assert sorted(z.multiplicity for z in zeros) == [1, 1, 1, 2]
 
 
 # ---------------------------------------------------------------------------
