@@ -11,6 +11,10 @@ plane and conjugated back afterwards, so contours may dip below the axis.
 
 A tree is compiled once, on its first evaluation, into a program kept on its
 root: a post-order list of steps over numbered slots, one per distinct node.
+A subtree whose root already keeps a flat program (one that runs no other
+program) computing something is not compiled again: one step runs that
+program, so a tree derived from a compiled g (g_v^s, g_0, exp_*(f)) costs
+its own nodes only, and a run nests one level at most.
 A subtree that reads no points (no q, I, lifted field or quotient) and holds
 no star series is folded at compile time into one (1, 4) row by the same
 step functions, so folding changes no bit; the row broadcasts against the
@@ -302,9 +306,11 @@ class _Program:
     """``slots`` holds the folded rows and None for the other slots.  A step
     (run, out, dead) fills slot ``out`` with ``run(slots, z)`` and frees the
     ``dead`` slots; ``preset`` is the shared node's slot or None, and
-    ``computed`` holds the ids of the nodes that steps compute."""
+    ``computed`` holds the ids of the nodes that steps compute, here or in
+    the programs of subtrees that steps run; ``flat`` is whether no step
+    runs such a program."""
 
-    __slots__ = ("slots", "steps", "result", "preset", "computed")
+    __slots__ = ("slots", "steps", "result", "preset", "computed", "flat")
 
 
 def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
@@ -317,7 +323,8 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
     flat = np.asarray(zs, dtype=complex).ravel()
     if not flat.size:  # no point to evaluate and no series term to sum
         return np.zeros((0, 4), dtype=complex)
-    zhat = flat.real + 1j * np.abs(flat.imag)
+    zhat = flat.real + 0j  # x + 0.0 and |y|, with no 0 * inf where y is infinite
+    zhat.imag = np.abs(flat.imag)
     shared = _SHARED.get()
     seeded = shared is not None and zs is shared[1]
     program = _program(expr, shared[0] if seeded else None)
@@ -346,9 +353,9 @@ def _program(root: SliceExpr, preset: SliceExpr | None) -> _Program:
     """The program of ``root``, compiled on first use and kept on the node.
 
     A program with a preset slot is keyed by the id of the preset node, and
-    only when the tree computes that node: the tree then keeps the node
-    alive, so the id stays its own while the program lives.  No program
-    holds a preset stem.
+    only when the tree computes that node, itself or in the program of a
+    subtree it runs: the tree then keeps the node alive, so the id stays its
+    own while the program lives.  No program holds a preset stem.
     """
     programs = getattr(root, "_programs", None)
     if programs is None:
@@ -375,7 +382,11 @@ def _children(node: SliceExpr) -> tuple:
 def _compile(root: SliceExpr, preset: SliceExpr | None) -> _Program:
     """Number the nodes of ``root`` in post order and fold the constant ones.
 
-    A node shared within the tree gets one slot.  A node outside ``_VARYING``
+    A node shared within the tree gets one slot.  A node below the root that
+    keeps a flat plain program computing something, but not the preset
+    node, is one step that runs that program, and the ids it computes join
+    the tree's: the sub-program runs the same step functions on the same
+    folded rows, so reusing it changes no bit.  A node outside ``_VARYING``
     whose inputs are all folded runs its step once, here, on one (1, 4) row,
     and the row becomes a constant slot: the same step functions fold and
     run, so folding changes no bit of the result.  A step that meets any
@@ -384,7 +395,7 @@ def _compile(root: SliceExpr, preset: SliceExpr | None) -> _Program:
     """
     slots, steps, slot_of, computed = [], [], {}, set()
     program = _Program()
-    program.preset = None
+    program.preset, program.flat = None, True
     stack = [(root, False)]
     while stack:
         node, ready = stack.pop()
@@ -393,6 +404,14 @@ def _compile(root: SliceExpr, preset: SliceExpr | None) -> _Program:
         if node is preset:
             program.preset = slot_of[id(node)] = len(slots)
             slots.append(None)
+            continue
+        sub = None if ready or node is root else _compiled(node, preset)
+        if sub is not None:
+            slot_of[id(node)] = len(slots)
+            slots.append(None)
+            steps.append((_subprogram(sub), len(slots) - 1, ()))
+            computed |= sub.computed
+            program.flat = False
             continue
         kids = _children(node)
         if not ready:
@@ -413,6 +432,28 @@ def _compile(root: SliceExpr, preset: SliceExpr | None) -> _Program:
     )
     program.slots, program.result, program.computed = slots, slot_of[id(root)], computed
     return program
+
+
+def _compiled(node: SliceExpr, preset: SliceExpr | None) -> _Program | None:
+    """The plain program ``node`` keeps, if it is flat and computes
+    something other than the preset node, else None.  Only flat programs
+    are run as steps, so a run nests one level at most, however many
+    subtrees of a deep tree were evaluated before it."""
+    sub = getattr(node, "_programs", {}).get(None)
+    if sub is None or not sub.flat or not sub.steps or id(preset) in sub.computed:
+        return None
+    return sub
+
+
+def _subprogram(sub: _Program, run=_run):
+    """Step running the plain program ``sub`` of a subtree compiled before.
+
+    It holds the program, not the node, so no reference cycle appears.
+    ``run`` is the loop bound when the module loads, so a wrapper installed
+    on ``_run`` later sees one run per evaluation, the outer program's,
+    whose ``computed`` already holds the ids of ``sub``.
+    """
+    return lambda s, z: run(sub, z, None)
 
 
 def _fold(run, slots: list, ins: tuple) -> np.ndarray | None:

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import BasicDomainSpec
+from .domain import MAX_NODES, BasicDomainSpec
 from .errors import BranchPointHit, LiftStep, OutsideDomain, Vanishing
 
 SAFETY = math.pi / 4
@@ -82,13 +82,27 @@ class LiftedScalarField:
     walk: Walk
 
     def sample(self, zs) -> np.ndarray:
-        """Values at arbitrary leaf points; node queries read the stored values."""
+        """Values at arbitrary leaf points; node queries read the stored values.
+
+        A query equal to ``domain.node_z`` (that array, or a copy such as the
+        points a program run hands to a ``GridFieldExpr``) returns a copy of
+        the stored values without locating the points.  Elsewhere a point
+        within a snap tolerance of a node reads that node's value, and any
+        other continues one edge from its nearest node.  A point that is not
+        finite or lies farther from the lattice than any grid spans raises
+        :class:`OutsideDomain`.
+        """
         flat = np.asarray(zs, dtype=complex).ravel()
+        d = self.domain
+        if flat.shape == d.node_z.shape and np.array_equal(flat, d.node_z):
+            return self.values.copy().reshape(np.shape(zs))
         lower = flat.imag < 0
         pts = np.where(lower, np.conj(flat), flat)
-        d = self.domain
         fx = (pts.real - d.xs[0]) / d.h
         fy = (pts.imag - d.ys[0]) / d.h
+        near = (np.abs(fx) <= MAX_NODES) & (np.abs(fy) <= MAX_NODES)  # False at NaN
+        if not near.all():  # before the cast to lattice ids, which they overflow
+            raise OutsideDomain(f"point {pts[~near][0]} lies outside the domain of {self.name}")
         ix = np.rint(fx).astype(int)
         iy = np.rint(fy).astype(int)
         on_node = (np.abs(fx - ix) < _NODE_SNAP) & (np.abs(fy - iy) < _NODE_SNAP)

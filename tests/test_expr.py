@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -672,6 +673,12 @@ def recursive_stem(expr, zs, preset=None):
     return np.where(lower[:, None], C.conj(), C) if lower.any() else C
 
 
+def tree_nodes(tree):
+    yield tree
+    for kid in expr_module._children(tree):
+        yield from tree_nodes(kid)
+
+
 def steps(tree):
     return len(expr_module._program(tree, None).steps)
 
@@ -774,10 +781,89 @@ class TestProgram:
     def test_fold_input_folds_its_constants(self, wl):
         # c p (-1 + q^2 i + sqrt2 q j + k) conj(p): 52 nodes, 42 of them in
         # constant subtrees (the rotated vectors and the scale c)
-        g = parse_expr(wl.fold_source(random.Random(1)))
+        source = wl.fold_source(random.Random(1))
+        fresh = parse_expr(source)
+        assert steps(symmetrization(vect_part(fresh))) == 12  # g compiled inside it
+        g = parse_expr(source)
         assert steps(g) == 10
-        assert steps(symmetrization(vect_part(g))) == 12
+        # once g keeps its program, g_v^s is Symm, VectPart and one run of g
+        assert steps(symmetrization(vect_part(g))) == 3
         assert steps(const(2.0) * const(I_UNIT) + 1) == 0
+
+    @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
+    def test_trees_over_a_compiled_g_run_its_program(self, route, wl):
+        rng = random.Random(9)
+        if route == "scalar":
+            g, dom = parse_expr(wl.scalar_source(rng)[0]), wl.grid("slice", 24, rects=[wl.SLICE_RECT])
+        elif route == "angle":
+            g = exp_star(parse_expr(wl.angle_source(rng)))
+            dom = wl.grid("slice", 24, rects=[wl.SLICE_RECT])
+        elif route == "null-vector":
+            g = parse_expr(wl.null_vector_source(rng))
+            dom = wl.grid("product", 24, rects=[wl.PRODUCT_RECT])
+        else:
+            g = parse_expr(wl.fold_source(rng))
+            dom = wl.grid("product", 24, discs=[wl.BALL_DISC])
+        zs = dom.node_z
+        off = zs[::5] + (0.31 + 0.43j) * dom.h  # off the lattice, and some below the axis
+        off[::3] = off[::3].conj()
+        gv = vect_part(g)
+        eval_stem_many(gv, off)  # compiled first: a flat program that computes g
+        eval_stem_many(g, zs)  # g keeps its own program
+        trees = [symmetrization(gv), scalar_part(g), symmetrization(g), exp_star(g) * gv]
+        for tree in trees:
+            program = expr_module._program(tree, None)
+            # fewer slots than distinct nodes: a compiled subtree is one step
+            assert id(g) in program.computed, tree
+            assert len(program.slots) < len({id(node) for node in tree_nodes(tree)}), tree
+            assert np.array_equal(eval_stem_many(tree, off), recursive_stem(tree, off))
+            assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
+        with shared_stem(g, zs) as G:
+            for tree in trees:  # g from the preset slot, not from gv's program
+                got = eval_stem_many(tree, zs)
+                preset = expr_module._program(tree, g)
+                assert preset.preset is not None and id(g) not in preset.computed
+                assert np.array_equal(got, recursive_stem(tree, zs, preset=(g, G)))
+                assert np.array_equal(eval_stem_many(tree, off), recursive_stem(tree, off))
+
+    def test_runs_nest_one_level_however_many_subtrees_keep_programs(self, monkeypatch):
+        exp, depths = SCALAR_FUNCTIONS["exp"], []
+
+        def recording(w):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.append(depth)
+            return exp(w)
+
+        monkeypatch.setitem(SCALAR_FUNCTIONS, "exp", recording)
+        zs = np.array([0.3 + 0.5j, -0.1 - 0.2j])
+        tree = ScalarApply("exp", Q * const(0.5))
+        eval_stem_many(tree, zs)
+        flat = max(depths)
+        for k in range(2, 60):  # every prefix of the chain keeps a program
+            tree = tree + ScalarApply("exp", Q * const(0.5 / k))
+            depths.clear()
+            got = eval_stem_many(tree, zs)
+            assert max(depths) <= flat + 2, k  # one _run and one step deeper
+        assert np.array_equal(got, recursive_stem(tree, zs))
+
+    def test_a_second_log_star_call_compiles_no_node_of_g(self, wl, monkeypatch):
+        g = parse_expr(wl.fold_source(random.Random(1)))
+        dom = wl.grid("product", 24, discs=[wl.BALL_DISC])
+        first = log_star(g, dom)
+        step, compiled = expr_module._step, []
+
+        def recording(node, *ins):
+            compiled.append(node)
+            return step(node, *ins)
+
+        monkeypatch.setattr(expr_module, "_step", recording)
+        second = log_star(g, dom)
+        assert (second.case, repr(second.residual)) == (first.case, repr(first.residual))
+        # no step of g is built, so none of its 42 constant nodes is folded again
+        g_nodes = {id(node) for node in tree_nodes(g)}
+        assert compiled and not any(id(node) in g_nodes for node in compiled)
 
     def test_intermediates_are_freed_after_their_last_use(self):
         tree = Q * const(1.0)

@@ -8,11 +8,20 @@ import numpy as np
 import pytest
 
 from starlog import domain as domain_module
+from starlog import lifts as lifts_module
 from starlog.algebra import symmetrization
 from starlog.domain import BasicDomainSpec
 from starlog.errors import BranchPointHit, LiftStep, OutsideDomain, Vanishing
 from starlog.branches import mu
-from starlog.expr import GridFieldExpr, Q, ScalarApply, const, evaluate, stem_complex
+from starlog.expr import (
+    GridFieldExpr,
+    Q,
+    ScalarApply,
+    const,
+    eval_stem_many,
+    evaluate,
+    stem_complex,
+)
 from starlog.lifts import (
     SAFETY,
     _continue,
@@ -418,6 +427,36 @@ def test_sample_is_exact_at_nodes(slice_rect):
     fld = lift_log(lambda z: z * z + 2.0, slice_rect)
     got = fld.sample(slice_rect.node_z)
     assert np.array_equal(got, fld.values)
+
+
+def test_node_queries_read_the_stored_values(slice_rect, monkeypatch):
+    fld = lift_log(lambda z: z * z + 2.0, slice_rect)
+    want = fld.values.copy()
+
+    def refuse(*args):
+        raise AssertionError("a node query located its points")
+
+    monkeypatch.setattr(lifts_module, "_lattice_node", refuse)
+    # the node array, an equal copy, and the reflected copy a program run hands in
+    for got in (
+        fld.sample(slice_rect.node_z),
+        fld.sample(slice_rect.node_z.copy()),
+        eval_stem_many(GridFieldExpr(fld), slice_rect.node_z)[:, 0],
+    ):
+        assert got.tobytes() == want.tobytes()
+        got[:] = 0.0
+        assert fld.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e20, 1e300])
+def test_sample_refuses_points_it_cannot_locate(slice_rect, bad):
+    # refused before their lattice ids are cast, with no RuntimeWarning
+    fld = lift_log(lambda z: z * z + 2.0, slice_rect)
+    for z in (complex(bad, 0.5), complex(0.1, bad), complex(bad, bad)):
+        with pytest.raises(OutsideDomain):
+            fld.sample([0.1 + 0.5j, z])
+        with pytest.raises(OutsideDomain):
+            eval_stem_many(GridFieldExpr(fld), [0.1 + 0.5j, z])
 
 
 def off_lattice(domain: BasicDomainSpec, probes) -> np.ndarray:
