@@ -53,8 +53,9 @@ class BranchDomainViolation(StarlogError):
 
 
 class NoConvergence(StarlogError):
-    """An iteration (series, winding refinement) did not converge, or a
-    moment circle of the zero finder did not read its zeros."""
+    """An iteration (series, winding refinement) did not converge, or the
+    zero finder could not read a cluster of zeros off its moment circles
+    down to its finest lattice."""
 
 
 class BoundaryZero(StarlogError):

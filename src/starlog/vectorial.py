@@ -1,19 +1,19 @@
 """Zero sets and structure of the vectorial part of a slice function.
 
 Scalar coefficients of slice functions have holomorphic stem components, so
-zeros are located by the argument principle.  A winding count with adaptive
-boundary sampling around the padded bounding box gives their number; when it
-is not 0, one pass over the values at the grid nodes places them.  A cell
-whose corner values turn by less than pi/4 along every edge holds no zero.
-The other cells form clusters, each counted on its own rectangle.  A cluster
-inside the box is read off a circle inside its rectangle: the Fourier
-coefficients of log F on it give the power sums of the zeros inside (Delves
-and Lyness, Math. Comp. 21, 1967), and its count certifies it.  A cluster
-whose circle fails, or that reaches the box contour, is subdivided into
-negligibly small cells, read off circles of their own.  Each batched round
-(the open winding counts, a subdivision level, the circles of a stage) makes
-one stem evaluation.  Zeros come back in the depth-first order of a quadrant
-subdivision of the box (lower left, lower right, upper left, upper right).
+zeros are located by the argument principle.  The search lattice is the
+domain's grid grown by whole cells past its leaf, so that every zero of the
+domain lies at least a cell inside its contour; a winding count around it
+gives their number.  When that is not 0, one pass over the values at the
+lattice points places them.  A cell whose corner values turn by less than
+pi/4 along every edge holds no zero.  The other cells form clusters, each
+counted on its own rectangle and read off moment circles inside it, one
+about each lattice minimum of |F|: the Fourier coefficients of log F on a
+circle give the power sums of the zeros inside (Delves and Lyness, Math.
+Comp. 21, 1967), and the counts certify them.  A cluster whose circles fail
+is searched the same way on a lattice four times finer over its rectangle.
+Zeros come back in the depth-first order of a quadrant subdivision of the
+domain's bounding box (lower left, lower right, upper left, upper right).
 
 Zeros of the symmetrized vectorial part split into three kinds.  At a real
 point or along a whole sphere every component vanishes and a real-coefficient
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import symmetrization, vect_part
-from .domain import BasicDomainSpec
+from .domain import MAX_NODES, BasicDomainSpec
 from .errors import (
     BoundaryZero,
     ClassificationError,
@@ -61,15 +61,16 @@ ZERO_REL = 1e-10  # identically-zero threshold, relative to the function scale
 BOUNDARY_MARGIN = 1e-8  # zeros this close to the domain boundary are ambiguous
 PATCH_CELLS = 4  # removable-singularity patch radius, in grid cells
 
-_CELL_STOP = 1e-6  # subdivision stops at this fraction of the search box
-_WIND_START = 32  # boundary samples per cell edge, doubled on demand
+_WIND_START = 32  # least boundary samples per rectangle edge, doubled on demand
 _WIND_CAP = 1 << 14
+_GROW_CAP = 6  # most whole cells the search box grows by past the domain's grid
 _CUT_RATIOS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
 _MERGE_TOL = 3e-6  # zeros this close together come back as one
 _MOMENT_N = 64  # samples per moment circle
 _MOMENT_TOL = 1e-10  # error bound of a moment read, relative to 1 + |z|
 _MOMENT_CAP = 6  # most distinct zeros read off one circle: power sums past it are ill-conditioned
 _CENTRAL_TOL = 1e-10  # central power sums under this, in units of rho^k, make one m-fold zero
+_ROOT_GAP = 1e-3  # distinct roots closer than this, in units of rho, are a split multiple zero
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,18 @@ class VectorialClassReport:
 # argument-principle zero finder
 
 
-def _windings(F, rects, ftol: float, cols=None) -> list:
+def _windings(F, rects, ftol: float, cols=None, step: float = math.inf) -> list:
     """Winding numbers of F around rectangles (x0, x1, y0, y1), one F call
     per round for every count still open.
 
-    F maps points to one value each, or to a row of which rectangle i reads
-    column ``cols[i]``.  A count is None where a boundary sample sits on a
-    zero (the cut must move) or where it does not settle by ``_WIND_CAP``
-    samples per edge.
+    Each edge starts with _WIND_START samples, or with more where they would
+    lie farther apart than ``step``.  F maps points to one value each, or to
+    a row of which rectangle i reads column ``cols[i]``.  A count is None
+    where a boundary sample sits on a zero (the contour must move) or where
+    it does not settle by ``_WIND_CAP`` samples per edge.
     """
     counts: list = [None] * len(rects)
-    ns = [_WIND_START] * len(rects)
+    ns = [max(_WIND_START, math.ceil(max(x1 - x0, y1 - y0) / step)) for x0, x1, y0, y1 in rects]
     open_ = list(range(len(rects)))
     while open_:
         contours = []
@@ -180,69 +182,19 @@ def _windings(F, rects, ftol: float, cols=None) -> list:
     return counts
 
 
-def _quads(x0, x1, y0, y1, rx):
-    xm = x0 + rx * (x1 - x0)
-    ym = y0 + rx * (y1 - y0)
-    return [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
-
-
-def _split(F, rect, count: int, ftol: float, stop: float) -> list:
-    """Cells of at most ``stop`` holding the zeros inside ``rect``, as
-    (cell, count) in depth-first quadrant order.
-
-    All cells of a level are cut in one batched count of their quadrants; a
-    cell whose quadrant counts fail or do not add up to its own retries the
-    next ratio of ``_CUT_RATIOS`` in the next round.
-    """
-    found = []  # (quadrant path, rect, count)
-    pending = []  # (rect, count, path, index into _CUT_RATIOS)
-
-    def visit(rect, count, path):
-        x0, x1, y0, y1 = rect
-        if count == 0:
-            return
-        if max(x1 - x0, y1 - y0) <= stop:
-            found.append((path, rect, count))
-        else:
-            pending.append((rect, count, path, 0))
-
-    visit(rect, count, ())
-    while pending:
-        work, pending = pending, []
-        quads = [_quads(*rect, _CUT_RATIOS[r]) for rect, _, _, r in work]
-        counts = _windings(F, [qd for qs in quads for qd in qs], ftol)
-        for k, ((rect, count, path, r), qs) in enumerate(zip(work, quads)):
-            cs = counts[4 * k : 4 * k + 4]
-            if None not in cs and sum(cs) == count:
-                for j, (qd, c) in enumerate(zip(qs, cs)):
-                    visit(qd, c, path + (j,))
-                continue
-            x0, x1, y0, y1 = rect
-            if r + 1 < len(_CUT_RATIOS):
-                logger.debug(
-                    "cell [%g,%g]x[%g,%g] retries cut ratio %g",
-                    x0, x1, y0, y1, _CUT_RATIOS[r + 1],
-                )
-                pending.append((rect, count, path, r + 1))
-            elif max(x1 - x0, y1 - y0) <= 1e4 * stop:
-                # a multiple zero flattens the function below the edge tolerance on
-                # every candidate cut; the cell is one cluster, its circle reads it
-                found.append((path, rect, count))
-            else:
-                raise NoConvergence("zeros could not be separated from the subdivision cuts")
-    found.sort(key=lambda item: item[0])
-    return [(rect, c) for _, rect, c in found]
-
-
-def _moments(F, circles, counts, ftol: float) -> list:
-    """Zeros inside circles (c, rho) holding ``counts`` zeros, read off log F
-    at _MOMENT_N points of each circle, one F call for all: with m zeros
-    inside, the coefficient of exp(-ik theta) in L = log|F| + i(arg F - m theta)
-    is -p_k / (k rho^k), p_k the sum of the k-th powers of the zeros' offsets
-    from c.  Returns per circle a list of (z, multiplicity) or the guard that
-    failed: "count", "tail" (the coefficients near order _MOMENT_N / 2, which
-    bound the noise and aliasing of the power sums, allow an error above
-    _MOMENT_TOL) or "cap" (more than _MOMENT_CAP distinct zeros)."""
+def _moments(F, circles, ftol: float) -> list:
+    """Zeros inside circles (c, rho), read off log F at _MOMENT_N points of
+    each circle, one F call for all: the phase counts the zeros less poles
+    inside, m, and the coefficient of exp(-ik theta) in L = log|F| +
+    i(arg F - m theta) is -p_k / (k rho^k), p_k the sum of the k-th powers of
+    the zeros' offsets from c less those of the poles.  Returns per circle a
+    list of (z, multiplicity), where a pole of order -m comes back with
+    multiplicity m, or the guard that failed: "count" (the phase does not
+    settle), "tail" (the coefficients near order _MOMENT_N / 2, which bound
+    the noise and aliasing of the power sums, allow an error above
+    _MOMENT_TOL), "pole" (poles with other poles or zeros), "cap" (more than
+    _MOMENT_CAP distinct zeros) or "close" (two roots within _ROOT_GAP rho: a
+    multiple zero split by rounding)."""
     if not circles:
         return []
     n = _MOMENT_N
@@ -251,12 +203,18 @@ def _moments(F, circles, counts, ftol: float) -> list:
     dft = np.exp(-1j * theta)[np.outer(np.arange(n), np.arange(n)) % n] / n
     table = np.asarray(F(np.concatenate([c + rho * np.exp(1j * theta) for c, rho in circles])))
     out: list = []
-    for (c, rho), m, vals in zip(circles, counts, table.reshape(len(circles), n)):
+    for (c, rho), vals in zip(circles, table.reshape(len(circles), n)):
         mags = np.abs(vals)
-        ok = m >= 1 and np.isfinite(mags).all() and mags.min() >= min(ftol, 1e-9 * mags.max())
-        steps = np.angle(np.roll(vals, -1) / vals) if ok else None
-        if not ok or np.abs(steps).max() >= 1.5 or abs(steps.sum() / (2.0 * np.pi) - m) >= 1e-6:
+        if not (np.isfinite(mags).all() and mags.min() >= min(ftol, 1e-9 * mags.max())):
             out.append("count")
+            continue
+        steps = np.angle(np.roll(vals, -1) / vals)
+        m = round(steps.sum() / (2.0 * np.pi))
+        if np.abs(steps).max() >= 1.5 or abs(steps.sum() / (2.0 * np.pi) - m) >= 1e-6:
+            out.append("count")
+            continue
+        if m == 0:
+            out.append([])
             continue
         coef = (dft * (np.log(mags) + 1j * (np.unwrap(np.angle(vals)) - m * theta))).sum(axis=1)
         tail = float(np.abs(coef[3 * n // 8 : 5 * n // 8 + 1]).max())
@@ -264,61 +222,76 @@ def _moments(F, circles, counts, ftol: float) -> list:
             out.append("tail")
             continue
         # power sums in units of rho^k, then central sums: 0 at one m-fold zero
-        s = [m] + [-k * coef[n - k] for k in range(1, m + 1)]
+        # or one (-m)-fold pole
+        r = range(abs(m) + 1)
+        s = [m] + [-k * coef[n - k] for k in r[1:]]
         b = -s[1] / m  # minus the centroid
-        q = [sum(math.comb(k, i) * s[i] * b ** (k - i) for i in range(k + 1)) for k in range(m + 1)]
-        if all(abs(q[k]) <= _CENTRAL_TOL + k * 2**k * tail for k in range(2, m + 1)):
+        q = [sum(math.comb(k, i) * s[i] * b ** (k - i) for i in range(k + 1)) for k in r]
+        if all(abs(q[k]) <= _CENTRAL_TOL + k * 2**k * tail for k in r[2:]):
             out.append([(complex(c - rho * b), m)])
+        elif m < 0:
+            out.append("pole")
         elif m > _MOMENT_CAP:
             out.append("cap")
         else:  # elementary symmetric sums of the offsets from the centroid
             e = [1.0]
-            for k in range(1, m + 1):
+            for k in r[1:]:
                 e.append(sum((-1) ** (i - 1) * e[k - i] * q[i] for i in range(1, k + 1)) / k)
             roots = np.roots([(-1) ** k * ek for k, ek in enumerate(e)])
-            out.append([(complex(c + rho * (v - b)), 1) for v in roots])
+            close = np.abs(roots[:, None] - roots)[np.triu_indices(m, 1)].min() < _ROOT_GAP
+            out.append("close" if close else [(complex(c + rho * (v - b)), 1) for v in roots])
     return out
 
 
 # ---------------------------------------------------------------------------
-# the node pass: zeros seeded from the grid
+# the lattice pass: zeros seeded from the grid
 
 
-def _grid_values(F, domain: BasicDomainSpec, node_vals, box) -> tuple:
-    """Cell breaks (bx, by) and the values W of F at every break point.
+def _search_lines(domain: BasicDomainSpec, k: int) -> tuple:
+    """Lines (bx, by) of the domain's grid, grown past its leaf by k whole
+    cells on every side and, on a slice domain, mirrored below the axis."""
+    h = domain.h
 
-    The breaks are the domain's grid lines, framed by the edges of the search
-    box: the full xs x ys lattice, mirrored below the axis on slice domains,
-    and a ring on the box contour.  The nodes keep ``node_vals``, the mirrored
-    rows are their conjugates, and one F call fills in the lattice points off
-    the domain and the ring.
+    def cells(lo: float, hi: float) -> int:
+        return math.ceil((hi - lo) / h - 1e-9)
+
+    x0, y0 = domain.xs[0], domain.ys[0]
+    bx = x0 + h * np.arange(-k, cells(x0, domain.xmax) + k + 1)
+    if domain.kind == "slice":
+        top = cells(0.0, domain.ymax) + k
+        return bx, h * np.arange(-top, top + 1)
+    return bx, y0 + h * np.arange(-k, cells(y0, domain.ymax) + k + 1)
+
+
+def _lattice(F, bx, by, domain: BasicDomainSpec | None = None, node_vals=None) -> np.ndarray:
+    """The values W[j, i] of F at bx[i] + 1j * by[j], from one F call.
+
+    Given the domain, the lines are its grid's (see _search_lines): the nodes
+    keep ``node_vals`` and, on a slice domain, the rows below the axis are
+    the conjugates of those above.
     """
-    mask, ys = domain.mask, domain.ys
-    X, Y = np.meshgrid(domain.xs, ys)
-    off = ~mask
-    n_off = int(off.sum())
-    if domain.kind == "slice":
-        low = ys.size - (1 if ys.size and ys[0] == 0.0 else 0)  # the axis row is its own mirror
-        ys = np.concatenate([-ys[::-1][:low], ys])
-    bx = np.concatenate([[box[0]], domain.xs, [box[1]]])
-    by = np.concatenate([[box[2]], ys, [box[3]]])
-    ring = [bx + 1j * box[2], bx + 1j * box[3], box[0] + 1j * ys, box[1] + 1j * ys]
+    X, Y = np.meshgrid(bx, by)
+    W = np.empty(X.shape, dtype=complex)
+    todo = np.ones(X.shape, dtype=bool)
+    if domain is not None:
+        step = bx[1] - bx[0]
+        i0, j0 = round((domain.xs[0] - bx[0]) / step), round((domain.ys[0] - by[0]) / step)
+        block = np.zeros(X.shape, dtype=bool)
+        block[j0 : j0 + domain.ys.size, i0 : i0 + domain.xs.size] = domain.mask
+        W[block] = node_vals
+        todo &= ~block
+        if domain.kind == "slice":
+            todo &= Y >= 0.0
     with np.errstate(all="ignore"):  # a value that is not finite makes its cells unsafe
-        vals = np.asarray(F(np.concatenate([X[off] + 1j * Y[off]] + ring)), dtype=complex)
-    U = np.empty(mask.shape, dtype=complex)
-    U[mask] = node_vals
-    U[off] = vals[:n_off]
-    if domain.kind == "slice":
-        U = np.concatenate([U[::-1][:low].conj(), U])
-    W = np.empty((by.size, bx.size), dtype=complex)
-    W[1:-1, 1:-1] = U
-    ends = np.cumsum([bx.size, bx.size, ys.size])
-    W[0], W[-1], W[1:-1, 0], W[1:-1, -1] = np.split(vals[n_off:], ends)
-    return bx, by, W
+        W[todo] = F(X[todo] + 1j * Y[todo])
+    if domain is not None and domain.kind == "slice":
+        axis = by.size // 2
+        W[:axis] = W[:axis:-1].conj()
+    return W
 
 
 def _unsafe_cells(W, ftol: float) -> np.ndarray:
-    """Cells of the break lattice whose corner values do not certify them.
+    """Cells of the lattice whose corner values do not certify them.
 
     A cell is safe when every edge step ``np.angle(w_b / w_a)`` is under pi/4
     and no corner is near zero or not finite.  Its four steps then turn by
@@ -354,7 +327,7 @@ def _clusters(bad: np.ndarray) -> list:
 
     Boxes that do not touch, padded by half a cell, do not overlap.
     """
-    while True:
+    while bad.any():
         lab = _components(bad)
         jj, ii = np.nonzero(bad)
         ids, inv = np.unique(lab[bad], return_inverse=True)
@@ -371,37 +344,35 @@ def _clusters(bad: np.ndarray) -> list:
         if np.array_equal(filled, bad):
             return boxes
         bad = filled
+    return []
 
 
-def _depth_first(found: list, rect, stop: float) -> list:
-    """The (z, multiplicity) pairs ``found`` in the depth-first quadrant
-    order in which _split over ``rect`` meets them.
+def _depth_first(found: list, rect) -> list:
+    """The (z, multiplicity) pairs ``found`` in the depth-first order of a
+    quadrant subdivision of ``rect``: lower left, lower right, upper left,
+    upper right.
 
     Each cell is cut at the first ratio of _CUT_RATIOS whose cut lines pass
-    no zero of odd multiplicity closer than 2**-15 of the cell's side: that
-    near, the phase jumps by an odd multiple of pi along the cut, the sampled
-    counts of its quadrants fail, and _split moves on to the next ratio.  A
-    zero of even multiplicity on a cut turns the phase by no more than the
-    samples see, so _split counts half of it on either side and meets it
-    first on the lower or left one.  A cell holding one zero, or no larger
-    than ``stop``, is a leaf.
+    no zero of odd multiplicity closer than 2**-15 of the cell's side; a zero
+    that near a cut goes to its lower or left side.  A cell holding one zero,
+    or no larger than _MERGE_TOL, is a leaf.
     """
     out: list = []
 
     def visit(part, rect):
         x0, x1, y0, y1 = rect
         side = max(x1 - x0, y1 - y0)
-        if len(part) < 2 or side <= stop:
+        if len(part) < 2 or side <= _MERGE_TOL:
             out.extend(part)
             return
         near = 2.0**-15 * side
         odd = [z for z, m in part if m % 2]
         for r in _CUT_RATIOS:
-            quads = _quads(x0, x1, y0, y1, r)
-            xm, ym = quads[0][1], quads[0][3]
+            xm, ym = x0 + r * (x1 - x0), y0 + r * (y1 - y0)
             if all(min(abs(z.real - xm), abs(z.imag - ym)) > near for z in odd):
                 break
         sides = [(z.real - xm > near, z.imag - ym > near) for z, _ in part]
+        quads = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
         for j, quad in enumerate(quads):
             visit([zm for zm, s in zip(part, sides) if s == (bool(j & 1), bool(j & 2))], quad)
 
@@ -409,92 +380,115 @@ def _depth_first(found: list, rect, stop: float) -> list:
     return out
 
 
-def _cell_circles(cells: list) -> list:
-    """Moment circles (centre, radius), each about a cell of _split with its
-    diagonal as radius, and counts.  Cells whose circles meet are joined and
-    their counts summed: _split counts an even zero on a cut half in either
-    cell, and one circle must hold it whole."""
-    circles = [
-        (complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), math.hypot(x1 - x0, y1 - y0))
-        for (x0, x1, y0, y1), _ in cells
-    ]
-    for a, (ca, pa) in enumerate(circles):
-        for b, (cb, pb) in enumerate(circles[:a]):
-            if abs(ca - cb) <= pa + pb:
-                (ra, ma), (rb, mb) = cells[a], cells[b]
-                hull = (min(ra[0], rb[0]), max(ra[1], rb[1]), min(ra[2], rb[2]), max(ra[3], rb[3]))
-                rest = [cell for k, cell in enumerate(cells) if k not in (a, b)]
-                return _cell_circles(rest + [(hull, ma + mb)])
-    return [(circle, m) for circle, (_, m) in zip(circles, cells)]
+def _minima(mags: np.ndarray) -> np.ndarray:
+    """Where ``mags`` lies under its eight neighbours, the first of a tie in
+    row order; a value that is not finite is no minimum."""
+    mags = np.where(np.isfinite(mags), mags, np.inf)
+    ny, nx = mags.shape
+    p = np.pad(mags, 1, constant_values=np.inf)
+    low = np.isfinite(mags)
+    for dj in range(3):
+        for di in range(3):
+            if (dj, di) != (1, 1):
+                near = p[dj : dj + ny, di : di + nx]
+                low &= mags < near if (dj, di) < (1, 1) else mags <= near
+    return low
 
 
-def _grid_zeros(F, domain: BasicDomainSpec, node_vals, box, total: int, ftol: float, stop: float):
-    """Zeros inside the search box from one pass over the node lattice.
+def _lattice_zeros(F, bx, by, W, total: int, ftol: float):
+    """The (z, multiplicity) pairs of the zeros inside the lattice (bx, by)
+    with values W, whose zeros less poles number ``total``, or None when the
+    counts of its clusters, or of those on a finer lattice below, do not add up.
 
-    Returns (zeros, cells): the (z, multiplicity) pairs read off the moment
-    circles of the clusters, and the (cell, count) pairs that _split found
-    in the clusters left over, still to be read.  Raises NoConvergence when
-    a count fails or the counts do not add up to the box count ``total``.
+    The cells that W does not certify form clusters, each counted on its
+    rectangle: its cells padded by half a cell, or up to the lattice edge.
+    Each cluster is read off moment circles inside its rectangle, poles
+    included, so that a pole outside the domain hides no zero.  A cluster
+    whose circles fail is searched again on a lattice four times finer over
+    its rectangle; NoConvergence is raised where that lattice would have
+    cells under _MERGE_TOL or more points than a domain's grid may
+    (MAX_NODES).
     """
-    bx, by, W = _grid_values(F, domain, node_vals, box)
-    bad = _unsafe_cells(W, ftol)
-    # a cluster that reaches the box contour takes the whole of that side, so
-    # that its count samples the side where the box count did: a double zero
-    # near a contour can turn the phase by 2 pi between two samples unseen
-    for side in (bad[0], bad[-1], bad[:, 0], bad[:, -1]):
-        if side.any():
-            side[:] = True
-    rects, circles, inner = [], [], []
-    for j0, j1, i0, i1 in _clusters(bad):
-        inner.append(0 < i0 and i1 < bx.size - 2 and 0 < j0 and j1 < by.size - 2)
-        # pad by half a cell into the safe cells around, or up to the box edge
-        x0 = bx[0] if i0 == 0 else 0.5 * (bx[i0 - 1] + bx[i0])
-        x1 = bx[-1] if i1 == bx.size - 2 else 0.5 * (bx[i1 + 1] + bx[i1 + 2])
-        y0 = by[0] if j0 == 0 else 0.5 * (by[j0 - 1] + by[j0])
-        y1 = by[-1] if j1 == by.size - 2 else 0.5 * (by[j1 + 1] + by[j1 + 2])
-        rects.append((x0, x1, y0, y1))
-        # the moment circle about the lattice point of least |F| lies inside the
-        # rectangle: if it counts the cluster's zeros, it holds them and no other
-        mags = np.abs(W[j0 : j1 + 2, i0 : i1 + 2])
-        j, i = np.unravel_index(np.argmin(np.where(np.isfinite(mags), mags, np.inf)), mags.shape)
-        c = complex(bx[i0 + i], by[j0 + j])
-        circles.append((c, min(2.0 * domain.h, c.real - x0, x1 - c.real, c.imag - y0, y1 - c.imag)))
-    counts = _windings(F, rects, ftol)
+    dx = bx[1] - bx[0]
+    blocks = _clusters(_unsafe_cells(W, ftol))
+    rects = [
+        (
+            bx[0] if i0 == 0 else 0.5 * (bx[i0 - 1] + bx[i0]),
+            bx[-1] if i1 == bx.size - 2 else 0.5 * (bx[i1 + 1] + bx[i1 + 2]),
+            by[0] if j0 == 0 else 0.5 * (by[j0 - 1] + by[j0]),
+            by[-1] if j1 == by.size - 2 else 0.5 * (by[j1 + 1] + by[j1 + 2]),
+        )
+        for j0, j1, i0, i1 in blocks
+    ]
+    # a cluster's cells lie half a cell inside its rectangle (but at the
+    # lattice edge): samples that far apart do not alias (see find_zeros_sp)
+    counts = _windings(F, rects, ftol, step=0.5 * dx)
     if None in counts or sum(counts) != total:
-        raise NoConvergence(f"grid clusters count {counts} zeros, the search box {total}")
+        return None
 
-    # a cluster on the box contour shares its samples with the box count, and
-    # both can miss the same double zero near the contour: only a subdivision,
-    # which samples ever smaller cells, finds it there
-    held = [k for k, c in enumerate(counts) if c and inner[k]]
-    read = dict(zip(held, _moments(F, [circles[k] for k in held], [counts[k] for k in held], ftol)))
-    zeros, cells = [], []
-    for k, c in enumerate(counts):
-        got = read.get(k, "contour")
-        if isinstance(got, list):
-            zeros += got
-        elif c:
-            logger.debug(
-                "cluster [%g,%g]x[%g,%g] with %d zero(s) fails its %s guard, subdividing",
-                *rects[k], c, got,
+    held = [k for k, m in enumerate(counts) if m]
+    circles = []
+    for k in held:
+        (j0, j1, i0, i1), (x0, x1, y0, y1) = blocks[k], rects[k]
+        # |F| has local minima at the zeros of F alone, and local maxima at its
+        # poles: one circle about each lattice point of least |F| among its
+        # neighbours (or of most, where the cluster counts a pole), inside the
+        # rectangle and apart from the others.  If they count the cluster's
+        # zeros and poles, they hold them all
+        mags = np.abs(W[j0 : j1 + 2, i0 : i1 + 2])
+        low = _minima(mags)
+        if counts[k] < 0:
+            with np.errstate(divide="ignore"):
+                low |= _minima(1.0 / mags)
+        cs = [complex(bx[i0 + i], by[j0 + j]) for j, i in zip(*np.nonzero(low))]
+        circles.append([
+            (c, min([2.0 * dx, c.real - x0, x1 - c.real, c.imag - y0, y1 - c.imag]
+                    + [0.5 * abs(c - o) for o in cs if o != c]))
+            for c in cs
+        ])
+    reads = iter(_moments(F, [circle for cs in circles for circle in cs], ftol))
+    zeros: list = []
+    for k, cs in zip(held, circles):
+        got = [next(reads) for _ in cs]
+        guard = next((g for g in got if isinstance(g, str)), None)
+        if guard is None and sum(m for read in got for _, m in read) != counts[k]:
+            guard = "count"
+        if guard is None:
+            zeros += [(z, m) for read in got for z, m in read if m > 0]
+            continue
+        x0, x1, y0, y1 = rects[k]
+        logger.debug(
+            "cluster [%g,%g]x[%g,%g] counting %d fails its %s guard, refining",
+            x0, x1, y0, y1, counts[k], guard,
+        )
+        fx = np.linspace(x0, x1, round(4.0 * (x1 - x0) / dx) + 1)
+        fy = np.linspace(y0, y1, round(4.0 * (y1 - y0) / dx) + 1)
+        if fx[1] - fx[0] < _MERGE_TOL * (1.0 + abs(complex(x0, y0))) or fx.size * fy.size > MAX_NODES:
+            raise NoConvergence(
+                f"zeros in [{x0:g},{x1:g}]x[{y0:g},{y1:g}] fail their moment circles' {guard} guard"
             )
-            cells += _split(F, rects[k], c, ftol, stop)
-    return zeros, cells
+        inner = _lattice_zeros(F, fx, fy, _lattice(F, fx, fy), counts[k], ftol)
+        if inner is None:
+            return None
+        zeros += inner
+    return zeros
 
 
 def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     """Zeros of a slice-preserving function over the domain, as upper stem points.
 
-    The winding number around the bounding box, padded past the boundary,
-    counts the zeros; when it is not 0, _grid_zeros places them from the
-    node values and reads each cluster off one circle, and the cells of the
-    clusters it subdivides are read off circles of their own.  Zeros within
-    _MERGE_TOL of each other come back as one, in the depth-first quadrant
-    order of the box (lower left, lower right, upper left, upper right).
+    The winding number around the domain's grid, grown by k whole cells on
+    every side, counts the zeros less poles, and _lattice_zeros places them
+    from the values on that lattice.  The box grows by a cell while its
+    count fails or the counts of its clusters do not add up to it.  Zeros
+    within _MERGE_TOL of each other come back as one, in the depth-first
+    quadrant order of the domain's bounding box (lower left, lower right,
+    upper left, upper right).
 
     Raises Vanishing when the function is identically zero, BoundaryZero when
     a zero falls inside the ambiguity band around the domain boundary, and
-    NoConvergence when the circle of a subdivision cell fails.
+    NoConvergence when a cluster of zeros cannot be read or no grown box can
+    be counted.
     """
     if not expr.slice_preserving:
         raise SlicePreservingRequired("zero search expects a slice-preserving function")
@@ -508,35 +502,23 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
         raise Vanishing("cannot locate zeros of the zero function")
     ftol = 1e-12 * scale
 
-    if domain.kind == "slice":
-        box = (domain.xmin, domain.xmax, -domain.ymax, domain.ymax)
+    for k in range(1, _GROW_CAP + 1):
+        bx, by = _search_lines(domain, k)
+        # every zero of the domain lies at least h inside the box contour, which
+        # the first round samples h apart: between two samples a zero that far
+        # turns the phase by at most 2 atan(1/2) = 0.93 per unit of multiplicity,
+        # so zeros of multiplicity up to 5 turn it by less than 2 pi - 1.5, and
+        # a step that aliases shows as one of 1.5 or more
+        (total,) = _windings(F, [(bx[0], bx[-1], by[0], by[-1])], ftol, step=domain.h)
+        if total is not None:
+            found = _lattice_zeros(F, bx, by, _lattice(F, bx, by, domain, node_vals), total, ftol)
+            if found is not None:
+                break
     else:
-        box = (domain.xmin, domain.xmax, domain.ymin, domain.ymax)
-    stop = _CELL_STOP * max(box[1] - box[0], box[3] - box[2])
+        raise NoConvergence(f"no search box grown by 1 to {_GROW_CAP} cells counts its zeros")
 
-    for attempt in range(6):
-        pad = (1e-3 + 2.3e-3 * attempt) * domain.h
-        cell = (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
-        (total,) = _windings(F, [cell], ftol)
-        if total is None:
-            continue
-        if total == 0:
-            found, cells = [], []
-            break
-        try:
-            found, cells = _grid_zeros(F, domain, node_vals, cell, total, ftol, stop)
-            break
-        except NoConvergence:
-            continue
-    else:
-        raise BoundaryZero("a zero sits persistently on the search boundary")
-
-    groups = _cell_circles(cells)
-    for read, (circle, _) in zip(_moments(F, *zip(*groups), ftol) if groups else [], groups):
-        if isinstance(read, str):
-            raise NoConvergence(f"zeros near {circle[0]} fail their moment circle's {read} guard")
-        found += read
-    found = _depth_first(found, cell, stop)
+    low = -domain.ymax if domain.kind == "slice" else domain.ymin
+    found = _depth_first(found, (domain.xmin, domain.xmax, low, domain.ymax))
 
     merged: list[tuple[complex, int]] = []
     for z, m in found:
