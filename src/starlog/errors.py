@@ -55,7 +55,7 @@ class BranchDomainViolation(StarlogError):
 class NoConvergence(StarlogError):
     """An iteration (series, winding refinement) did not converge, or the
     zero finder could not read a cluster of zeros off its moment circles
-    down to its finest lattice."""
+    down to its finest lattice, or count the zeros in any search box."""
 
 
 class BoundaryZero(StarlogError):

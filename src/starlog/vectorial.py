@@ -2,16 +2,16 @@
 
 Scalar coefficients of slice functions have holomorphic stem components, so
 zeros are located by the argument principle.  The search lattice is the
-domain's grid grown by whole cells past its leaf, so that every zero of the
-domain lies at least a cell inside its contour; a winding count around it
-gives their number.  When that is not 0, one pass over the values at the
-lattice points places them.  A cell whose corner values turn by less than
-pi/4 along every edge holds no zero.  The other cells form clusters, each
-counted on its own rectangle and read off moment circles inside it, one
-about each lattice minimum of |F|: the Fourier coefficients of log F on a
-circle give the power sums of the zeros inside (Delves and Lyness, Math.
-Comp. 21, 1967), and the counts certify them.  A cluster whose circles fail
-is searched the same way on a lattice four times finer over its rectangle.
+domain's grid framed by one more line a cell past it (closer where F is not
+defined that far); a winding count around it gives the zeros less poles
+inside, and one pass over the values at the lattice points places them,
+whatever the count.  A cell whose corner values turn by less than pi/4 along every
+edge holds no zero.  The other cells form clusters, each counted on its own
+rectangle and read off moment circles inside it, about the lattice minima
+and maxima of |F|: the Fourier coefficients of log F on a circle give the
+power sums of the zeros and poles inside (Delves and Lyness, Math. Comp. 21,
+1967), certified by the cluster's count and first power sum.  A cluster
+whose circles fail is searched the same way on a lattice four times finer.
 Zeros come back in the depth-first order of a quadrant subdivision of the
 domain's bounding box (lower left, lower right, upper left, upper right).
 
@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import symmetrization, vect_part
-from .domain import MAX_NODES, BasicDomainSpec
+from .domain import BasicDomainSpec
 from .errors import (
     BoundaryZero,
+    BranchDomainViolation,
     ClassificationError,
     DomainError,
     FactorResidual,
@@ -63,7 +64,8 @@ PATCH_CELLS = 4  # removable-singularity patch radius, in grid cells
 
 _WIND_START = 32  # least boundary samples per rectangle edge, doubled on demand
 _WIND_CAP = 1 << 14
-_GROW_CAP = 6  # most whole cells the search box grows by past the domain's grid
+_PADS = (1.0, 0.25, 1 / 16, 1 / 64)  # search box pads past the domain's grid, in cells
+_REFINE_POINTS = 1 << 16  # most points of a refined lattice
 _CUT_RATIOS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
 _MERGE_TOL = 3e-6  # zeros this close together come back as one
 _MOMENT_N = 64  # samples per moment circle
@@ -131,34 +133,37 @@ class VectorialClassReport:
 # argument-principle zero finder
 
 
-def _windings(F, rects, ftol: float, cols=None, step: float = math.inf) -> list:
+def _windings(F, rects, ftol: float, cols=None, step: float = math.inf) -> tuple:
     """Winding numbers of F around rectangles (x0, x1, y0, y1), one F call
-    per round for every count still open.
+    per round for every count still open, and the sum of the zeros less the
+    poles inside each, with a bound on its error.
 
-    Each edge starts with _WIND_START samples, or with more where they would
-    lie farther apart than ``step``.  F maps points to one value each, or to
-    a row of which rectangle i reads column ``cols[i]``.  A count is None
-    where a boundary sample sits on a zero (the contour must move) or where
-    it does not settle by ``_WIND_CAP`` samples per edge.
+    Each edge starts with _WIND_START samples, or with more, up to
+    _WIND_CAP, where they would lie farther apart than ``step``.  F maps
+    points to one value each, or to a row of which rectangle i reads column
+    ``cols[i]``.  A count is None where a sample is not finite or sits on a
+    zero (the contour must move), or where it does not settle by _WIND_CAP
+    samples per edge.  The sum is (1/2 pi i) times the integral of z dlog F,
+    taken with z at the middle of each step of log F from sample to sample,
+    and of each step over two samples: their difference, about three times
+    the first one's error, bounds it.
     """
     counts: list = [None] * len(rects)
-    ns = [max(_WIND_START, math.ceil(max(x1 - x0, y1 - y0) / step)) for x0, x1, y0, y1 in rects]
-    open_ = list(range(len(rects)))
+    firsts, open_ = counts.copy(), list(range(len(rects)))
+    ns = [
+        min(_WIND_CAP, max(_WIND_START, math.ceil(max(x1 - x0, y1 - y0) / step)))
+        for x0, x1, y0, y1 in rects
+    ]
     while open_:
         contours = []
         for i in open_:
             x0, x1, y0, y1 = rects[i]
-            corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+            loop = [x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1, x0 + 1j * y0]
             ts = np.arange(ns[i]) / ns[i]
-            contours.append(
-                np.concatenate(
-                    [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
-                )
-            )
+            contours.append(np.concatenate([a + (b - a) * ts for a, b in zip(loop, loop[1:])]))
         pts = np.concatenate(contours)
         table = np.asarray(F(pts), dtype=complex).reshape(len(pts), -1)
-        still = []
-        start = 0
+        still, start = [], 0
         for i, contour in zip(open_, contours):
             vals = table[start : start + len(contour), 0 if cols is None else cols[i]]
             start += len(contour)
@@ -166,20 +171,25 @@ def _windings(F, rects, ftol: float, cols=None, step: float = math.inf) -> list:
             # a zero sits on the contour only if some sample is small against the
             # contour's own range; near a high-order zero the whole contour is
             # small against the global scale, which must not count
-            if mags.min() < min(ftol, 1e-9 * mags.max()):
+            if not np.isfinite(mags).all() or mags.min() < min(ftol, 1e-9 * mags.max()):
                 continue
-            dargs = np.angle(np.roll(vals, -1) / vals)
-            if np.max(np.abs(dargs)) < 1.5:
-                total = dargs.sum() / (2.0 * np.pi)
+            steps = np.log(np.roll(vals, -1) / vals)  # of log F from sample to sample
+            if np.max(np.abs(steps.imag)) < 1.5:
+                total = steps.imag.sum() / (2.0 * np.pi)
                 k = round(total)
                 if abs(total - k) < 1e-6:
                     counts[i] = k
+                    nxt = np.concatenate((contour[1:], contour[:1]))
+                    fine = ((contour + nxt) * steps).sum() / (4j * np.pi)
+                    pairs = steps[::2] + steps[1::2]
+                    coarse = ((contour[::2] + nxt[1::2]) * pairs).sum() / (4j * np.pi)
+                    firsts[i] = (fine, abs(fine - coarse) + _MOMENT_TOL * (1.0 + abs(fine)))
                     continue
             if ns[i] < _WIND_CAP:
                 ns[i] *= 2
                 still.append(i)
         open_ = still
-    return counts
+    return counts, firsts
 
 
 def _moments(F, circles, ftol: float) -> list:
@@ -247,46 +257,39 @@ def _moments(F, circles, ftol: float) -> list:
 # the lattice pass: zeros seeded from the grid
 
 
-def _search_lines(domain: BasicDomainSpec, k: int) -> tuple:
-    """Lines (bx, by) of the domain's grid, grown past its leaf by k whole
-    cells on every side and, on a slice domain, mirrored below the axis."""
+def _search_lines(domain: BasicDomainSpec, pad: float) -> tuple:
+    """Lines (bx, by) of the domain's grid over its leaf, mirrored below the
+    axis on a slice domain, framed by one more line ``pad`` past it on every
+    side; on a product domain the frame stays above the real axis."""
     h = domain.h
-
-    def cells(lo: float, hi: float) -> int:
-        return math.ceil((hi - lo) / h - 1e-9)
-
-    x0, y0 = domain.xs[0], domain.ys[0]
-    bx = x0 + h * np.arange(-k, cells(x0, domain.xmax) + k + 1)
+    x0, y0 = domain.xs[0], 0.0 if domain.kind == "slice" else domain.ys[0]
+    bx = x0 + h * np.arange(math.ceil((domain.xmax - x0) / h - 1e-9) + 1)
+    by = y0 + h * np.arange(math.ceil((domain.ymax - y0) / h - 1e-9) + 1)
     if domain.kind == "slice":
-        top = cells(0.0, domain.ymax) + k
-        return bx, h * np.arange(-top, top + 1)
-    return bx, y0 + h * np.arange(-k, cells(y0, domain.ymax) + k + 1)
+        by, low = np.concatenate([-by[:0:-1], by]), pad
+    else:
+        low = min(pad, 0.5 * y0)
+    return np.r_[bx[0] - pad, bx, bx[-1] + pad], np.r_[by[0] - low, by, by[-1] + pad]
 
 
 def _lattice(F, bx, by, domain: BasicDomainSpec | None = None, node_vals=None) -> np.ndarray:
     """The values W[j, i] of F at bx[i] + 1j * by[j], from one F call.
 
-    Given the domain, the lines are its grid's (see _search_lines): the nodes
-    keep ``node_vals`` and, on a slice domain, the rows below the axis are
-    the conjugates of those above.
+    Given the domain, the lines are its search lines (see _search_lines): the
+    nodes keep ``node_vals`` and, on a slice domain, the rows below the axis
+    are the conjugates of those above.
     """
     X, Y = np.meshgrid(bx, by)
     W = np.empty(X.shape, dtype=complex)
     todo = np.ones(X.shape, dtype=bool)
     if domain is not None:
-        step = bx[1] - bx[0]
-        i0, j0 = round((domain.xs[0] - bx[0]) / step), round((domain.ys[0] - by[0]) / step)
-        block = np.zeros(X.shape, dtype=bool)
-        block[j0 : j0 + domain.ys.size, i0 : i0 + domain.xs.size] = domain.mask
-        W[block] = node_vals
-        todo &= ~block
-        if domain.kind == "slice":
-            todo &= Y >= 0.0
-    with np.errstate(all="ignore"):  # a value that is not finite makes its cells unsafe
-        W[todo] = F(X[todo] + 1j * Y[todo])
+        j0 = int(np.abs(by - domain.ys[0]).argmin())
+        todo[j0 : j0 + domain.ys.size, 1 : 1 + domain.xs.size] = ~domain.mask
+        W[~todo] = node_vals
+        todo &= (Y >= 0.0) | (domain.kind != "slice")
+    W[todo] = F(X[todo] + 1j * Y[todo])
     if domain is not None and domain.kind == "slice":
-        axis = by.size // 2
-        W[:axis] = W[:axis:-1].conj()
+        W[: by.size // 2] = W[: by.size // 2 : -1].conj()
     return W
 
 
@@ -396,20 +399,19 @@ def _minima(mags: np.ndarray) -> np.ndarray:
 
 
 def _lattice_zeros(F, bx, by, W, total: int, ftol: float):
-    """The (z, multiplicity) pairs of the zeros inside the lattice (bx, by)
-    with values W, whose zeros less poles number ``total``, or None when the
-    counts of its clusters, or of those on a finer lattice below, do not add up.
+    """The (z, multiplicity) pairs of the zeros inside the lattice (bx, by),
+    but below the real axis, where F takes the values W and the zeros less
+    poles number ``total``; or None when the counts of its clusters, or of
+    those on a finer lattice below, do not add up.
 
     The cells that W does not certify form clusters, each counted on its
     rectangle: its cells padded by half a cell, or up to the lattice edge.
-    Each cluster is read off moment circles inside its rectangle, poles
-    included, so that a pole outside the domain hides no zero.  A cluster
-    whose circles fail is searched again on a lattice four times finer over
-    its rectangle; NoConvergence is raised where that lattice would have
-    cells under _MERGE_TOL or more points than a domain's grid may
-    (MAX_NODES).
+    Every cluster is read off moment circles inside its rectangle; one whose
+    circles fail is searched again on a lattice four times finer over its
+    rectangle, and NoConvergence is raised where that lattice would have
+    cells under _MERGE_TOL or more than _REFINE_POINTS points.
     """
-    dx = bx[1] - bx[0]
+    dx = max(np.diff(bx).max(), np.diff(by).max())
     blocks = _clusters(_unsafe_cells(W, ftol))
     rects = [
         (
@@ -422,25 +424,27 @@ def _lattice_zeros(F, bx, by, W, total: int, ftol: float):
     ]
     # a cluster's cells lie half a cell inside its rectangle (but at the
     # lattice edge): samples that far apart do not alias (see find_zeros_sp)
-    counts = _windings(F, rects, ftol, step=0.5 * dx)
+    step = 0.5 * min(np.diff(bx).min(), np.diff(by).min())
+    counts, firsts = _windings(F, rects, ftol, step=step)
     if None in counts or sum(counts) != total:
         return None
 
-    held = [k for k, m in enumerate(counts) if m]
     circles = []
-    for k in held:
-        (j0, j1, i0, i1), (x0, x1, y0, y1) = blocks[k], rects[k]
-        # |F| has local minima at the zeros of F alone, and local maxima at its
-        # poles: one circle about each lattice point of least |F| among its
-        # neighbours (or of most, where the cluster counts a pole), inside the
-        # rectangle and apart from the others.  If they count the cluster's
-        # zeros and poles, they hold them all
+    for (j0, j1, i0, i1), (x0, x1, y0, y1), count, (s1, err) in zip(blocks, rects, counts, firsts):
+        # a cluster below the real axis holds no zero of the domain; one that
+        # counts no zeros less poles and has no first power sum holds none
+        if y1 < 0.0 or not count and abs(s1) <= err:
+            circles.append([])
+            continue
+        # |F| has local minima at the zeros of F alone, and local maxima off the
+        # edge at its poles alone: one circle about each, inside the rectangle
+        # and apart from the others, holds all that the cluster holds if the
+        # circles match its count and its first power sum
         mags = np.abs(W[j0 : j1 + 2, i0 : i1 + 2])
-        low = _minima(mags)
-        if counts[k] < 0:
-            with np.errstate(divide="ignore"):
-                low |= _minima(1.0 / mags)
-        cs = [complex(bx[i0 + i], by[j0 + j]) for j, i in zip(*np.nonzero(low))]
+        with np.errstate(divide="ignore", over="ignore"):
+            high = _minima(1.0 / mags)
+        high[[0, -1]] = high[:, [0, -1]] = False
+        cs = [complex(bx[i0 + i], by[j0 + j]) for j, i in zip(*np.nonzero(_minima(mags) | high))]
         circles.append([
             (c, min([2.0 * dx, c.real - x0, x1 - c.real, c.imag - y0, y1 - c.imag]
                     + [0.5 * abs(c - o) for o in cs if o != c]))
@@ -448,26 +452,29 @@ def _lattice_zeros(F, bx, by, W, total: int, ftol: float):
         ])
     reads = iter(_moments(F, [circle for cs in circles for circle in cs], ftol))
     zeros: list = []
-    for k, cs in zip(held, circles):
+    for count, (s1, err), cs, (x0, x1, y0, y1) in zip(counts, firsts, circles, rects):
+        if y1 < 0.0:
+            continue
         got = [next(reads) for _ in cs]
         guard = next((g for g in got if isinstance(g, str)), None)
-        if guard is None and sum(m for read in got for _, m in read) != counts[k]:
-            guard = "count"
         if guard is None:
-            zeros += [(z, m) for read in got for z, m in read if m > 0]
-            continue
-        x0, x1, y0, y1 = rects[k]
-        logger.debug(
-            "cluster [%g,%g]x[%g,%g] counting %d fails its %s guard, refining",
-            x0, x1, y0, y1, counts[k], guard,
-        )
+            read = [zm for zms in got for zm in zms]
+            # a zero and a pole outside the circles cancel in the count, not in s1
+            if sum(m for _, m in read) != count:
+                guard = "count"
+            elif abs(sum(m * z for z, m in read) - s1) > err:
+                guard = "first moment"
+            else:
+                zeros += [(z, m) for z, m in read if m > 0]
+                continue
+        msg = "cluster [%g,%g]x[%g,%g] counting %d fails its %s guard, refining"
+        logger.debug(msg, x0, x1, y0, y1, count, guard)
         fx = np.linspace(x0, x1, round(4.0 * (x1 - x0) / dx) + 1)
         fy = np.linspace(y0, y1, round(4.0 * (y1 - y0) / dx) + 1)
-        if fx[1] - fx[0] < _MERGE_TOL * (1.0 + abs(complex(x0, y0))) or fx.size * fy.size > MAX_NODES:
-            raise NoConvergence(
-                f"zeros in [{x0:g},{x1:g}]x[{y0:g},{y1:g}] fail their moment circles' {guard} guard"
-            )
-        inner = _lattice_zeros(F, fx, fy, _lattice(F, fx, fy), counts[k], ftol)
+        too_fine = fx[1] - fx[0] < _MERGE_TOL * (1.0 + abs(complex(x0, y0)))
+        if too_fine or fx.size * fy.size > _REFINE_POINTS:
+            raise NoConvergence(f"zeros in [{x0:g},{x1:g}]x[{y0:g},{y1:g}] fail the {guard} guard")
+        inner = _lattice_zeros(F, fx, fy, _lattice(F, fx, fy), count, ftol)
         if inner is None:
             return None
         zeros += inner
@@ -477,45 +484,55 @@ def _lattice_zeros(F, bx, by, W, total: int, ftol: float):
 def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     """Zeros of a slice-preserving function over the domain, as upper stem points.
 
-    The winding number around the domain's grid, grown by k whole cells on
-    every side, counts the zeros less poles, and _lattice_zeros places them
-    from the values on that lattice.  The box grows by a cell while its
-    count fails or the counts of its clusters do not add up to it.  Zeros
+    The winding number around the search lattice (_search_lines) counts the
+    zeros less poles, and _lattice_zeros places them from the values on it.
+    Its frame starts a whole cell past the grid and moves closer (_PADS)
+    while the count fails, the counts of the clusters do not add up to it, a
+    cluster cannot be read or F is not defined all over the box.  Zeros
     within _MERGE_TOL of each other come back as one, in the depth-first
     quadrant order of the domain's bounding box (lower left, lower right,
     upper left, upper right).
 
     Raises Vanishing when the function is identically zero, BoundaryZero when
     a zero falls inside the ambiguity band around the domain boundary, and
-    NoConvergence when a cluster of zeros cannot be read or no grown box can
-    be counted.
+    NoConvergence when a cluster of zeros cannot be read or no search box
+    can be counted.
     """
     if not expr.slice_preserving:
         raise SlicePreservingRequired("zero search expects a slice-preserving function")
 
     def F(zs):
-        return stem_complex(expr, np.asarray(zs, dtype=complex))
+        with np.errstate(all="ignore"):  # a value that is not finite fails its count
+            return stem_complex(expr, np.asarray(zs, dtype=complex))
 
-    node_vals = F(domain.node_z)
+    node_vals = stem_complex(expr, domain.node_z)
     scale = float(np.abs(node_vals).max())
     if scale <= 1e-300:
         raise Vanishing("cannot locate zeros of the zero function")
     ftol = 1e-12 * scale
 
-    for k in range(1, _GROW_CAP + 1):
-        bx, by = _search_lines(domain, k)
-        # every zero of the domain lies at least h inside the box contour, which
-        # the first round samples h apart: between two samples a zero that far
-        # turns the phase by at most 2 atan(1/2) = 0.93 per unit of multiplicity,
-        # so zeros of multiplicity up to 5 turn it by less than 2 pi - 1.5, and
-        # a step that aliases shows as one of 1.5 or more
-        (total,) = _windings(F, [(bx[0], bx[-1], by[0], by[-1])], ftol, step=domain.h)
-        if total is not None:
-            found = _lattice_zeros(F, bx, by, _lattice(F, bx, by, domain, node_vals), total, ftol)
-            if found is not None:
-                break
+    failure = f"no search box up to {_PADS[0]:g} cell past the grid counts its zeros"
+    for pad in _PADS:
+        bx, by = _search_lines(domain, pad * domain.h)
+        step = min(bx[1] - bx[0], by[1] - by[0])
+        try:
+            # every zero of the domain lies at least step inside the box contour,
+            # which the first round samples step apart: between two samples a
+            # zero that far turns the phase by at most 2 atan(1/2) = 0.93 per unit
+            # of multiplicity, so zeros of multiplicity up to 5 turn it by less
+            # than 2 pi - 1.5, and a step that aliases shows as one of 1.5 or more
+            (total,), _ = _windings(F, [(bx[0], bx[-1], by[0], by[-1])], ftol, step=step)
+            if total is not None:
+                W = _lattice(F, bx, by, domain, node_vals)
+                found = _lattice_zeros(F, bx, by, W, total, ftol)
+                if found is not None:
+                    break
+        except BranchDomainViolation as exc:  # the box reaches past where F is defined
+            failure = f"{exc} in the search box {pad:g} cell past the grid"
+        except NoConvergence as exc:  # or past where it is regular
+            failure = str(exc)
     else:
-        raise NoConvergence(f"no search box grown by 1 to {_GROW_CAP} cells counts its zeros")
+        raise NoConvergence(failure)
 
     low = -domain.ymax if domain.kind == "slice" else domain.ymin
     found = _depth_first(found, (domain.xmin, domain.xmax, low, domain.ymax))
@@ -563,7 +580,7 @@ def _component_order(expr: SliceExpr, cols: list, z: complex, ftol: float) -> in
     for shrink in (1.0, 0.37, 0.11, 2.9):
         r = half * shrink
         square = (z.real - r, z.real + r, z.imag - r, z.imag + r)
-        counts = _windings(F, [square] * len(cols), ftol, cols)
+        counts, _ = _windings(F, [square] * len(cols), ftol, cols)
         orders += [c for c in counts if c is not None]
         cols = [col for col, c in zip(cols, counts) if c is None]
         if not cols:

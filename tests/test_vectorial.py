@@ -159,7 +159,8 @@ SLICE_16 = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1 / 16
     ],
 )
 def test_node_pass_matches_the_box_search(domain, roots, n):
-    # the known roots are the reference
+    # the name keeps the box search these cases were once compared with; the
+    # known roots are the reference now
     zeros = find_zeros_sp(_with_zeros(roots), domain)
     assert [z.multiplicity for z in zeros] == [1] * n
     assert sorted(z.z.real for z in zeros) == pytest.approx(
@@ -228,6 +229,56 @@ def test_pole_between_the_domain_and_the_box_contour_hides_no_zero(den):
     (zero,) = find_zeros_sp(p, SLICE_16)
     assert zero.multiplicity == 1
     assert abs(zero.z - 0.5j) <= 1e-12
+
+
+def test_zero_and_pole_in_one_cluster_keep_the_zero():
+    # the zero at 0.5 + 0.97i and the pole at 0.5 + 1.03i lie in touching
+    # cells, so they form one cluster, which counts 0; the circle about its
+    # lattice minimum of |F| misses the zero, its maximum lies on the lattice
+    # edge, and only the cluster's first power sum, 0.97i - 1.03i, shows them
+    den = Q * Q - const(1.0) * Q + const(0.25 + 1.03**2)
+    (zero,) = find_zeros_sp(_with_zeros([0.5 + 0.97j]) * ScalarApply("recip", den), SLICE_16)
+    assert zero.multiplicity == 1
+    assert abs(zero.z - (0.5 + 0.97j)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [2.05, 2.1])
+def test_essential_singularity_past_the_domain_hides_no_zero(c):
+    # exp(1 / (q - c)) has an essential singularity 0.05 or 0.1 past the edge
+    # x = 2, inside the search box a cell past the grid: no circle can read the
+    # cluster about it, so the box moves closer to the domain
+    p = _with_zeros([0.5 + 0.5j]) * ScalarApply("exp", ScalarApply("recip", Q - const(c)))
+    dom = BasicDomainSpec(rects=[(-1.0, 2.0, 0.0, 1.0)], kind="slice", h=1 / 8)
+    (zero,) = find_zeros_sp(p, dom)
+    assert zero.multiplicity == 1
+    assert abs(zero.z - (0.5 + 0.5j)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "source, rect, kind, z",
+    [
+        ("1 + log0(q)*i", (0.05, 2.0, 0.0, 1.0), "slice", 1.0),
+        ("1 + (sqrt(q) - 1)*i", (0.05, 2.0, 0.0, 1.0), "slice", 1.0),
+        ("1 + log0(q)*i + q*j", (-1.0, 2.0, 0.125, 1.0), "product", None),
+        ("1 + (sqrt(q) - 1)*i + q*j", (-1.0, 2.0, 0.125, 1.0), "product", None),
+    ],
+    ids=["log-slice", "sqrt-slice", "log-product", "sqrt-product"],
+)
+def test_search_box_stays_where_the_function_is_defined(source, rect, kind, z):
+    # log0 and sqrt are not defined on (-inf, 0]: a whole cell past the slice
+    # rect's edge x = 0.05 the real axis is negative, so the box moves closer
+    # to the domain instead of raising a domain error; a whole cell below the
+    # product rect's edge y = h is the real axis, which its frame stays above
+    dom = BasicDomainSpec(rects=[rect], kind=kind, h=1 / 8)
+    sym = symmetrization(vect_part(parse_expr(source)))
+    zeros = find_zeros_sp(sym, dom)
+    if z is not None:  # log(q)^2 and (sqrt(q) - 1)^2: a double zero at 1
+        assert [(s.z, s.multiplicity) for s in zeros] == [(pytest.approx(z, abs=1e-9), 2)]
+        return
+    # (log z)^2 + z^2 and (sqrt(z) - 1)^2 + z^2: one simple zero in the rect
+    (zero,) = zeros
+    assert zero.multiplicity == 1
+    assert abs(stem_complex(sym, np.array([zero.z]))[0]) <= 1e-12
 
 
 def test_node_pass_keeps_the_boundary_band():
