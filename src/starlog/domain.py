@@ -388,6 +388,8 @@ class BasicDomainSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "BasicDomainSpec":
+        if not isinstance(data, dict):
+            raise DomainError(f"a domain is a JSON object, got {type(data).__name__}")
         return cls(
             rects=data.get("rects", ()),
             discs=data.get("discs", ()),

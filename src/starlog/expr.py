@@ -11,10 +11,10 @@ plane and conjugated back afterwards, so contours may dip below the axis.
 
 A tree is compiled once, on its first evaluation, into a program kept on its
 root: a post-order list of steps over numbered slots, one per distinct node.
-A subtree whose root already keeps a flat program (one that runs no other
-program) computing something is not compiled again: one step runs that
-program, so a tree derived from a compiled g (g_v^s, g_0, exp_*(f)) costs
-its own nodes only, and a run nests one level at most.
+A step is a function of its inputs' stems, so the steps of a program that a
+subtree's root already keeps are spliced in, renumbered: a tree derived from
+a compiled g (g_v^s, g_0, exp_*(f)) compiles its own nodes only, a node that
+two kept programs compute gets one slot, and every run is one loop.
 A subtree that reads no points (no q, I, lifted field or quotient) and holds
 no star series is folded at compile time into one (1, 4) row by the same
 step functions, so folding changes no bit; the row broadcasts against the
@@ -27,7 +27,8 @@ consumer.  Stems are column-major: each component is one contiguous column.
 
 Inside a :func:`shared_stem` block, one expression's stem at one node array
 is evaluated once: a tree that contains the expression and is evaluated at
-that same array object reads it from a preset slot.  At other points the
+that same array object runs a copy of its program pruned of the steps that
+only feed the expression, whose slot the stem fills.  At other points the
 expression is computed afresh, and no program keeps the stem.
 
 Nodes carry a structural slice-preserving flag (real stem components, exact
@@ -46,6 +47,7 @@ import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,15 +304,18 @@ _VARYING = (VarQ, UnitFn, GridFieldExpr, QuotientBySP, StarSeries)
 _FOLD_Z = np.zeros(1, dtype=complex)
 
 
-class _Program:
+class _Program(NamedTuple):
     """``slots`` holds the folded rows and None for the other slots.  A step
-    (run, out, dead) fills slot ``out`` with ``run(slots, z)`` and frees the
-    ``dead`` slots; ``preset`` is the shared node's slot or None, and
-    ``computed`` holds the ids of the nodes that steps compute, here or in
-    the programs of subtrees that steps run; ``flat`` is whether no step
-    runs such a program."""
+    (run, out, ins, dead) fills slot ``out`` with ``run(z, *stems)`` of the
+    ``ins`` slots and frees the ``dead`` slots.  ``computed`` maps the id of
+    the node each step computes to its slot, in step order; ``preset`` is
+    the slot a shared stem fills, or None."""
 
-    __slots__ = ("slots", "steps", "result", "preset", "computed", "flat")
+    slots: list
+    steps: tuple
+    result: int
+    computed: dict
+    preset: int | None = None
 
 
 def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
@@ -342,8 +347,9 @@ def _run(program: _Program, z: np.ndarray, preset) -> np.ndarray:
     slots = program.slots.copy()
     if program.preset is not None:
         slots[program.preset] = preset
-    for run, out, dead in program.steps:
-        slots[out] = run(slots, z)
+    stem = slots.__getitem__
+    for run, out, ins, dead in program.steps:
+        slots[out] = run(z, *map(stem, ins))
         for i in dead:
             slots[i] = None
     return slots[program.result]
@@ -352,24 +358,18 @@ def _run(program: _Program, z: np.ndarray, preset) -> np.ndarray:
 def _program(root: SliceExpr, preset: SliceExpr | None) -> _Program:
     """The program of ``root``, compiled on first use and kept on the node.
 
-    A program with a preset slot is keyed by the id of the preset node, and
-    only when the tree computes that node, itself or in the program of a
-    subtree it runs: the tree then keeps the node alive, so the id stays its
-    own while the program lives.  No program holds a preset stem.
+    When a step of it computes the ``preset`` node, it is a copy pruned for
+    that node's slot, kept under the node's id: the tree keeps the node
+    alive, so the id stays its own while the copy lives.
     """
     programs = getattr(root, "_programs", None)
     if programs is None:
-        programs = {}
+        programs = {None: _compile(root)}
         object.__setattr__(root, "_programs", programs)
-    key = None if preset is None else id(preset)
-    program = programs.get(key)
-    if program is None:
-        plain = programs.get(None)
-        if plain is not None and key not in plain.computed:  # no preset slot to fill
-            return plain
-        program = _compile(root, preset)
-        programs[key if program.preset is not None else None] = program
-    return program
+    plain, key = programs[None], id(preset)
+    if key in plain.computed and key not in programs:  # a preset the tree computes
+        programs[key] = _assemble(plain, plain.computed[key])
+    return programs.get(key, plain)
 
 
 def _children(node: SliceExpr) -> tuple:
@@ -379,39 +379,26 @@ def _children(node: SliceExpr) -> tuple:
     return () if child is None else (child,)
 
 
-def _compile(root: SliceExpr, preset: SliceExpr | None) -> _Program:
+def _compile(root: SliceExpr) -> _Program:
     """Number the nodes of ``root`` in post order and fold the constant ones.
 
-    A node shared within the tree gets one slot.  A node below the root that
-    keeps a flat plain program computing something, but not the preset
-    node, is one step that runs that program, and the ids it computes join
-    the tree's: the sub-program runs the same step functions on the same
-    folded rows, so reusing it changes no bit.  A node outside ``_VARYING``
-    whose inputs are all folded runs its step once, here, on one (1, 4) row,
-    and the row becomes a constant slot: the same step functions fold and
-    run, so folding changes no bit of the result.  A step that meets any
-    floating-point error is not folded: it stays a step, so that each run
+    A node shared within the tree gets one slot, and a node below the root
+    that keeps a program is not visited: that program is spliced in.  A node
+    outside ``_VARYING`` whose inputs are all folded runs its step once,
+    here, on one (1, 4) row, and the row becomes a constant slot: the same
+    step functions fold and run, so folding changes no bit of the result.  A
+    step that meets any floating-point error is not folded, so that each run
     meets the error under its caller's ``np.errstate``.
     """
-    slots, steps, slot_of, computed = [], [], {}, set()
-    program = _Program()
-    program.preset, program.flat = None, True
+    slots, steps, slot_of, computed = [], [], {}, {}
     stack = [(root, False)]
     while stack:
         node, ready = stack.pop()
         if id(node) in slot_of:
             continue
-        if node is preset:
-            program.preset = slot_of[id(node)] = len(slots)
-            slots.append(None)
-            continue
-        sub = None if ready or node is root else _compiled(node, preset)
+        sub = None if ready or node is root else getattr(node, "_programs", {}).get(None)
         if sub is not None:
-            slot_of[id(node)] = len(slots)
-            slots.append(None)
-            steps.append((_subprogram(sub), len(slots) - 1, ()))
-            computed |= sub.computed
-            program.flat = False
+            slot_of[id(node)] = _splice(sub, slots, steps, slot_of, computed)
             continue
         kids = _children(node)
         if not ready:
@@ -419,99 +406,111 @@ def _compile(root: SliceExpr, preset: SliceExpr | None) -> _Program:
             stack.extend((kid, False) for kid in reversed(kids))
             continue
         ins = tuple(slot_of[id(kid)] for kid in kids)
-        run = _step(node, *ins)
+        run = _step(node)
         slot_of[id(node)] = len(slots)
         slots.append(None if isinstance(node, _VARYING) else _fold(run, slots, ins))
         if slots[-1] is None:
+            computed[id(node)] = len(slots) - 1
             steps.append((run, len(slots) - 1, ins))
-            computed.add(id(node))
-    last = {i: k for k, (_, _, ins) in enumerate(steps) for i in ins}
-    program.steps = tuple(
-        (run, out, tuple(sorted({i for i in ins if last[i] == k and slots[i] is None})))
-        for k, (run, out, ins) in enumerate(steps)
-    )
-    program.slots, program.result, program.computed = slots, slot_of[id(root)], computed
-    return program
+    return _assemble(_Program(slots, steps, slot_of[id(root)], computed))
 
 
-def _compiled(node: SliceExpr, preset: SliceExpr | None) -> _Program | None:
-    """The plain program ``node`` keeps, if it is flat and computes
-    something other than the preset node, else None.  Only flat programs
-    are run as steps, so a run nests one level at most, however many
-    subtrees of a deep tree were evaluated before it."""
-    sub = getattr(node, "_programs", {}).get(None)
-    if sub is None or not sub.flat or not sub.steps or id(preset) in sub.computed:
-        return None
-    return sub
-
-
-def _subprogram(sub: _Program, run=_run):
-    """Step running the plain program ``sub`` of a subtree compiled before.
-
-    It holds the program, not the node, so no reference cycle appears.
-    ``run`` is the loop bound when the module loads, so a wrapper installed
-    on ``_run`` later sees one run per evaluation, the outer program's,
-    whose ``computed`` already holds the ids of ``sub``.
+def _splice(sub: _Program, slots: list, steps: list, slot_of: dict, computed: dict) -> int:
+    """Append the steps of ``sub``, renumbered, to those of a program being
+    compiled, and return the slot of its result.  A step whose node the
+    program computes already is dropped for that node's slot, and a folded
+    row gets a slot when a step reads it.
     """
-    return lambda s, z: run(sub, z, None)
+    renumbered = {}
+
+    def slot(i: int) -> int:
+        if i not in renumbered:  # a folded row
+            renumbered[i] = len(slots)
+            slots.append(sub.slots[i])
+        return renumbered[i]
+
+    for (run, out, ins, _), node in zip(sub.steps, sub.computed):
+        if node not in slot_of:
+            ins = tuple(map(slot, ins))
+            slot_of[node] = computed[node] = len(slots)
+            slots.append(None)
+            steps.append((run, len(slots) - 1, ins))
+        renumbered[out] = slot_of[node]
+    return slot(sub.result)
+
+
+def _assemble(program: _Program, preset=None) -> _Program:
+    """``program`` without the steps that only feed the slot ``preset``,
+    which is filled from outside, each step with the slots it reads last,
+    apart from folded rows, to free after it."""
+    slots, needed, kept = program.slots, {program.result}, []
+    for run, out, ins, *_ in reversed(program.steps):
+        if out in needed and out != preset:
+            dead = tuple(sorted({i for i in ins if i not in needed and slots[i] is None}))
+            kept.append((run, out, ins, dead))
+            needed.update(ins)
+    computed = {node: i for node, i in program.computed.items() if i in needed and i != preset}
+    return program._replace(steps=tuple(reversed(kept)), computed=computed, preset=preset)
 
 
 def _fold(run, slots: list, ins: tuple) -> np.ndarray | None:
     """The row of a step whose inputs are all folded, or None."""
-    if any(slots[i] is None for i in ins):
+    rows = [slots[i] for i in ins]
+    if any(row is None for row in rows):
         return None
     try:
         with np.errstate(all="raise"):
-            row = run(slots, _FOLD_Z)
+            row = run(_FOLD_Z, *rows)
     except FloatingPointError:
         return None
     row.flags.writeable = False  # every run shares it
     return row
 
 
-def _step(node: SliceExpr, a: int = -1, b: int = -1):
-    """``run(slots, z)`` computing ``node`` from its children's slots a and b.
+def _step(node: SliceExpr):
+    """``run(z, *stems)`` computing ``node`` from its children's stems.
 
     It holds the node's fields, not the node, so that a program kept on its
-    root makes no reference cycle.  Branch functions and lifted fields are
-    looked up at run time, so that wrappers installed later see the calls.
+    root makes no reference cycle, and no slot, so that programs share it.
+    Branch functions and lifted fields are looked up at run time, so that
+    wrappers installed later see the calls.
     """
     if isinstance(node, Const):
         row = node.value.to_array().astype(complex)[None, :]
-        return lambda s, z: row
+        return lambda z: row
     if isinstance(node, VarQ):
-        return lambda s, z: _scalar(z)
+        return _scalar
     if isinstance(node, UnitFn):
         return _unit
     if isinstance(node, Add):
-        return lambda s, z: s[a] + s[b]
+        return lambda z, a, b: a + b
     if isinstance(node, Neg):
-        return lambda s, z: -s[a]
+        return lambda z, a: -a
     if isinstance(node, StarMul):
         kernel = _KERNELS[node.left.slice_preserving, node.right.slice_preserving]
-        return lambda s, z: kernel(s[a], s[b])
+        return lambda z, a, b: kernel(a, b)
     if isinstance(node, IntPow):
-        return _power(a, node.n, _KERNELS[(node.child.slice_preserving,) * 2])
+        return _power(node.n, _KERNELS[(node.child.slice_preserving,) * 2])
     if isinstance(node, RegConj):
-        return lambda s, z: qconj(s[a])
+        return lambda z, a: qconj(a)
     if isinstance(node, Component):
         index = node.index
-        return lambda s, z: _scalar(s[a][:, index])
+        return lambda z, a: _scalar(a[:, index])
     if isinstance(node, VectPart):
-        return lambda s, z: _vect(s[a])
+        return lambda z, a: _vect(a)
     if isinstance(node, Symm):
-        return lambda s, z: _scalar(qsym(s[a]))
+        return lambda z, a: _scalar(qsym(a))
     if isinstance(node, ScalarApply):
         fn = node.fn
-        return lambda s, z: _scalar(np.asarray(SCALAR_FUNCTIONS[fn](s[a][:, 0]), dtype=complex))
+        return lambda z, a: _scalar(np.asarray(SCALAR_FUNCTIONS[fn](a[:, 0]), dtype=complex))
     if isinstance(node, StarSeries):
         kind, max_terms = node.kind, node.max_terms
-        return lambda s, z: _star_series(kind, max_terms, s[a])
+        return lambda z, a: _star_series(kind, max_terms, a)
     if isinstance(node, GridFieldExpr):
         fld = node.fld
-        return lambda s, z: _scalar(np.asarray(fld.sample(z), dtype=complex))
+        return lambda z: _scalar(np.asarray(fld.sample(z), dtype=complex))
     if isinstance(node, QuotientBySP):
-        return _quotient(node, a)
+        return _quotient(node)
     raise ExprError(f"cannot evaluate node {type(node).__name__}")
 
 
@@ -618,7 +617,7 @@ def _scalar(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit(s, z: np.ndarray) -> np.ndarray:
+def _unit(z: np.ndarray) -> np.ndarray:
     if (z.imag == 0).any():
         raise UnitFnOnRealAxis("the unit function I has no value on the real axis")
     return _scalar(np.full(z.size, 1j))
@@ -648,11 +647,11 @@ _KERNELS = {
 }
 
 
-def _power(a: int, n: int, kernel):
-    """Step of the star power n of slot a, by square-and-multiply."""
+def _power(n: int, kernel):
+    """Step of the star power n, by square-and-multiply."""
 
-    def run(s, z):
-        base, out, m = s[a], None, n
+    def run(z, base):
+        out, m = None, n
         while m:
             if m & 1:
                 out = base if out is None else kernel(out, base)
@@ -709,12 +708,12 @@ def _star_series(kind: str, max_terms: int, F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quotient(node: QuotientBySP, a: int):
-    """Step of a quotient by a real polynomial of the stem in slot a."""
+def _quotient(node: QuotientBySP):
+    """Step of a quotient of the child's stem by a real polynomial."""
     child, zeros, radius = node.child, node.zeros, node.patch_radius
     coeffs = np.asarray(node.coeffs, dtype=float)
 
-    def run(s, z):
+    def run(z, C):
         dist = np.full(z.shape, np.inf)
         for r in zeros:
             dist = np.minimum(dist, np.abs(z - r))
@@ -723,7 +722,7 @@ def _quotient(node: QuotientBySP, a: int):
         near = dist < radius
 
         denom = np.where(near, 1.0, np.polyval(coeffs, z))
-        out = s[a] / denom[:, None]
+        out = C / denom[:, None]
 
         if near.any():
             # removable singularity: mean over a circle avoiding every zero,

@@ -251,10 +251,19 @@ def test_oversized_grid_domain_file(tmp_path):
     assert main(["classify", "q", "--domain", str(path)]) == 3
 
 
-def test_garbage_domain_file(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ['{"kind": "slice"', "[1, 2]", '"slice"', "null"],
+    ids=["truncated", "list", "string", "null"],
+)
+@pytest.mark.parametrize("command", ["classify", "log-star", "exp-star", "verify"])
+def test_garbage_domain_file(tmp_path, command, text, capsys):
+    # valid JSON that is no object used to escape as an AttributeError
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"kind\": \"slice\"")
-    assert main(["classify", "q", "--domain", str(bad)]) == 3
+    bad.write_text(text)
+    args = ["--suite", "mu"] if command == "verify" else ["q"]
+    assert main([command, *args, "--domain", str(bad)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_roundtrip_command(capsys):

@@ -683,6 +683,19 @@ def steps(tree):
     return len(expr_module._program(tree, None).steps)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The nodes whose step functions ``_step`` builds, in order."""
+    step, nodes = expr_module._step, []
+
+    def recording(node, *ins):
+        nodes.append(node)
+        return step(node, *ins)
+
+    monkeypatch.setattr(expr_module, "_step", recording)
+    return nodes
+
+
 def program_test_trees():
     """The trees of TestLayout, TestSlicePreservingProduct, TestSeriesKernel
     and TestQuotient, and star series of a constant argument."""
@@ -778,20 +791,25 @@ class TestProgram:
                 got = eval_stem_many(gvs, zs)
             assert np.array_equal(got, recursive_stem(gvs, zs, preset=(g, G)))
 
-    def test_fold_input_folds_its_constants(self, wl):
+    def test_fold_input_folds_its_constants(self, wl, built):
         # c p (-1 + q^2 i + sqrt2 q j + k) conj(p): 52 nodes, 42 of them in
         # constant subtrees (the rotated vectors and the scale c)
         source = wl.fold_source(random.Random(1))
         fresh = parse_expr(source)
         assert steps(symmetrization(vect_part(fresh))) == 12  # g compiled inside it
+        assert len(built) == 54
         g = parse_expr(source)
         assert steps(g) == 10
-        # once g keeps its program, g_v^s is Symm, VectPart and one run of g
-        assert steps(symmetrization(vect_part(g))) == 3
+        # once g keeps its program, g_v^s splices g's 10 steps and builds
+        # Symm and VectPart only
+        built.clear()
+        gvs = expr_module._program(symmetrization(vect_part(g)), None)
+        assert len(gvs.steps) == 12 and len(built) == 2
+        assert expr_module._program(g, None).computed.keys() <= gvs.computed.keys()
         assert steps(const(2.0) * const(I_UNIT) + 1) == 0
 
     @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
-    def test_trees_over_a_compiled_g_run_its_program(self, route, wl):
+    def test_trees_over_a_compiled_g_run_its_program(self, route, wl, built):
         rng = random.Random(9)
         if route == "scalar":
             g, dom = parse_expr(wl.scalar_source(rng)[0]), wl.grid("slice", 24, rects=[wl.SLICE_RECT])
@@ -808,25 +826,31 @@ class TestProgram:
         off = zs[::5] + (0.31 + 0.43j) * dom.h  # off the lattice, and some below the axis
         off[::3] = off[::3].conj()
         gv = vect_part(g)
-        eval_stem_many(gv, off)  # compiled first: a flat program that computes g
+        eval_stem_many(gv, off)  # compiled first: a program that computes g
         eval_stem_many(g, zs)  # g keeps its own program
+        kept = {id(node) for node in tree_nodes(gv)}
         trees = [symmetrization(gv), scalar_part(g), symmetrization(g), exp_star(g) * gv]
         for tree in trees:
+            built.clear()
             program = expr_module._program(tree, None)
-            # fewer slots than distinct nodes: a compiled subtree is one step
-            assert id(g) in program.computed, tree
-            assert len(program.slots) < len({id(node) for node in tree_nodes(tree)}), tree
+            # only the nodes outside g and gv are built, each once; g's
+            # steps are spliced in and computed once
+            own = {id(node) for node in tree_nodes(tree)} - kept
+            assert sorted(map(id, built)) == sorted(own), tree
+            assert expr_module._program(g, None).computed.keys() <= program.computed.keys()
+            assert len(program.steps) == len(program.computed)
             assert np.array_equal(eval_stem_many(tree, off), recursive_stem(tree, off))
             assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
         with shared_stem(g, zs) as G:
             for tree in trees:  # g from the preset slot, not from gv's program
                 got = eval_stem_many(tree, zs)
-                preset = expr_module._program(tree, g)
-                assert preset.preset is not None and id(g) not in preset.computed
+                program, preset = expr_module._program(tree, None), expr_module._program(tree, g)
+                assert preset.preset == program.computed[id(g)] and id(g) not in preset.computed
+                assert preset.computed.keys() < program.computed.keys()
                 assert np.array_equal(got, recursive_stem(tree, zs, preset=(g, G)))
                 assert np.array_equal(eval_stem_many(tree, off), recursive_stem(tree, off))
 
-    def test_runs_nest_one_level_however_many_subtrees_keep_programs(self, monkeypatch):
+    def test_runs_do_not_nest_however_many_subtrees_keep_programs(self, monkeypatch):
         exp, depths = SCALAR_FUNCTIONS["exp"], []
 
         def recording(w):
@@ -837,15 +861,43 @@ class TestProgram:
             return exp(w)
 
         monkeypatch.setitem(SCALAR_FUNCTIONS, "exp", recording)
-        zs = np.array([0.3 + 0.5j, -0.1 - 0.2j])
-        tree = ScalarApply("exp", Q * const(0.5))
+        zs, q = np.array([0.3 + 0.5j, -0.1 - 0.2j]), VarQ()  # a q that keeps no program
+        tree = ScalarApply("exp", q * const(0.5))
         eval_stem_many(tree, zs)
         flat = max(depths)
         for k in range(2, 60):  # every prefix of the chain keeps a program
-            tree = tree + ScalarApply("exp", Q * const(0.5 / k))
+            tree = tree + ScalarApply("exp", q * const(0.5 / k))
             depths.clear()
             got = eval_stem_many(tree, zs)
-            assert max(depths) <= flat + 2, k  # one _run and one step deeper
+            assert max(depths) == flat, k  # one _run, whose steps call exp
+        assert np.array_equal(got, recursive_stem(tree, zs))
+
+    def test_every_prefix_of_a_chain_compiles_each_node_once(self, built):
+        q, tree, zs = VarQ(), None, np.array([0.3 + 0.5j, -0.2 - 0.7j])
+        for k in range(1, 301):  # Q*c1 + Q*c2 + ..., with a q of its own
+            term = q * const(1.0 / k)
+            tree = term if tree is None else tree + term
+            eval_stem_many(tree, zs)
+        assert len(built) == len({id(node) for node in tree_nodes(tree)}) == 900
+        assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
+
+    def test_a_tree_holding_g_twice_runs_its_steps_once(self, monkeypatch):
+        exp, calls = SCALAR_FUNCTIONS["exp"], []
+
+        def counting(w):
+            calls.append(w.size)
+            return exp(w)
+
+        monkeypatch.setitem(SCALAR_FUNCTIONS, "exp", counting)
+        q = VarQ()  # keeps no program, so g's program is compiled whole
+        g = ScalarApply("exp", q * const(0.5)) * const(I_UNIT) + q
+        gv, zs = vect_part(g), np.array([0.3 + 0.5j, -0.1 - 0.2j])
+        eval_stem_many(gv, zs)  # a program that computes g, compiled first
+        eval_stem_many(g, zs)  # g keeps its own
+        tree = gv + g
+        calls.clear()
+        got = eval_stem_many(tree, zs)
+        assert calls == [2]
         assert np.array_equal(got, recursive_stem(tree, zs))
 
     def test_a_second_log_star_call_compiles_no_node_of_g(self, wl, monkeypatch):
