@@ -37,7 +37,7 @@ from .expr import (
     StarSeries,
     eval_stem_many,
     evaluate,
-    shared_stem,
+    node_stem,
     slice_values,
     stem_complex,
 )
@@ -207,9 +207,9 @@ def _cmd_eval(args, report: Report) -> int:
 def _cmd_classify(args, report: Report) -> int:
     tree = parse_expr(args.expr)
     domain = _load_domain(args.domain)
-    with shared_stem(tree, domain.node_z):  # one evaluation of g at the nodes
-        summary = check_conditions(tree, domain)
-        shape = classify_vectorial(tree, domain)
+    tree = node_stem(tree, domain)  # one evaluation of g at the nodes
+    summary = check_conditions(tree, domain)
+    shape = classify_vectorial(tree, domain)
     print(f"vectorial class: {shape.kind}")
     for zero in shape.zeros:
         where = "" if zero.location is None else f" at {format_quaternion(zero.location)}"

@@ -268,6 +268,10 @@ class BasicDomainSpec:
         """Flat indices of grid nodes on the real axis."""
         return np.nonzero(self.node_y == 0.0)[0]
 
+    def at_nodes(self, zs) -> bool:
+        """Whether the points ``zs``, flat, are the grid nodes in node order."""
+        return np.shape(zs) == self.node_z.shape and np.array_equal(zs, self.node_z)
+
     def nearest_node(self, z: complex) -> int:
         return int(np.argmin(np.abs(self.node_z - z)))
 

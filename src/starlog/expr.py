@@ -14,22 +14,22 @@ root: a post-order list of steps over numbered slots, one per distinct node.
 A step is a function of its inputs' stems, so the steps of a program that a
 subtree's root already keeps are spliced in, renumbered: a tree derived from
 a compiled g (g_v^s, g_0, exp_*(f)) compiles its own nodes only, a node that
-two kept programs compute gets one slot, and every run is one loop.
-A subtree that reads no points (no q, I, lifted field or quotient) and holds
-no star series is folded at compile time into one (1, 4) row by the same
-step functions, so folding changes no bit; the row broadcasts against the
-stems it meets, and a tree that ends in one row (constants alone, or a star
-series of a constant) is widened to every point when its run ends.  A step
-that meets a floating-point error is not folded, so each evaluation meets
-it under its own ``np.errstate``.  Slice-preserving flags and star-product
+two kept programs compute gets one slot, and every run is one loop, apart
+from the nested runs of a quotient's rings and of a node stem off its nodes.
+A subtree that reads no points (no q, I, lifted field, quotient or node
+stem) and holds no star series is folded at compile time into one (1, 4)
+row by the same step functions, so folding changes no bit; the row
+broadcasts against the stems it meets, and a tree that ends in one row
+(constants alone, or a star series of a constant) is widened to every point
+when its run ends.  A step that meets a floating-point error is not folded,
+so each evaluation meets it under its own ``np.errstate``.  Slice-preserving flags and star-product
 kernels are fixed at compile time, and each slot is freed after its last
 consumer.  Stems are column-major: each component is one contiguous column.
 
-Inside a :func:`shared_stem` block, one expression's stem at one node array
-is evaluated once: a tree that contains the expression and is evaluated at
-that same array object runs a copy of its program pruned of the steps that
-only feed the expression, whose slot the stem fills.  At other points the
-expression is computed afresh, and no program keeps the stem.
+A :class:`NodeStem` pins an expression g to a domain's grid nodes:
+:func:`node_stem` evaluates g there once, a run at the node array reads that
+stem, and a run at other points evaluates g by one nested run of g's own
+program.  The node is a leaf, so compiling neither folds nor splices g.
 
 Nodes carry a structural slice-preserving flag (real stem components, exact
 zeros in the vector part); scalar branch functions may only be applied to
@@ -44,9 +44,7 @@ columns a + b*f_v, not a Hamilton product.
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -289,17 +287,29 @@ class QuotientBySP(SliceExpr):
         self._set_sp(self.child.slice_preserving)
 
 
+@dataclass(frozen=True, eq=False)
+class NodeStem(SliceExpr):
+    """g pinned to the grid nodes of a domain, made by :func:`node_stem`.
+
+    ``stem`` is the read-only stem of g at ``domain.node_z``, which lie in
+    the upper half plane; a run at other points evaluates g.
+    """
+
+    g: SliceExpr
+    domain: object = field(repr=False)  # domain.BasicDomainSpec
+    stem: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self._set_sp(self.g.slice_preserving)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
-# (expression, node array, its stem before the reflection) of the active
-# shared_stem block
-_SHARED: ContextVar[tuple | None] = ContextVar("shared_stem", default=None)
-
-# nodes that are never folded: q, I and a lifted field read the points, a
-# quotient patches the points near its zeros, and a star series is summed
-# term by term at every run
-_VARYING = (VarQ, UnitFn, GridFieldExpr, QuotientBySP, StarSeries)
+# nodes that are never folded: q, I, a lifted field and a node stem read the
+# points, a quotient patches the points near its zeros, and a star series is
+# summed term by term at every run
+_VARYING = (VarQ, UnitFn, GridFieldExpr, QuotientBySP, StarSeries, NodeStem)
 # the points a constant subtree is folded at; only the zeroth power reads them
 _FOLD_Z = np.zeros(1, dtype=complex)
 
@@ -308,14 +318,12 @@ class _Program(NamedTuple):
     """``slots`` holds the folded rows and None for the other slots.  A step
     (run, out, ins, dead) fills slot ``out`` with ``run(z, *stems)`` of the
     ``ins`` slots and frees the ``dead`` slots.  ``computed`` maps the id of
-    the node each step computes to its slot, in step order; ``preset`` is
-    the slot a shared stem fills, or None."""
+    the node each step computes to its slot, in step order."""
 
     slots: list
     steps: tuple
     result: int
     computed: dict
-    preset: int | None = None
 
 
 def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
@@ -330,23 +338,19 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
         return np.zeros((0, 4), dtype=complex)
     zhat = flat.real + 0j  # x + 0.0 and |y|, with no 0 * inf where y is infinite
     zhat.imag = np.abs(flat.imag)
-    shared = _SHARED.get()
-    seeded = shared is not None and zs is shared[1]
-    program = _program(expr, shared[0] if seeded else None)
-    C = _run(program, zhat, shared[2] if program.preset is not None else None)
+    C = _run(_program(expr), zhat)
     # a constant tree or a star series of a constant ends in one row, and a
-    # folded row is shared by every run, so it is copied even at one point
-    if C.shape[0] != flat.size or program.slots[program.result] is not None:
+    # folded row or a node stem, both read-only, is shared by every run, so
+    # it is copied even at one point
+    if C.shape[0] != flat.size or not C.flags.writeable:
         C = np.broadcast_to(C, (flat.size, 4)).copy(order="F")
     lower = flat.imag < 0
     return np.where(lower[:, None], C.conj(), C) if lower.any() else C
 
 
-def _run(program: _Program, z: np.ndarray, preset) -> np.ndarray:
+def _run(program: _Program, z: np.ndarray) -> np.ndarray:
     """The stem of a compiled tree at the points z (upper half plane)."""
     slots = program.slots.copy()
-    if program.preset is not None:
-        slots[program.preset] = preset
     stem = slots.__getitem__
     for run, out, ins, dead in program.steps:
         slots[out] = run(z, *map(stem, ins))
@@ -355,21 +359,13 @@ def _run(program: _Program, z: np.ndarray, preset) -> np.ndarray:
     return slots[program.result]
 
 
-def _program(root: SliceExpr, preset: SliceExpr | None) -> _Program:
-    """The program of ``root``, compiled on first use and kept on the node.
-
-    When a step of it computes the ``preset`` node, it is a copy pruned for
-    that node's slot, kept under the node's id: the tree keeps the node
-    alive, so the id stays its own while the copy lives.
-    """
-    programs = getattr(root, "_programs", None)
-    if programs is None:
-        programs = {None: _compile(root)}
-        object.__setattr__(root, "_programs", programs)
-    plain, key = programs[None], id(preset)
-    if key in plain.computed and key not in programs:  # a preset the tree computes
-        programs[key] = _assemble(plain, plain.computed[key])
-    return programs.get(key, plain)
+def _program(root: SliceExpr) -> _Program:
+    """The program of ``root``, compiled on first use and kept on the node."""
+    program = getattr(root, "_program", None)
+    if program is None:
+        program = _compile(root)
+        object.__setattr__(root, "_program", program)
+    return program
 
 
 def _children(node: SliceExpr) -> tuple:
@@ -396,7 +392,7 @@ def _compile(root: SliceExpr) -> _Program:
         node, ready = stack.pop()
         if id(node) in slot_of:
             continue
-        sub = None if ready or node is root else getattr(node, "_programs", {}).get(None)
+        sub = None if ready or node is root else getattr(node, "_program", None)
         if sub is not None:
             slot_of[id(node)] = _splice(sub, slots, steps, slot_of, computed)
             continue
@@ -439,18 +435,15 @@ def _splice(sub: _Program, slots: list, steps: list, slot_of: dict, computed: di
     return slot(sub.result)
 
 
-def _assemble(program: _Program, preset=None) -> _Program:
-    """``program`` without the steps that only feed the slot ``preset``,
-    which is filled from outside, each step with the slots it reads last,
-    apart from folded rows, to free after it."""
-    slots, needed, kept = program.slots, {program.result}, []
-    for run, out, ins, *_ in reversed(program.steps):
-        if out in needed and out != preset:
-            dead = tuple(sorted({i for i in ins if i not in needed and slots[i] is None}))
-            kept.append((run, out, ins, dead))
-            needed.update(ins)
-    computed = {node: i for node, i in program.computed.items() if i in needed and i != preset}
-    return program._replace(steps=tuple(reversed(kept)), computed=computed, preset=preset)
+def _assemble(program: _Program) -> _Program:
+    """``program`` with each step given the slots it reads last, apart from
+    folded rows, to free after it."""
+    slots, read, steps = program.slots, {program.result}, []
+    for run, out, ins in reversed(program.steps):
+        dead = tuple(sorted({i for i in ins if i not in read and slots[i] is None}))
+        steps.append((run, out, ins, dead))
+        read.update(ins)
+    return program._replace(steps=tuple(reversed(steps)))
 
 
 def _fold(run, slots: list, ins: tuple) -> np.ndarray | None:
@@ -511,28 +504,28 @@ def _step(node: SliceExpr):
         return lambda z: _scalar(np.asarray(fld.sample(z), dtype=complex))
     if isinstance(node, QuotientBySP):
         return _quotient(node)
+    if isinstance(node, NodeStem):
+        g, at_nodes, stem = node.g, node.domain.at_nodes, node.stem
+        return lambda z: stem if at_nodes(z) else eval_stem_many(g, z)
     raise ExprError(f"cannot evaluate node {type(node).__name__}")
 
 
-@contextmanager
-def shared_stem(expr: SliceExpr, nodes: np.ndarray):
-    """Evaluate the stem of ``expr`` at the array ``nodes`` once and yield it.
-
-    Until the block ends, every :func:`eval_stem_many` call handed that same
-    array object reuses the stem wherever ``expr`` occurs in the evaluated
-    tree.  Other points are evaluated as usual.  Overflow in the stem raises no
-    warning: the values may be non-finite, and the caller must check them.
+def node_stem(g: SliceExpr, domain) -> NodeStem:
+    """g pinned to the grid nodes of ``domain``: its stem there is evaluated
+    once, here, and every run of a tree holding the node at the node array
+    reads it.  A g that is a node stem on ``domain`` already comes back
+    unchanged.
+    Overflow in the stem raises no warning: the values may be non-finite,
+    and the caller must check them.
     """
+    if isinstance(g, NodeStem) and g.domain is domain:
+        return g
     with np.errstate(over="ignore", invalid="ignore"):
-        C = eval_stem_many(expr, nodes)
-    lower = (np.asarray(nodes).imag < 0).ravel()
-    pre = np.where(lower[:, None], C.conj(), C) if lower.any() else C  # undo the reflection
-    pre.flags.writeable = False  # handed out to every evaluation of ``expr`` itself
-    token = _SHARED.set((expr, nodes, pre))
-    try:
-        yield C
-    finally:
-        _SHARED.reset(token)
+        stem = eval_stem_many(g, domain.node_z)
+    stem.flags.writeable = False  # handed to every run at the nodes
+    node = NodeStem(g, domain, stem)
+    _program(node)  # kept, so that every tree holding the node splices its one step
+    return node
 
 
 def slice_values(C: np.ndarray, unit: Quaternion) -> np.ndarray:

@@ -94,7 +94,7 @@ class LiftedScalarField:
         """
         flat = np.asarray(zs, dtype=complex).ravel()
         d = self.domain
-        if flat.shape == d.node_z.shape and np.array_equal(flat, d.node_z):
+        if d.at_nodes(flat):
             return self.values.copy().reshape(np.shape(zs))
         lower = flat.imag < 0
         pts = np.where(lower, np.conj(flat), flat)

@@ -12,9 +12,10 @@ whose expression ``f`` satisfies ``exp_star(f) = g`` up to a verified residual:
 * ``fold``         -- g_v^s has isolated or odd-order zeros; f needs the
   two-sheeted inverse of mu continued around its fold.
 
-Each call evaluates the stem G of g at the grid nodes once: the node checks
-read it, and every other node evaluation of a tree holding g reuses it
-through :func:`expr.shared_stem`.  A g not finite at a node is a DomainError.
+Each call pins g to the grid nodes by :func:`expr.node_stem`, which
+evaluates its stem G there once: the node checks read G, and so does every
+tree built from the pinned g when it is evaluated at the nodes.  A g not
+finite at a node is a DomainError.
 
 Branches are indexed by a pair of integers (m, n): m counts scalar half-turns
 exp(i pi m) and n counts vectorial half-turns around a spherical unit.
@@ -23,7 +24,6 @@ exp(i pi m) and n counts vectorial half-turns around a spherical unit.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -50,7 +50,7 @@ from .expr import (
     SliceExpr,
     const,
     eval_stem_many,
-    shared_stem,
+    node_stem,
     slice_values,
     stem_complex,
     sup_parts,
@@ -156,34 +156,33 @@ class LogResult:
 # grid sampling helpers
 
 
-@contextmanager
 def _node_stem(g: SliceExpr, domain: BasicDomainSpec):
-    """Evaluate g at the grid nodes once, check it, and share it for the block.
+    """Pin g to the grid nodes and check it there.
 
-    Yields (G, g^s, min |g|, max |g|): the stem at the nodes, the
-    symmetrization there and the range of |g| on the check slices.  Every
-    evaluation at ``domain.node_z`` inside the block of a tree holding g
-    reuses G.  Raises DomainError where g, g^s or |g| is not finite at a
-    node, and Vanishing where |g| on a check slice or g^s comes near zero.
+    Returns (g pinned, G, g^s, min |g|, max |g|): the stem at the nodes, the
+    symmetrization there and the range of |g| on the check slices.  Raises
+    DomainError where g, g^s or |g| is not finite at a node, and Vanishing
+    where |g| on a check slice or g^s comes near zero.
     """
-    with shared_stem(g, domain.node_z) as G:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-            sym = qsym(G)  # the arithmetic of Symm
-            mags = np.stack([np.linalg.norm(slice_values(G, u), axis=1) for u in VERIFY_UNITS])
-        bad = ~(np.isfinite(G).all(axis=1) & np.isfinite(sym) & np.isfinite(mags).all(axis=0))
-        if bad.any():
-            raise DomainError(
-                f"g, |g| or g^s is not finite at {int(bad.sum())} of {bad.size} grid nodes"
-            )
-        lo, hi = float(mags.min()), float(mags.max())
-        if lo < VANISH_REL * (1.0 + hi):
-            raise Vanishing(f"|g| reaches {lo:.3e} on the grid (scale {hi:.3e})")
-        sym_lo = float(np.abs(sym).min())
-        if sym_lo < (VANISH_REL * (1.0 + hi)) ** 2:
-            raise Vanishing(
-                f"g^s reaches {sym_lo:.3e} on the grid; g vanishes on some slice"
-            )
-        yield G, sym, lo, hi
+    g = node_stem(g, domain)
+    G = g.stem
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        sym = qsym(G)  # the arithmetic of Symm
+        mags = np.stack([np.linalg.norm(slice_values(G, u), axis=1) for u in VERIFY_UNITS])
+    bad = ~(np.isfinite(G).all(axis=1) & np.isfinite(sym) & np.isfinite(mags).all(axis=0))
+    if bad.any():
+        raise DomainError(
+            f"g, |g| or g^s is not finite at {int(bad.sum())} of {bad.size} grid nodes"
+        )
+    lo, hi = float(mags.min()), float(mags.max())
+    if lo < VANISH_REL * (1.0 + hi):
+        raise Vanishing(f"|g| reaches {lo:.3e} on the grid (scale {hi:.3e})")
+    sym_lo = float(np.abs(sym).min())
+    if sym_lo < (VANISH_REL * (1.0 + hi)) ** 2:
+        raise Vanishing(
+            f"g^s reaches {sym_lo:.3e} on the grid; g vanishes on some slice"
+        )
+    return g, G, sym, lo, hi
 
 
 def _sp_ratio(num: SliceExpr, den: SliceExpr, zs) -> np.ndarray:
@@ -261,23 +260,23 @@ def check_conditions(g: SliceExpr, domain: BasicDomainSpec) -> ConditionSummary:
     The phase is slice preserving, so every slice sees the same distance to
     the slit; the grid test covers all of them.
     """
-    with _node_stem(g, domain) as (G, sym, lo, hi):
-        cond1, details = _positive_trace(G, domain)
-        realimage: bool | None = None
-        if domain.kind == "slice":
-            reals = domain.real_nodes
-            if reals.size:
-                tr = sym[reals]
-                realimage = bool(
-                    np.abs(tr.imag).max() <= 1e-9 * (1.0 + np.abs(tr).max())
-                    and tr.real.min() > 0.0
-                )
-                details["sym_trace_min"] = float(tr.real.min())
+    g, G, sym, lo, hi = _node_stem(g, domain)
+    cond1, details = _positive_trace(G, domain)
+    realimage: bool | None = None
+    if domain.kind == "slice":
+        reals = domain.real_nodes
+        if reals.size:
+            tr = sym[reals]
+            realimage = bool(
+                np.abs(tr.imag).max() <= 1e-9 * (1.0 + np.abs(tr).max())
+                and tr.real.min() > 0.0
+            )
+            details["sym_trace_min"] = float(tr.real.min())
 
-        t_nodes = G[:, 0] / np.exp(0.5 * _sym_log(g, domain).values)
-        counterex, margin = _slit_ok(t_nodes, domain)
-        details["phase_nodes"] = int(t_nodes.size)
-        details["units_checked"] = len(VERIFY_UNITS)
+    t_nodes = G[:, 0] / np.exp(0.5 * _sym_log(g, domain).values)
+    counterex, margin = _slit_ok(t_nodes, domain)
+    details["phase_nodes"] = int(t_nodes.size)
+    details["units_checked"] = len(VERIFY_UNITS)
     return ConditionSummary(lo, hi, cond1, realimage, counterex, margin, details)
 
 
@@ -549,35 +548,35 @@ def log_star(
         branch = BranchSpec(*branch)
     domain.validate(strict=True)
 
-    with _node_stem(g, domain) as (G, _, lo, hi):
-        report = classify_vectorial(g, domain)
-        if report.kind == "zero" and rep is None:
-            f, diag = _scalar_route(g, G, domain, branch)
-            case = "scalar"
-        elif report.kind in ("zero", "no-zeros"):
-            f, diag = _angle_route(g, domain, branch, report, rep)
-            case = "angle"
-        elif report.kind == "null-symmetrization":
-            if rep is not None:
-                raise ConditionFailed(
-                    "representative", "this class has no spherical period to turn"
-                )
-            f, diag = _null_vector_route(g, G, domain, branch)
-            case = "null-vector"
-        else:
-            if rep is not None:
-                raise ConditionFailed(
-                    "representative",
-                    "no continuous representative crosses an isolated zero",
-                )
-            f, diag = _fold_route(g, domain, branch, report)
-            case = "fold"
+    g, G, _, lo, hi = _node_stem(g, domain)
+    report = classify_vectorial(g, domain)
+    if report.kind == "zero" and rep is None:
+        f, diag = _scalar_route(g, G, domain, branch)
+        case = "scalar"
+    elif report.kind in ("zero", "no-zeros"):
+        f, diag = _angle_route(g, domain, branch, report, rep)
+        case = "angle"
+    elif report.kind == "null-symmetrization":
+        if rep is not None:
+            raise ConditionFailed(
+                "representative", "this class has no spherical period to turn"
+            )
+        f, diag = _null_vector_route(g, G, domain, branch)
+        case = "null-vector"
+    else:
+        if rep is not None:
+            raise ConditionFailed(
+                "representative",
+                "no continuous representative crosses an isolated zero",
+            )
+        f, diag = _fold_route(g, domain, branch, report)
+        case = "fold"
 
-        residual = residual_sup(f, g, domain)
-        if residual > RESIDUAL_ACCEPT:
-            raise ResidualRejected(residual, RESIDUAL_ACCEPT)
-        if not linearly_dependent(vect_part(f), vect_part(g), domain):
-            raise ClassificationError("the result left the congruence class of g")
+    residual = residual_sup(f, g, domain)
+    if residual > RESIDUAL_ACCEPT:
+        raise ResidualRejected(residual, RESIDUAL_ACCEPT)
+    if not linearly_dependent(vect_part(f), vect_part(g), domain):
+        raise ClassificationError("the result left the congruence class of g")
     diag["min_abs_g"] = lo
     diag["scale"] = hi
     diag["class_preserved"] = True

@@ -49,7 +49,7 @@ from .expr import (
     StarMul,
     const,
     eval_stem_many,
-    shared_stem,
+    node_stem,
     stem_complex,
     sup_parts,
 )
@@ -600,9 +600,8 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
 
     Raises DomainError where g or g_v^s is not finite at a grid node.
     """
-    gv = vect_part(g)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        C = eval_stem_many(g, domain.node_z)
+    g = node_stem(g, domain)
+    gv, C = vect_part(g), g.stem
     _require_finite(C, "g")
     full_scale = sup_parts(C)
     comps = C[:, 1:]  # the vector part of g has the same components
@@ -613,19 +612,18 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
         return VectorialClassReport("zero", [], vect_scale, 0.0)
 
     sym = symmetrization(gv)
-    # one evaluation of g_v^s at the nodes, which find_zeros_sp reads again
-    with shared_stem(sym, domain.node_z) as S:
-        sym_vals = S[:, 0]
-        _require_finite(sym_vals, "g_v^s")
-        sym_scale = float(np.abs(sym_vals).max())
-        if sym_scale <= 1e-12 * (1.0 + vect_scale * vect_scale):  # inf, not OverflowError
-            if domain.kind == "slice":
-                raise ClassificationError(
-                    "the symmetrized vectorial part cannot vanish identically on a "
-                    "slice-type domain unless the vectorial part does"
-                )
-            return VectorialClassReport("null-symmetrization", [], vect_scale, sym_scale)
-        spheres = find_zeros_sp(sym, domain)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        sym_vals = stem_complex(sym, domain.node_z)
+    _require_finite(sym_vals, "g_v^s")
+    sym_scale = float(np.abs(sym_vals).max())
+    if sym_scale <= 1e-12 * (1.0 + vect_scale * vect_scale):  # inf, not OverflowError
+        if domain.kind == "slice":
+            raise ClassificationError(
+                "the symmetrized vectorial part cannot vanish identically on a "
+                "slice-type domain unless the vectorial part does"
+            )
+        return VectorialClassReport("null-symmetrization", [], vect_scale, sym_scale)
+    spheres = find_zeros_sp(sym, domain)
 
     # stem columns of the vector components that do not vanish identically
     live = [1 + i for i in range(3) if comp_sup[i] > ZERO_REL * (1.0 + vect_scale)]

@@ -105,10 +105,10 @@ def test_classify_evaluates_g_once_on_the_grid(domains, monkeypatch, capsys):
         trees.append(parse(text))
         return trees[-1]
 
-    def counting(program, z, preset):
+    def counting(program, z):
         if id(trees[0]) in program.computed and z.size == n_nodes:
             computed.append(z.size)
-        return run(program, z, preset)
+        return run(program, z)
 
     monkeypatch.setattr(cli, "parse_expr", parsing)
     monkeypatch.setattr(expr_module, "_run", counting)

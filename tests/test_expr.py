@@ -33,6 +33,7 @@ from starlog.expr import (
     GridFieldExpr,
     IntPow,
     Neg,
+    NodeStem,
     Q,
     QuotientBySP,
     RegConj,
@@ -52,7 +53,7 @@ from starlog.expr import (
     eval_stem_many,
     evaluate,
     is_slice_preserving,
-    shared_stem,
+    node_stem,
     stem_complex,
 )
 from starlog.logarithm import log_star
@@ -342,40 +343,77 @@ class TestScalarApply:
         assert np.allclose(one, 1.0, atol=1e-13)
 
 
-class TestSharedStem:
-    def test_trees_holding_the_expression_reuse_its_stem(self):
-        f = star_mul(Q, const(I_UNIT)) + star_mul(Q * Q, const(J_UNIT))
-        tree = star_mul(symmetrization(vect_part(f)), f) + scalar_part(f)
-        nodes = np.array([0.3 + 0.5j, -0.2 - 0.7j, 1.1 + 0.2j, 0.4 - 0.1j])
-        want_f, want_tree = eval_stem_many(f, nodes), eval_stem_many(tree, nodes)
-        with shared_stem(f, nodes) as C:
-            # the stored stem is the one before the reflection, so points
-            # below the axis come out right
-            assert np.array_equal(C, want_f)
-            assert np.array_equal(eval_stem_many(f, nodes), want_f)
-            assert np.array_equal(eval_stem_many(tree, nodes), want_tree)
-            assert np.array_equal(eval_stem_many(tree, nodes.copy()), want_tree)
-        assert np.array_equal(eval_stem_many(tree, nodes), want_tree)
+class TestNodeStem:
+    G = star_mul(Q, const(I_UNIT)) + star_mul(Q * Q, const(J_UNIT))
 
-    def test_reuse_needs_the_same_node_array(self, monkeypatch):
-        import starlog.expr as expr_module
+    @staticmethod
+    def points(dom):
+        """The nodes, a copy of them, their reflection, and points off the
+        lattice, a third of them below the axis."""
+        off = dom.node_z[::3] + (0.31 + 0.43j) * dom.h
+        off[::3] = off[::3].conj()
+        return [dom.node_z, dom.node_z.copy(), dom.node_z.conj(), off]
 
-        f = star_mul(Q, const(I_UNIT))
-        nodes = np.array([0.3 + 0.5j, 0.4 - 0.1j])
-        run = expr_module._run
-        computed = []
+    def test_trees_holding_the_node_match_the_tree_of_g(self, wl):
+        dom = wl.grid("product", 8, rects=[wl.PRODUCT_RECT])
+        g = self.G
+        pinned = node_stem(g, dom)
+        assert np.array_equal(pinned.stem, eval_stem_many(g, dom.node_z))
+        assert not pinned.stem.flags.writeable and pinned.slice_preserving == g.slice_preserving
 
-        def counting(program, z, preset):
-            if id(f) in program.computed:
+        def mixed(f):
+            return star_mul(symmetrization(vect_part(f)), f) + scalar_part(f)
+
+        for build in (lambda f: f, vect_part, mixed):
+            tree = build(pinned)
+            for zs in self.points(dom):
+                got = eval_stem_many(tree, zs)
+                assert got.flags.writeable  # the kept stem is not handed out
+                assert np.array_equal(got, eval_stem_many(build(g), zs))
+                assert np.array_equal(got, recursive_stem(tree, zs))
+
+    def test_a_run_at_the_nodes_reads_the_stem(self, wl, monkeypatch):
+        dom = wl.grid("product", 8, rects=[wl.PRODUCT_RECT])
+        g = star_mul(VarQ(), const(I_UNIT))
+        run, computed = expr_module._run, []
+
+        def counting(program, z):
+            if id(g) in program.computed:
                 computed.append(z.size)
-            return run(program, z, preset)
+            return run(program, z)
 
         monkeypatch.setattr(expr_module, "_run", counting)
-        with shared_stem(f, nodes):
-            eval_stem_many(vect_part(f), nodes)
-            eval_stem_many(vect_part(f), nodes.copy())
-        eval_stem_many(vect_part(f), nodes)
-        assert computed == [2, 2, 2]  # the block's own, the copy's, after the block
+        pinned = node_stem(g, dom)
+        assert computed == [dom.n_nodes]
+        nodes, copy, reflected, off = self.points(dom)
+        for zs in (nodes, copy, reflected, off):
+            eval_stem_many(vect_part(pinned), zs)
+        assert computed == [dom.n_nodes, off.size]  # one nested run of g, off the nodes
+
+    def test_pins_do_not_stack(self, wl):
+        dom = wl.grid("product", 8, rects=[wl.PRODUCT_RECT])
+        other = wl.grid("product", 6, rects=[wl.PRODUCT_RECT])
+        pinned = node_stem(self.G, dom)
+        assert node_stem(pinned, dom) is pinned
+        again = node_stem(pinned, other)
+        assert again.g is pinned and again.domain is other
+        assert np.array_equal(eval_stem_many(again, dom.node_z), pinned.stem)
+
+    def test_the_stem_is_freed_with_the_last_tree_holding_it(self, wl):
+        dom = wl.grid("product", 8, rects=[wl.PRODUCT_RECT])
+        g = star_mul(Q, const(I_UNIT)) + Q
+        pinned = node_stem(g, dom)
+        trees = [symmetrization(vect_part(pinned)) + pinned, exp_star(pinned)]
+        for tree in trees:
+            for zs in self.points(dom):
+                eval_stem_many(tree, zs)
+        ref = weakref.ref(pinned.stem)
+        del pinned, tree
+        trees.pop()
+        assert ref() is not None  # the first tree still holds it
+        trees.pop()
+        # g keeps its program, which never saw the stem
+        assert ref() is None and expr_module._program(g).steps
 
 
 class TestLayout:
@@ -638,6 +676,8 @@ def recursive_eval(expr, z, cache):
         out = E._star_series(expr.kind, expr.max_terms, recursive_eval(expr.child, z, cache))
     elif isinstance(expr, GridFieldExpr):
         out = E._scalar(np.asarray(expr.fld.sample(z), dtype=complex))
+    elif isinstance(expr, NodeStem):  # g itself, also at the nodes
+        out = recursive_eval(expr.g, z, cache)
     else:  # QuotientBySP
         coeffs = np.asarray(expr.coeffs, dtype=float)
         dist = np.full(z.shape, np.inf)
@@ -658,16 +698,12 @@ def recursive_eval(expr, z, cache):
     return out
 
 
-def recursive_stem(expr, zs, preset=None):
-    """eval_stem_many by the recursive reference; ``preset`` = (node, stem)."""
+def recursive_stem(expr, zs):
+    """eval_stem_many by the recursive reference."""
     flat = np.asarray(zs, dtype=complex).ravel()
     zhat = flat.real + 1j * np.abs(flat.imag)
     lower = flat.imag < 0
-    cache = {}
-    if preset is not None:  # the stem before the reflection, as shared_stem keeps it
-        node, C = preset
-        cache[id(node)] = np.where(lower[:, None], C.conj(), C)
-    C = recursive_eval(expr, zhat, cache)
+    C = recursive_eval(expr, zhat, {})
     if C.shape[0] != flat.size:
         C = np.broadcast_to(C, (flat.size, 4)).copy(order="F")
     return np.where(lower[:, None], C.conj(), C) if lower.any() else C
@@ -680,7 +716,7 @@ def tree_nodes(tree):
 
 
 def steps(tree):
-    return len(expr_module._program(tree, None).steps)
+    return len(expr_module._program(tree).steps)
 
 
 @pytest.fixture
@@ -747,14 +783,13 @@ class TestProgram:
         got[0, 0] = 7.0
         assert eval_stem_many(tree, [0.5 + 0.5j])[0, 0] == 1.0
 
-    def test_overflow_is_not_folded_away(self):
+    def test_overflow_is_not_folded_away(self, wl):
         # compiled first where overflow is ignored, the tree must still meet
         # the overflow at every later evaluation, as a fresh tree does
         tree = ScalarApply("exp", const(800.0)) * Q
         with pytest.raises(DomainError):
             evaluate(tree, Quaternion(0.5, 0.5, 0.0, 0.0))
-        with shared_stem(tree, np.array([0.5 + 0.5j])):
-            pass
+        node_stem(tree, wl.grid("product", 4, rects=[wl.PRODUCT_RECT]))
         for t in (tree, ScalarApply("exp", const(800.0)) * Q):
             for _ in range(2):
                 with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
@@ -785,11 +820,10 @@ class TestProgram:
         zs = dom.node_z
         for tree in trees:
             assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
-        if g is not None:  # the preset program of a shared stem
-            gvs = symmetrization(vect_part(g))
-            with shared_stem(g, zs) as G:
-                got = eval_stem_many(gvs, zs)
-            assert np.array_equal(got, recursive_stem(gvs, zs, preset=(g, G)))
+        if g is not None:  # g pinned to the nodes
+            gvs = symmetrization(vect_part(node_stem(g, dom)))
+            for points in (zs, zs.conj()):
+                assert np.array_equal(eval_stem_many(gvs, points), recursive_stem(gvs, points))
 
     def test_fold_input_folds_its_constants(self, wl, built):
         # c p (-1 + q^2 i + sqrt2 q j + k) conj(p): 52 nodes, 42 of them in
@@ -803,9 +837,9 @@ class TestProgram:
         # once g keeps its program, g_v^s splices g's 10 steps and builds
         # Symm and VectPart only
         built.clear()
-        gvs = expr_module._program(symmetrization(vect_part(g)), None)
+        gvs = expr_module._program(symmetrization(vect_part(g)))
         assert len(gvs.steps) == 12 and len(built) == 2
-        assert expr_module._program(g, None).computed.keys() <= gvs.computed.keys()
+        assert expr_module._program(g).computed.keys() <= gvs.computed.keys()
         assert steps(const(2.0) * const(I_UNIT) + 1) == 0
 
     @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
@@ -832,23 +866,27 @@ class TestProgram:
         trees = [symmetrization(gv), scalar_part(g), symmetrization(g), exp_star(g) * gv]
         for tree in trees:
             built.clear()
-            program = expr_module._program(tree, None)
+            program = expr_module._program(tree)
             # only the nodes outside g and gv are built, each once; g's
             # steps are spliced in and computed once
             own = {id(node) for node in tree_nodes(tree)} - kept
             assert sorted(map(id, built)) == sorted(own), tree
-            assert expr_module._program(g, None).computed.keys() <= program.computed.keys()
+            assert expr_module._program(g).computed.keys() <= program.computed.keys()
             assert len(program.steps) == len(program.computed)
             assert np.array_equal(eval_stem_many(tree, off), recursive_stem(tree, off))
             assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
-        with shared_stem(g, zs) as G:
-            for tree in trees:  # g from the preset slot, not from gv's program
-                got = eval_stem_many(tree, zs)
-                program, preset = expr_module._program(tree, None), expr_module._program(tree, g)
-                assert preset.preset == program.computed[id(g)] and id(g) not in preset.computed
-                assert preset.computed.keys() < program.computed.keys()
-                assert np.array_equal(got, recursive_stem(tree, zs, preset=(g, G)))
-                assert np.array_equal(eval_stem_many(tree, off), recursive_stem(tree, off))
+        pinned = node_stem(g, dom)
+        pinned_trees = [
+            symmetrization(vect_part(pinned)),
+            scalar_part(pinned),
+            symmetrization(pinned),
+            exp_star(pinned) * vect_part(pinned),
+        ]
+        for tree in pinned_trees:  # g from the node's stem, not from g's program
+            program = expr_module._program(tree)
+            assert id(pinned) in program.computed and id(g) not in program.computed
+            for points in (zs, off):
+                assert np.array_equal(eval_stem_many(tree, points), recursive_stem(tree, points))
 
     def test_runs_do_not_nest_however_many_subtrees_keep_programs(self, monkeypatch):
         exp, depths = SCALAR_FUNCTIONS["exp"], []
@@ -932,24 +970,15 @@ class TestProgram:
         # a cache of every intermediate holds 400 stems
         assert peak < 8 * C.nbytes
 
-    def test_preset_stem_is_not_kept_after_the_block(self):
-        f = star_mul(Q, const(I_UNIT)) + Q
-        tree = symmetrization(vect_part(f)) + f
-        nodes = np.array([0.3 + 0.5j, 1.1 + 0.2j, -0.4 + 0.9j])
-        with shared_stem(f, nodes) as C:
-            ref = weakref.ref(C)  # no point below the axis: C is the preset stem
-            eval_stem_many(tree, nodes)
-            del C
-        assert ref() is None
-
     def test_compiling_keeps_equality_hash_and_repr(self, wl):
         source = wl.fold_source(random.Random(2))
         tree, twin = parse_expr(source), parse_expr(source)
         before = hash(tree), repr(tree)
         zs = random_points(9)
         eval_stem_many(tree, zs)
-        with shared_stem(tree.right, zs):
-            eval_stem_many(tree, zs)
-        assert expr_module._program(tree, None).steps  # compiled
+        pinned = node_stem(tree.right, wl.grid("product", 4, rects=[wl.PRODUCT_RECT]))
+        eval_stem_many(tree.left + pinned, zs)
+        assert expr_module._program(tree).steps  # compiled
+        assert repr(pinned) == f"NodeStem(g={tree.right!r})"
         assert tree == twin and hash(tree) == hash(twin)
         assert (hash(tree), repr(tree)) == before == (hash(twin), repr(twin))

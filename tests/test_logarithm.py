@@ -380,10 +380,10 @@ def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
     run = expr_module._run
     computed = []
 
-    def counting(program, z, preset):
+    def counting(program, z):
         if id(g) in program.computed and z.size == dom.n_nodes:
             computed.append(z.size)
-        return run(program, z, preset)
+        return run(program, z)
 
     monkeypatch.setattr(expr_module, "_run", counting)
     assert log_star(g, dom).case == route

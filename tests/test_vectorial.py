@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from starlog import vectorial
+from starlog import expr as expr_module, vectorial
 from starlog.algebra import symmetrization, vect_part
 from starlog.domain import BasicDomainSpec
 from starlog.errors import (
@@ -456,6 +456,21 @@ def test_scalar_function_classifies_as_zero(slice_rect):
     report = classify_vectorial(Q * Q - const(1.5), slice_rect)
     assert report.kind == "zero"
     assert report.zeros == []
+
+
+@pytest.mark.parametrize("source", ["q^2*j + 2", "-1 + q^2*i + 1.4142135623730951*q*j + k"])
+def test_classify_evaluates_g_once_on_the_grid(source, product_rect, monkeypatch):
+    # g_v^s at the nodes and the zero finder's node pass read the stem of g
+    g, run, computed = parse_expr(source), expr_module._run, []
+
+    def counting(program, z):
+        if id(g) in program.computed and z.size == product_rect.n_nodes:
+            computed.append(z.size)
+        return run(program, z)
+
+    monkeypatch.setattr(expr_module, "_run", counting)
+    classify_vectorial(g, product_rect)
+    assert len(computed) == 1
 
 
 @pytest.mark.parametrize(
