@@ -2,21 +2,19 @@
 
 Lifted fields store one complex value per grid node, exact there by
 construction: log lifts store Log(u) + 2 pi i k for an integer sheet label k,
-and mu lifts store the nearest closed-form root (+-arccos t + 2 pi n)**2, so
-verification at nodes sees no continuation drift.  Between nodes a field
-continues one more edge, from the nearest node to the point, with the same
-step as the grid lift, so off-node values are exact too.
+and mu lifts store the root (s arccos t + 2 pi n)**2 for an integer label
+(s, n).  Between nodes a field continues one more edge, from the nearest
+node's stored value, with the same step as the grid lift.
 
 All lifts follow the breadth-first tree of the grid graph from a base node,
-which the domain builds once and keeps.  A log lift (an angle lift is one)
-takes a principal log step along every tree edge at once and turns each into
-an integer change of sheet label; the labels are summed from the base, level
-by level.  The mu lift walks the tree one level at a time: all (parent,
-child) edges of a level step to the nearest root of mu in one batch.  In both,
-only the edges whose step fails, because it turns by more than the safety
-angle pi/4 or another root of mu lies nearly as close, are bisected, with the
-target evaluated at their midpoints in one batched call per round, up to a
-depth limit.
+which the domain keeps.  One batched step along every tree edge, from the
+principal value at its parent, gives the edge an element x -> s x + 2 pi n of
+the infinite dihedral group: a log step (an angle lift is a log lift) changes
+the sheet, s = 1, and a mu step takes the root nearest arccos t at the parent.
+Only the steps that turn by more than the safety angle pi/4, or find another
+root of mu nearly as close, are bisected, with one batched target call per
+round, up to a depth limit.  One level loop composes the elements from the
+base in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -34,37 +32,21 @@ SAFETY = math.pi / 4
 MAX_DEPTH = 10
 TWO_PI = 2.0 * math.pi
 _NODE_SNAP = 1e-7  # fraction of h
+_BP_TOL = 1e-9
 # (row, column) lattice offsets searched for the nearest node of an off-node point
 _WINDOW = np.mgrid[-2:3, -2:3].reshape(2, -1)
 
 
 @dataclass(frozen=True)
 class Walk:
-    """How a lifted coordinate follows its target along a batch of straight edges.
-
-    ``step(v, ta, tb) -> (vb, ok)`` advances values from targets ta to tb in
-    closed form, a principal log step or the nearest root of mu, and
-    ``settle(v_start, v_end, t_end)`` gives the stored end values and the step
-    sizes.  Failed steps are bisected by :func:`_bisect`.
-    """
+    """How a lifted coordinate follows its target along a batch of straight edges:
+    ``step(v, ta, tb) -> (vb, ok)`` moves values from targets ta to tb, by a
+    principal log step or to the root psi of mu nearest psi (G = psi**2)."""
 
     target: Callable
     step: Callable
-    settle: Callable
     stalled: Callable
     vanished: Callable | None = None
-
-    def advance(self, za, ta, va, zb, tb):
-        """End values of edges from za to zb, the deepest bisection, the step
-        sizes and the number of edges bisected."""
-        v, ok = self.step(va, ta, tb)
-        depth = 0
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            v[bad], depths = _bisect((za[bad], ta[bad], va[bad]), (zb[bad], tb[bad]), self)
-            depth = int(depths.max())
-        vb, sizes = self.settle(va, v, tb)
-        return vb, depth, sizes, bad.size
 
 
 @dataclass
@@ -84,13 +66,12 @@ class LiftedScalarField:
     def sample(self, zs) -> np.ndarray:
         """Values at arbitrary leaf points; node queries read the stored values.
 
-        A query equal to ``domain.node_z`` (that array, or a copy such as the
-        points a program run hands to a ``GridFieldExpr``) returns a copy of
-        the stored values without locating the points.  Elsewhere a point
-        within a snap tolerance of a node reads that node's value, and any
-        other continues one edge from its nearest node.  A point that is not
-        finite or lies farther from the lattice than any grid spans raises
-        :class:`OutsideDomain`.
+        A query equal to ``domain.node_z`` (or a copy, such as the points a
+        program run hands to a ``GridFieldExpr``) returns a copy of the stored
+        values.  Elsewhere a point within a snap tolerance of a node reads its
+        value, and any other continues one edge from its nearest node.  A
+        point not finite or farther from the lattice than any grid spans
+        raises :class:`OutsideDomain`.
         """
         flat = np.asarray(zs, dtype=complex).ravel()
         d = self.domain
@@ -132,18 +113,20 @@ class LiftedScalarField:
         bad = (t == 0) | ~np.isfinite(t)
         if walk.vanished is not None and bad.any():
             raise walk.vanished(zn[bad][0], z[bad][0])
+        if self.kind == "mu":  # either root of the stored G: the step is odd in psi
+            psi, _ = _bisect((zn, tn, np.sqrt(self.values[node])), (z, t), walk)
+            return psi * psi
         turn = -1j if self.kind == "angle" else 1.0  # an angle is -i times its log lift
-        return turn * walk.advance(zn, tn, self.values[node] / turn, z, t)[0]
+        v, _ = _bisect((zn, tn, self.values[node] / turn), (z, t), walk)
+        return turn * _snap_log(v, t)
 
     def as_json(self) -> dict:
+        d, b = self.domain, self.base_node
         return {
             "kind": self.kind,
             "name": self.name,
             "nodes": int(self.values.size),
-            "base": [
-                float(self.domain.node_x[self.base_node]),
-                float(self.domain.node_y[self.base_node]),
-            ],
+            "base": [float(d.node_x[b]), float(d.node_y[b])],
             "refinement_level": int(self.refinement_level),
             "max_step": float(self.max_step),
             "bisected_edges": int(self.bisected_edges),
@@ -157,43 +140,43 @@ def _lattice_node(domain: BasicDomainSpec, ix, iy) -> np.ndarray:
     return np.where(inside, domain.node_index[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)], -1)
 
 
-def _continue(domain, base_node, base_value, t_nodes, walk: Walk):
-    """Continue a lifted coordinate over the grid, one breadth-first level at a time.
+def _compose(tree, n, n_step, s=None, s_step=None):
+    """Compose the elements of the tree edges into node labels, in place.
 
-    Returns the node values, the deepest bisection, the largest step and the
-    number of edges bisected.
+    A label (s, n) is the map x -> s x + 2 pi n; a child's is its parent's
+    composed with its edge's element, (s_a, n_a) o (s_e, n_e) = (s_a s_e, n_a
+    + s_a n_e), in int64, level by level.  A sheet label is the s = 1 case,
+    ``s=None``, where elements add.  The levels above the first edge that is
+    not the identity must hold the base label on entry.
     """
-    parents, children, starts = domain.bfs_tree(base_node)
-    values = np.full(domain.n_nodes, np.nan, dtype=complex)
-    values[base_node] = base_value
-    zs = domain.node_z
-    max_depth = bisected = 0
-    max_step = 0.0
-    starts = starts.tolist()
+    parents, children, starts = tree
+    moved = n_step != 0 if s is None else (n_step != 0) | (s_step != 1)
+    first = np.flatnonzero(moved)
+    if not first.size:
+        return
+    starts = starts[np.searchsorted(starts, first[0], side="right") - 1 :].tolist()
     for a, b in zip(starts[:-1], starts[1:]):
         par, ch = parents[a:b], children[a:b]
-        values[ch], depth, sizes, n_bad = walk.advance(
-            zs[par], t_nodes[par], values[par], zs[ch], t_nodes[ch]
-        )
-        max_depth = max(max_depth, depth)
-        max_step = max(max_step, float(sizes.max()))
-        bisected += n_bad
-    return values, max_depth, max_step, bisected
+        if s is None:
+            n[ch] = n[par] + n_step[a:b]
+        else:
+            s_par = s[par]
+            n[ch] = n[par] + s_par * n_step[a:b]
+            s[ch] = s_par * s_step[a:b]
 
 
 def _bisect(start, end, walk: Walk):
-    """Walk the edges whose direct step failed through adaptive midpoints.
+    """Step along each edge, and walk the edges whose step fails through midpoints.
 
     ``start`` holds the (z, t, value) arrays at the edge starts and ``end``
-    the (z, t) arrays at their ends.  An edge halves its current segment until
-    the step from its current point succeeds, then heads for the next
-    pending endpoint, as the recursion walk(a, b) = walk(a, m), walk(m, b)
-    would; its depth only grows along the walk.  An edge still failing at
-    MAX_DEPTH raises ``walk.stalled(za, zb, tb, depth)``; when ``walk.vanished``
-    is given, a midpoint where the target is zero or not finite raises
-    ``walk.vanished(za, zm)``.  The edges advance in lock step with one target
-    call per round, and when several fail, the first in order raises, as a
-    walk over one edge after another would.  Returns the values and depths.
+    the (z, t) arrays at their ends.  A failing edge halves its segment until
+    the step from its current point succeeds, then heads for the next pending
+    endpoint, as the recursion walk(a, b) = walk(a, m), walk(m, b) would.  At
+    MAX_DEPTH it raises ``walk.stalled(za, zb, tb, depth)``, and at a midpoint
+    where the target is zero or not finite ``walk.vanished(za, zm)``, if given.
+    The edges advance in lock step, one target call per round; when several
+    fail, the first in order raises.  Returns the values and the depths, 0
+    where the first step succeeded.
     """
     z, t, v = (a.copy() for a in start)
     n = z.size
@@ -203,8 +186,8 @@ def _bisect(start, end, walk: Walk):
     top = np.zeros(n, dtype=int)
     depth = np.zeros(n, dtype=int)
     errors: dict[int, Exception] = {}
-    failing = np.arange(n)  # edges whose last step failed
-    pending = failing[:0]  # edges that stepped and have endpoints left
+    pending = np.arange(n)  # edges that have endpoints left
+    failing = pending[:0]  # edges whose last step failed
     while failing.size or pending.size:
         deep = depth[failing] >= MAX_DEPTH
         for e in failing[deep]:
@@ -257,10 +240,8 @@ def lift_log(
     Node values are Log u + 2 pi i k.  Each edge of the domain's breadth-first
     tree changes the sheet label k by an integer: the principal step from its
     parent where that turns by less than the safety angle, else the walk of
-    :func:`_bisect` from Log u at the parent.  The failing edges are bisected
-    as one batch in breadth-first order, so the first to fail raises, as in a
-    level-by-level walk.  The labels are then summed from the base, level by
-    level, in exact integer arithmetic.
+    :func:`_bisect` from Log u at the parent, one batch in breadth-first
+    order.  :func:`_compose` then sums the labels from the base.
     """
     t_nodes = np.asarray(u(domain.node_z), dtype=complex)
     if not np.all(np.isfinite(t_nodes)) or np.min(np.abs(t_nodes)) < 1e-300:
@@ -274,10 +255,16 @@ def lift_log(
     else:
         base_value = complex(_snap_log(complex(base_value), t_nodes[base_node]))
 
-    walk = _log_walk(u, name)
+    def stalled(za, zb, tb, depth):
+        return LiftStep(f"{name}: step too large between {za} and {zb} at depth {depth}")
+
+    def vanished(za, zb):
+        return Vanishing(f"{name}: target vanishes near {za}..{zb}")
+
+    walk = Walk(u, _log_step, stalled, vanished)
     log_t = np.log(t_nodes)
     arg = log_t.imag
-    parents, children, starts = domain.bfs_tree(base_node)
+    tree = parents, children, _ = domain.bfs_tree(base_node)
     turn = _turn(t_nodes[parents], t_nodes[children])
     reached = arg[parents] + turn
     max_depth = 0
@@ -289,13 +276,8 @@ def lift_log(
         reached[bad] = v.imag
         turn[bad] = v.imag - arg[par]
         max_depth = int(depths.max())
-    steps = _sheet_step(reached, arg[children])
     k = np.full(domain.n_nodes, _sheet_step(base_value.imag, arg[base_node]))
-    changed = np.flatnonzero(steps)
-    if changed.size:  # down to the first level with a change of sheet, k is the base's
-        starts = starts[np.searchsorted(starts, changed[0], side="right") - 1 :].tolist()
-        for a, b in zip(starts[:-1], starts[1:]):
-            k[children[a:b]] = k[parents[a:b]] + steps[a:b]
+    _compose(tree, k, _sheet_step(reached, arg[children]))
     values = _on_sheet(log_t, k)
     values[base_node] = base_value  # as given, down to the sign of a zero part
     max_step = float(np.abs(turn).max()) if turn.size else 0.0
@@ -304,26 +286,10 @@ def lift_log(
     )
 
 
-def _log_walk(u, name: str) -> Walk:
-    """The log walk of target u, which off-node samples and bisection follow."""
-
-    def stalled(za, zb, tb, depth):
-        return LiftStep(f"{name}: step too large between {za} and {zb} at depth {depth}")
-
-    def vanished(za, zb):
-        return Vanishing(f"{name}: target vanishes near {za}..{zb}")
-
-    return Walk(u, _log_step, _log_settle, stalled, vanished)
-
-
 def _turn(ta, tb):
-    """The principal angle Arg(tb / ta) turned by a log step from ta to tb.
-
-    ``np.angle`` skips the log of the modulus that ``np.log`` works out, so it
-    is many times faster, and it agrees with ``np.log(tb / ta).imag`` to an
-    ulp.  A log step needs no real part: each continued value is snapped onto
-    Log t, which only reads its imaginary part.
-    """
+    """The principal angle Arg(tb / ta) turned by a log step from ta to tb:
+    ``np.angle`` is many times faster than ``np.log(tb / ta).imag``, to an ulp,
+    and a step needs no real part, as its snap onto Log t reads only the angle."""
     return np.angle(tb / ta)
 
 
@@ -333,12 +299,8 @@ def _log_step(v, ta, tb):
     return v + 1j * turn, np.abs(turn) < SAFETY
 
 
-def _log_settle(v_parent, v, t):
-    """Snap continued values onto Log(t) + 2 pi i k; a step is its change in angle."""
-    return _snap_log(v, t), np.abs(v.imag - v_parent.imag)
-
-
 def _snap_log(v, t):
+    """Snap continued values v onto Log(t) + 2 pi i k."""
     principal = np.log(t)
     return _on_sheet(principal, _sheet_step(v.imag, principal.imag))
 
@@ -384,62 +346,93 @@ def lift_angle(
 # mu lift (branch-free inverse of mu along the grid)
 
 
-_BP_TOL = 1e-9
-
-
-def lift_mu(
-    t_fn,
-    domain: BasicDomainSpec,
-    seed: complex,
-    name: str = "mu",
-) -> LiftedScalarField:
+def lift_mu(t_fn, domain: BasicDomainSpec, seed: complex, name: str = "mu") -> LiftedScalarField:
     """Continuous G with mu(G) = t over the grid and G(seed) in the principal patch.
 
     The seed must be a point where t is close to 1 (G close to 0); its value
-    is (arccos t)**2.  Each step moves to the nearest closed-form root
-    (+-arccos t + 2 pi n)**2.  Branch points of the inverse are the fold
-    values t = -1 (always) and t = +1 away from the seed sphere; hitting
-    either aborts with BranchPointHit.
+    is (arccos t)**2.  Node values are G = psi**2 for the root psi = s alpha +
+    2 pi n of cos psi = t, alpha = arccos t principal; a tree edge's element
+    labels the root at its child nearest alpha at its parent.  Branch points
+    of the inverse are the fold values t = -1 (always) and t = +1 away from
+    the seed sphere; hitting either aborts with BranchPointHit.
+
+    A mirrored step, whose other root is the negative of the nearer one, is
+    safe only near G = 0, so seen from alpha only under a parent with n = 0.
+    Under any other parent, the edges not safe from alpha are stepped again
+    from the parent's root, and bisected where that fails, level by level.
     """
     t_nodes = np.asarray(t_fn(domain.node_z), dtype=complex)
-    near_minus = np.abs(t_nodes + 1.0) <= _BP_TOL
-    if near_minus.any():
-        z_bad = domain.node_z[near_minus][0]
-        raise BranchPointHit(f"{name}: t attains -1 near {z_bad}")
+    if (near_minus := np.abs(t_nodes + 1.0) <= _BP_TOL).any():
+        raise BranchPointHit(f"{name}: t attains -1 near {domain.node_z[near_minus][0]}")
 
     base_node = domain.nearest_node(seed)
-    g0 = complex(np.arccos(t_nodes[base_node]) ** 2)
 
     def stalled(za, zb, tb, depth):
         if min(abs(tb - 1.0), abs(tb + 1.0)) < 1e-6:
             return BranchPointHit(f"{name}: fold value t = {tb} reached near {zb}")
         return LiftStep(f"{name}: continuation stalled between {za} and {zb}")
 
-    walk = Walk(t_fn, _mu_step, _mu_settle, stalled)
-    values, *work = _continue(domain, base_node, g0, t_nodes, walk)
+    walk = Walk(t_fn, _mu_step, stalled)
+    zs, alpha = domain.node_z, np.arccos(t_nodes)
+    tree = parents, children, starts = domain.bfs_tree(base_node)
+    _, s_step, n_step, safe, mirrored = _mu_root(alpha[parents], alpha[children])
+    depth = np.zeros(parents.size, dtype=int)
+    s, n = np.ones(domain.n_nodes, dtype=np.int64), np.zeros(domain.n_nodes, dtype=np.int64)
+    frame = ~safe  # the edges whose step depends on the parent's label
+    edges = np.flatnonzero(~(safe | mirrored))  # stepped from alpha: the base label
+    while True:
+        par, ch = parents[edges], children[edges]
+        psi = _mu_value(s[par], n[par], alpha[par])
+        psi, depth[edges] = _bisect((zs[par], t_nodes[par], psi), (zs[ch], t_nodes[ch]), walk)
+        _, s_end, n_end, _, _ = _mu_root(psi, alpha[ch])
+        s_step[edges] = s[par] * s_end  # the parent's inverse, then the root reached
+        n_step[edges] = s[par] * (n_end - n[par])
+        _compose(tree, n, n_step, s, s_step)
+        # an edge that moves a label lies above any under a parent with n != 0,
+        # so _compose remakes the shallowest level of those and all below it
+        edges = np.flatnonzero(frame & (n[parents] != 0))
+        if not edges.size:
+            break
+        edges = edges[edges < starts[np.searchsorted(starts, edges[0], side="right")]]
+        frame[edges] = False
+    psi = _mu_value(s, n, alpha)
+    values = psi * psi
+    values[base_node] = complex(alpha[base_node] ** 2)
+    root = np.sqrt(values)
+    max_step = float(np.abs(root[children] - root[parents]).max()) if parents.size else 0.0
+    work = int(depth.max(initial=0)), max_step, int(np.count_nonzero(depth))
     return LiftedScalarField(domain, values, "mu", base_node, *work, name, walk)
 
 
-def _mu_step(g, ta, tb):
-    """Steps from g to the nearest root of mu(G) = tb, and where they are safe.
+def _mu_value(s, n, alpha):
+    """The root s alpha + 2 pi n, formed as the step forms it."""
+    return np.where(s > 0, alpha, -alpha) + TWO_PI * n
 
-    The roots are G = psi**2 for psi in +-arccos tb + 2 pi Z, and mu(G) =
-    cos(psi).  For each sign the root psi nearest sqrt(g) is a candidate; the
-    step takes the nearer one.  It is safe when it moves psi by less than the
-    safety angle and the other candidate lies more than twice as far, unless
-    that one is its negative, which gives the same G.
+
+def _mu_root(psi, alpha):
+    """The root of cos = cos alpha nearest psi, its label (s, n) and its safety.
+
+    For each sign s the root s alpha + 2 pi n nearest psi is a candidate; the
+    nearer one is taken.  The step to it is close when it moves psi by less
+    than the safety angle, safe when it is close and the other candidate lies
+    more than twice as far, and mirrored when it is close and the other
+    candidate is its negative.
     """
-    psi = np.sqrt(g)
-    alpha = np.arccos(tb)
     cand = np.stack([alpha, -alpha])
-    cand += TWO_PI * np.rint((psi - cand).real / TWO_PI)
+    turns = np.rint((psi - cand).real / TWO_PI)
+    cand += TWO_PI * turns
     dist = np.abs(cand - psi)
-    order = np.argsort(dist, axis=0, kind="stable")
-    near, other = np.take_along_axis(cand, order, axis=0)
-    d_near, d_other = np.take_along_axis(dist, order, axis=0)
-    ok = (d_near < SAFETY) & ((d_other > 2.0 * d_near) | (other == -near))
-    return near * near, ok
+    swap = dist[1] < dist[0]  # a tie takes +alpha, as a stable sort would
+    near, other = np.where(swap, cand[::-1], cand)
+    d_near, d_other = np.where(swap, dist[::-1], dist)
+    close = d_near < SAFETY
+    s = np.where(swap, -1, 1).astype(np.int64)
+    n = np.where(swap, turns[1], turns[0]).astype(np.int64)
+    return near, s, n, close & (d_other > 2.0 * d_near), close & (other == -near)
 
 
-def _mu_settle(g_parent, g, t):
-    return g, np.abs(np.sqrt(g) - np.sqrt(g_parent))
+def _mu_step(psi, ta, tb):
+    """Steps from psi to the nearest root of cos psi_b = tb, and where they are
+    safe; mu(G) = cos psi for G = psi**2, and a mirrored step keeps G."""
+    near, _, _, safe, mirrored = _mu_root(psi, np.arccos(tb))
+    return near, safe | mirrored

@@ -167,11 +167,7 @@ def _windings(F, rects, ftol: float, cols=None, step: float = math.inf) -> tuple
         for i, contour in zip(open_, contours):
             vals = table[start : start + len(contour), 0 if cols is None else cols[i]]
             start += len(contour)
-            mags = np.abs(vals)
-            # a zero sits on the contour only if some sample is small against the
-            # contour's own range; near a high-order zero the whole contour is
-            # small against the global scale, which must not count
-            if not np.isfinite(mags).all() or mags.min() < min(ftol, 1e-9 * mags.max()):
+            if _near_zero(np.abs(vals), ftol).any():
                 continue
             steps = np.log(np.roll(vals, -1) / vals)  # of log F from sample to sample
             if np.max(np.abs(steps.imag)) < 1.5:
@@ -190,6 +186,15 @@ def _windings(F, rects, ftol: float, cols=None, step: float = math.inf) -> tuple
                 still.append(i)
         open_ = still
     return counts, firsts
+
+
+def _near_zero(mags, ftol: float) -> np.ndarray:
+    """Moduli that are not finite or count as zeros: under ftol and 1e-9 of the
+    largest finite one among them.  Against their own range, not only the
+    global scale, so that a contour or lattice near a high-order zero, small
+    everywhere, does not take all its points for zeros."""
+    finite = np.isfinite(mags)
+    return ~finite | (mags < min(ftol, 1e-9 * mags.max(where=finite, initial=0.0)))
 
 
 def _moments(F, circles, ftol: float) -> list:
@@ -215,7 +220,7 @@ def _moments(F, circles, ftol: float) -> list:
     out: list = []
     for (c, rho), vals in zip(circles, table.reshape(len(circles), n)):
         mags = np.abs(vals)
-        if not (np.isfinite(mags).all() and mags.min() >= min(ftol, 1e-9 * mags.max())):
+        if _near_zero(mags, ftol).any():
             out.append("count")
             continue
         steps = np.angle(np.roll(vals, -1) / vals)
@@ -300,7 +305,7 @@ def _unsafe_cells(W, ftol: float) -> np.ndarray:
     and no corner is near zero or not finite.  Its four steps then turn by
     less than pi in all, so its winding rounds to 0: a safe cell holds no zero.
     """
-    good = np.isfinite(W) & (np.abs(W) > ftol)
+    good = ~_near_zero(np.abs(W), ftol)
     with np.errstate(all="ignore"):
         okx = good[:, 1:] & good[:, :-1] & (np.abs(np.angle(W[:, 1:] / W[:, :-1])) < np.pi / 4)
         oky = good[1:] & good[:-1] & (np.abs(np.angle(W[1:] / W[:-1])) < np.pi / 4)

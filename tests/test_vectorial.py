@@ -448,6 +448,24 @@ def test_double_zero_at_a_box_corner_is_not_dropped():
         assert min(abs(z.z - r) for z in zeros) <= 1e-9
 
 
+def test_two_close_double_zeros_at_the_rim_come_apart():
+    # a shrunk draw of the zero-set property: double zeros 1e-4 outside and
+    # 1e-6 inside the rim point 0.5 + i of the disc, 1.0001e-4 apart.  A
+    # lattice corner there counts as a zero only below 1e-9 of the largest
+    # |F| on its own lattice, so the cluster shrinks as its lattice refines
+    # until each zero has a minimum of its own; when every corner under
+    # 1e-12 of the node scale counted, the cluster filled its refined
+    # lattices and failed the close guard
+    dom = ZERO_SET_DOMAINS["product", "disc", 8]
+    inside = [(0.499999 + 1j, 2), (0.49941294311513523 + 0.9757985072758154j, 1)]
+    outside = [(0.5001 + 1j, 2), (0.49118272490039677 + 1.0940188319403146j, 1)]
+    zs = [r for r, m in inside + outside for _ in range(m)]
+    zeros = find_zeros_sp(_with_zeros(zs), dom)
+    assert len(zeros) == len(inside)
+    for r, m in inside:
+        assert sum(abs(z.z - r) <= 1e-9 and z.multiplicity == m for z in zeros) == 1
+
+
 # ---------------------------------------------------------------------------
 # classification
 
