@@ -229,11 +229,15 @@ def _cmd_exp_star(args, report: Report) -> int:
     tree = parse_expr(args.expr)
     domain = _load_domain(args.domain)
     image = exp_star(tree)
-    stem = eval_stem_many(image, domain.node_z)
-    sup = 0.0
-    for unit in VERIFY_UNITS:
-        sup = max(sup, float(np.linalg.norm(slice_values(stem, unit), axis=1).max()))
-    print(f"sup |exp_star| on grid: {sup:.6e}")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        stem = eval_stem_many(image, domain.node_z)
+        mags = np.stack([np.linalg.norm(slice_values(stem, u), axis=1) for u in VERIFY_UNITS])
+    bad = ~(np.isfinite(stem).all(axis=1) & np.isfinite(mags).all(axis=0))
+    if bad.any():
+        raise DomainError(
+            f"exp_star of the input is not finite at {int(bad.sum())} of {bad.size} grid nodes"
+        )
+    print(f"sup |exp_star| on grid: {float(mags.max()):.6e}")
     if args.grid_out:
         count = _write_grid_csv(args.grid_out, image, domain)
         print(f"wrote {count} samples to {args.grid_out}")

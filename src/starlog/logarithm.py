@@ -1,8 +1,8 @@
 """Star logarithms of slice functions on basic domains.
 
 The entry point is :func:`log_star`.  It classifies the vectorial part of the
-input, picks one of four construction routes and returns a :class:`LogResult`
-whose expression ``f`` satisfies ``exp_star(f) = g`` up to a verified residual:
+input, picks one of four cases and returns a :class:`LogResult` whose
+expression ``f`` satisfies ``exp_star(f) = g`` up to a verified residual:
 
 * ``scalar``       -- g is slice preserving; f is a lifted scalar logarithm.
 * ``null-vector``  -- g_v != 0 with vanishing symmetrization; f picks up the
@@ -12,13 +12,18 @@ whose expression ``f`` satisfies ``exp_star(f) = g`` up to a verified residual:
 * ``fold``         -- g_v^s has isolated or odd-order zeros; f needs the
   two-sheeted inverse of mu continued around its fold.
 
+The scalar and null-vector cases share one route, since g_v^s = 0 in both.
+
 Each call pins g to the grid nodes by :func:`expr.node_stem`, which
 evaluates its stem G there once: the node checks read G, and so does every
 tree built from the pinned g when it is evaluated at the nodes.  A g not
-finite at a node is a DomainError.
+finite at a node is a DomainError.  The result f is pinned the same way for
+verification, so that the residual and the class check read one stem of f.
 
 Branches are indexed by a pair of integers (m, n): m counts scalar half-turns
 exp(i pi m) and n counts vectorial half-turns around a spherical unit.
+:func:`log_star` checks (m, n) and a supplied representative against
+``_BRANCH_RULES`` before any route runs, and adds the m pi I term itself.
 """
 
 from __future__ import annotations
@@ -78,6 +83,28 @@ _SLIT_TOL = 1e-9
 _UNIT_TOL = 1e-9
 # a fold value this far from every known zero sphere means a missed zero
 _STRAY_FOLD_CELLS = 3.0
+
+# the case of each class kind, "fold" for discrete zeros; a supplied rep makes "scalar" "angle"
+_CASES = {"zero": "scalar", "no-zeros": "angle", "null-symmetrization": "null-vector"}
+# per case: why a supplied representative is refused, and the condition and
+# message that refuse n != 0; None where the case admits it
+_BRANCH_RULES = {
+    "scalar": (None, ("representative", "a vectorial branch index needs a class representative")),
+    "null-vector": (
+        "this class has no spherical period to turn",
+        ("periods", "this class carries no vectorial periods"),
+    ),
+    "angle": (None, None),
+    "fold": (
+        "no continuous representative crosses an isolated zero",
+        ("periods", "isolated zeros leave no vectorial period freedom"),
+    ),
+}
+# why the angle case refuses an odd m + n, by domain kind (m = 0 on slices)
+_PARITY = {
+    "slice": "slice domains only admit even vectorial indices",
+    "product": "m + n must be even when a spherical period is present",
+}
 
 
 @dataclass(frozen=True)
@@ -198,11 +225,12 @@ def _sp_ratio(num: SliceExpr, den: SliceExpr, zs) -> np.ndarray:
 
 
 def _check_unit(w: SliceExpr, domain: BasicDomainSpec) -> None:
-    """A class representative must square to -1: scalar part 0, w^s = 1."""
-    W = eval_stem_many(w, domain.node_z)
+    """A class representative must square to -1: scalar part 0, w^s = 1, all finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a value not finite fails below
+        W = eval_stem_many(w, domain.node_z)
+        defect = float(np.abs(qsym(W) - 1.0).max())  # the arithmetic of Symm
     scal = sup_parts(W[:, 0])
-    defect = float(np.abs(qsym(W) - 1.0).max())  # the arithmetic of Symm
-    if scal > _UNIT_TOL or defect > _UNIT_TOL:
+    if not (scal <= _UNIT_TOL and defect <= _UNIT_TOL):
         raise ConditionFailed(
             "representative",
             f"not a unit vectorial representative (scalar {scal:.2e}, "
@@ -273,7 +301,8 @@ def check_conditions(g: SliceExpr, domain: BasicDomainSpec) -> ConditionSummary:
             )
             details["sym_trace_min"] = float(tr.real.min())
 
-    t_nodes = G[:, 0] / np.exp(0.5 * _sym_log(g, domain).values)
+    _, h = _sym_log(g, domain)
+    t_nodes = G[:, 0] / h(domain.node_z)
     counterex, margin = _slit_ok(t_nodes, domain)
     details["phase_nodes"] = int(t_nodes.size)
     details["units_checked"] = len(VERIFY_UNITS)
@@ -285,107 +314,78 @@ def check_conditions(g: SliceExpr, domain: BasicDomainSpec) -> ConditionSummary:
 
 
 def _sym_log(g: SliceExpr, domain: BasicDomainSpec):
-    """The continuous logarithm of g^s over the grid."""
-    return lift_log(partial(stem_complex, symmetrization(g)), domain, name="sym-log")
+    """The continuous logarithm L of g^s over the grid, and zs -> exp(L / 2)."""
+    sym_lift = lift_log(partial(stem_complex, symmetrization(g)), domain, name="sym-log")
+    return sym_lift, lambda zs: np.exp(0.5 * sym_lift.sample(zs))
 
 
-def _scalar_route(g, G, domain, branch):
-    """g is slice preserving: f is a lifted logarithm of the scalar stem."""
-    if branch.n:
-        raise ConditionFailed(
-            "representative",
-            "a vectorial branch index needs a class representative",
-        )
-    F = partial(stem_complex, scalar_part(g))
-    diag: dict = {}
-    if domain.kind == "slice":
-        if branch.m:
-            raise ConditionFailed("periods", "slice domains only admit m = 0")
-        ok, d1 = _positive_trace(G, domain)
-        diag.update(d1)
-        if ok is False:
-            raise ConditionFailed(
-                "cond1", "g must be positive on the real trace of a slice domain"
-            )
-        fld = lift_log(F, domain, name="log")
-        diag["lift"] = fld.as_json()
-        return GridFieldExpr(fld, "log"), diag
+def _check_branch(case: str, domain: BasicDomainSpec, branch: BranchSpec, rep) -> None:
+    """Refuse a branch (m, n) or a representative that the case or the domain
+    does not admit."""
+    rep_refusal, n_refusal = _BRANCH_RULES[case]
+    if rep is not None and rep_refusal:
+        raise ConditionFailed("representative", rep_refusal)
+    if branch.n and n_refusal:
+        raise ConditionFailed(*n_refusal)
+    if domain.kind == "slice" and branch.m:
+        raise ConditionFailed("periods", "slice domains only admit m = 0")
+    if case == "angle" and (branch.m + branch.n) % 2:
+        raise ConditionFailed("parity", _PARITY[domain.kind])
+
+
+def _scalar_route(g, G, domain, branch, nilpotent: bool):
+    """g_v^s = 0: f lifts Log((-1)^m g_0).  A nilpotent g_v != 0
+    exponentiates linearly through 1 + V, so f adds g_v / g_0."""
+    ok, diag = _positive_trace(G, domain)
+    if ok is False:
+        raise ConditionFailed("cond1", "g must be positive on the real trace of a slice domain")
+    if nilpotent:
+        lo = float(np.abs(G[:, 0]).min())
+        if lo < VANISH_REL * (1.0 + float(np.abs(G[:, 0]).max())):
+            raise Vanishing(f"the scalar part reaches {lo:.3e}; its square is g^s")
+    g0 = scalar_part(g)
     sign = -1.0 if branch.m % 2 else 1.0
-    fld = lift_log(lambda zs: sign * F(zs), domain, name="log")
+    fld = lift_log(lambda zs: sign * stem_complex(g0, zs), domain, name="log")
     diag["lift"] = fld.as_json()
     f: SliceExpr = GridFieldExpr(fld, "log")
-    if branch.m:
-        f = f + const(branch.m * math.pi) * UNIT
+    if nilpotent:
+        diag["min_scalar"] = lo
+        f = f + vect_part(g) * ScalarApply("recip", g0)
     return f, diag
-
-
-def _null_vector_route(g, G, domain, branch):
-    """g_v^s = 0: the vectorial part exponentiates linearly through 1 + V."""
-    if branch.n:
-        raise ConditionFailed("periods", "this class carries no vectorial periods")
-    g0 = scalar_part(g)
-    F = partial(stem_complex, g0)
-    g0_nodes = G[:, 0]
-    lo = float(np.abs(g0_nodes).min())
-    if lo < VANISH_REL * (1.0 + float(np.abs(g0_nodes).max())):
-        raise Vanishing(f"the scalar part reaches {lo:.3e}; its square is g^s")
-    sign = -1.0 if branch.m % 2 else 1.0
-    fld = lift_log(lambda zs: sign * F(zs), domain, name="log")
-    f: SliceExpr = GridFieldExpr(fld, "log") + vect_part(g) * ScalarApply("recip", g0)
-    if branch.m:
-        f = f + const(branch.m * math.pi) * UNIT
-    return f, {"lift": fld.as_json(), "min_scalar": lo}
 
 
 def _angle_route(g, domain, branch, report, rep):
     """No obstructing zeros: f_v = (phi + n pi) w with phi a circle lift."""
-    m, n = branch.m, branch.n
-    if domain.kind == "slice":
-        if m:
-            raise ConditionFailed("periods", "slice domains only admit m = 0")
-        if n % 2:
-            raise ConditionFailed(
-                "parity", "slice domains only admit even vectorial indices"
-            )
-    elif (m + n) % 2:
-        raise ConditionFailed(
-            "parity", "m + n must be even when a spherical period is present"
-        )
-
     gv = vect_part(g)
     diag: dict = {}
-    if report.kind == "zero":
-        w = rep
-    else:
+    w = rep
+    if report.kind != "zero":
         coeffs, w_tilde = factor_minimal(gv, report, domain)
         diag["factor_degree"] = len(coeffs) - 1
-        w_norm, _sigma = normalize(w_tilde, domain)
+        w_norm, _sigma = normalize(w_tilde, domain)  # certifies w^s = 1
         if rep is None:
             w = w_norm
-        else:
-            if not linearly_dependent(rep, w_norm, domain):
-                raise ConditionFailed(
-                    "representative",
-                    "the given representative is not in the class of g",
-                )
-            w = rep
-    _check_unit(w, domain)
+        elif not linearly_dependent(rep, w_norm, domain):
+            raise ConditionFailed(
+                "representative",
+                "the given representative is not in the class of g",
+            )
+    if rep is not None:
+        _check_unit(rep, domain)
 
-    sym_lift = _sym_log(g, domain)
+    sym_lift, h = _sym_log(g, domain)
     F0 = partial(stem_complex, scalar_part(g))
 
     def uv(zs):
-        h = np.exp(0.5 * sym_lift.sample(zs))
-        rho = _sp_ratio(gv, w, zs) if report.kind != "zero" else np.zeros_like(h)
-        return F0(zs) / h, rho / h
+        hz = h(zs)
+        rho = _sp_ratio(gv, w, zs) if report.kind != "zero" else np.zeros_like(hz)
+        return F0(zs) / hz, rho / hz
 
     phase = lift_angle(uv, domain, name="phase")
     u_nodes, v_nodes = uv(domain.node_z)
-    validity = float(
-        max(
-            np.abs(np.cos(phase.values) - u_nodes).max(),
-            np.abs(np.sin(phase.values) - v_nodes).max(),
-        )
+    validity = max(
+        float(np.abs(np.cos(phase.values) - u_nodes).max()),
+        float(np.abs(np.sin(phase.values) - v_nodes).max()),
     )
     diag["lift_validity"] = validity
     diag["phase"] = phase.as_json()
@@ -394,36 +394,24 @@ def _angle_route(g, domain, branch, report, rep):
         raise ResidualRejected(validity, LIFT_VALIDITY_TOL)
 
     f: SliceExpr = const(0.5) * GridFieldExpr(sym_lift, "sym-log") + (
-        GridFieldExpr(phase, "phase") + const(n * math.pi)
+        GridFieldExpr(phase, "phase") + const(branch.n * math.pi)
     ) * w
-    if m:
-        f = f + const(m * math.pi) * UNIT
     return f, diag
 
 
-def _fold_route(g, domain, branch, report):
+def _fold_route(g, domain, report):
     """Zeros of g_v^s force the inverse of mu through its fold at t = 1.
 
-    The sign of the square root of g^s is pinned by the first zero sphere on
-    product domains and by trace positivity on slice domains; a zero that then
-    demands the opposite fold is a genuine branch point and aborts.
+    The sign s_h of the square root of g^s is pinned by the first zero sphere
+    on product domains and by trace positivity on slice domains; a zero that
+    then demands the opposite fold is a genuine branch point and aborts.  s_h
+    is reported as ``sqrt_sign``; :func:`log_star` adds the pi I it implies.
     """
-    m = branch.m
-    if branch.n:
-        raise ConditionFailed(
-            "periods", "isolated zeros leave no vectorial period freedom"
-        )
-    if domain.kind == "slice" and m:
-        raise ConditionFailed("periods", "slice domains only admit m = 0")
-
-    sym_lift = _sym_log(g, domain)
+    sym_lift, h = _sym_log(g, domain)
     F0 = partial(stem_complex, scalar_part(g))
 
-    def h_at(zs):
-        return np.exp(0.5 * sym_lift.sample(zs))
-
     zero_pts = np.array([zc.z for zc in report.zeros], dtype=complex)
-    t_sphere = F0(zero_pts) / h_at(zero_pts)
+    t_sphere = F0(zero_pts) / h(zero_pts)
     signs = np.where(t_sphere.real >= 0.0, 1.0, -1.0)
     # sign selection only; the +-1 gap dwarfs the zero-position error
     off_fold = float(np.abs(t_sphere - signs).max())
@@ -432,26 +420,22 @@ def _fold_route(g, domain, branch, report):
             f"the phase misses the folds at the zero spheres by {off_fold:.2e}"
         )
 
-    if domain.kind == "slice":
-        s_h = 1.0
-        if np.any(signs < 0.0):
-            z_bad = zero_pts[signs < 0.0][0]
+    s_h = 1.0 if domain.kind == "slice" else float(signs[0])
+    if np.any(signs != s_h):
+        z_bad = zero_pts[signs != s_h][0]
+        if domain.kind == "slice":
             raise BranchPointHit(
                 f"the trace-positive square root of g^s meets the fold t = -1 "
                 f"at the zero sphere through {z_bad}; no logarithm exists on "
                 f"this domain"
             )
-    else:
-        s_h = float(signs[0])
-        if np.any(signs != s_h):
-            z_bad = zero_pts[signs != s_h][0]
-            raise BranchPointHit(
-                f"the zero spheres demand opposite square-root signs "
-                f"(conflict at {z_bad}); no logarithm exists on this domain"
-            )
+        raise BranchPointHit(
+            f"the zero spheres demand opposite square-root signs "
+            f"(conflict at {z_bad}); no logarithm exists on this domain"
+        )
 
     def t_fn(zs):
-        return F0(zs) / (s_h * h_at(zs))
+        return F0(zs) / (s_h * h(zs))
 
     t_nodes = t_fn(domain.node_z)
     stray = np.abs(t_nodes - 1.0) <= _SLIT_TOL
@@ -501,11 +485,7 @@ def _fold_route(g, domain, branch, report):
         "recip",
         ScalarApply("nu", GridFieldExpr(fold, "fold")) * const(s_h) * ScalarApply("exp", half_log),
     )
-    f: SliceExpr = half_log + vect_part(g) * fold_recip
-    d = (m + (1 if s_h < 0.0 else 0)) % 2  # i pi d on the scalar stem is pi d I
-    if m + d:
-        f = f + const((m + d) * math.pi) * UNIT
-    return f, diag
+    return half_log + vect_part(g) * fold_recip, diag
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +493,10 @@ def _fold_route(g, domain, branch, report):
 
 
 def stem_distance(E: np.ndarray, G: np.ndarray) -> float:
-    """sup |E - G| / (1 + |G|) over the rows of two stems and the check units."""
+    """sup |E - G| / (1 + |G|) over the rows of two stems and the check units;
+    inf where either stem is not finite."""
+    if not (np.isfinite(E).all() and np.isfinite(G).all()):
+        return math.inf
     worst = 0.0
     for unit in VERIFY_UNITS:
         ev = slice_values(E, unit)
@@ -550,34 +533,28 @@ def log_star(
 
     g, G, _, lo, hi = _node_stem(g, domain)
     report = classify_vectorial(g, domain)
-    if report.kind == "zero" and rep is None:
-        f, diag = _scalar_route(g, G, domain, branch)
-        case = "scalar"
-    elif report.kind in ("zero", "no-zeros"):
-        f, diag = _angle_route(g, domain, branch, report, rep)
+    case = _CASES.get(report.kind, "fold")
+    if case == "scalar" and rep is not None:
         case = "angle"
-    elif report.kind == "null-symmetrization":
-        if rep is not None:
-            raise ConditionFailed(
-                "representative", "this class has no spherical period to turn"
-            )
-        f, diag = _null_vector_route(g, G, domain, branch)
-        case = "null-vector"
-    else:
-        if rep is not None:
-            raise ConditionFailed(
-                "representative",
-                "no continuous representative crosses an isolated zero",
-            )
-        f, diag = _fold_route(g, domain, branch, report)
-        case = "fold"
+    _check_branch(case, domain, branch, rep)
 
-    residual = residual_sup(f, g, domain)
+    turns = branch.m
+    if case == "angle":
+        f, diag = _angle_route(g, domain, branch, report, rep)
+    elif case == "fold":
+        f, diag = _fold_route(g, domain, report)
+        # i pi d on the scalar stem is pi d I, with d the parity of m + [s_h < 0]
+        turns += (branch.m + (diag["sqrt_sign"] < 0.0)) % 2
+    else:
+        f, diag = _scalar_route(g, G, domain, branch, case == "null-vector")
+    if turns:
+        f = f + const(turns * math.pi) * UNIT
+
+    f_nodes = node_stem(f, domain)  # one stem of f for both checks below
+    residual = residual_sup(f_nodes, g, domain)
     if residual > RESIDUAL_ACCEPT:
         raise ResidualRejected(residual, RESIDUAL_ACCEPT)
-    if not linearly_dependent(vect_part(f), vect_part(g), domain):
+    if not linearly_dependent(vect_part(f_nodes), vect_part(g), domain):
         raise ClassificationError("the result left the congruence class of g")
-    diag["min_abs_g"] = lo
-    diag["scale"] = hi
-    diag["class_preserved"] = True
+    diag.update(min_abs_g=lo, scale=hi, class_preserved=True)
     return LogResult(f, case, branch, residual, report, diag)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -235,6 +236,18 @@ def test_overflow_is_a_typed_error_under_warnings_as_errors(command, slice_rect)
     assert done.returncode == 3, done.stderr
     assert "not finite at" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("expr", ["800*q*i", "exp(800*q)*i"], ids=["nu", "exp"])
+def test_exp_star_of_an_overflowing_input_exit(expr, tmp_path, capsys):
+    # the image overflows to NaN on the grid; a sup taken with Python's max
+    # dropped the NaN rows and passed
+    path = tmp_path / "product.json"
+    BasicDomainSpec(rects=[(0.5, 1.5, 0.3, 1.0)], kind="product", h=1.0 / 16.0).dump(path)
+    assert main(["exp-star", expr, "--domain", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert re.search(r"not finite at \d+ of 204 grid nodes", err)
+    assert "sup |exp_star|" not in out
 
 
 def test_unit_function_needs_product_domain(domains):

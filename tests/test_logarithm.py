@@ -22,7 +22,7 @@ from starlog.errors import (
     Vanishing,
 )
 from starlog.expr import Q, UNIT, ScalarApply, StarSeries, const, eval_many, stem_complex
-from starlog.logarithm import BranchSpec, check_conditions, log_star
+from starlog.logarithm import BranchSpec, check_conditions, log_star, residual_sup
 from starlog.parse import parse_expr
 from starlog.quaternion import VERIFY_UNITS, Quaternion
 from starlog.starexp import exp_star
@@ -136,6 +136,25 @@ def test_non_finite_g_is_a_domain_error(source):
         log_star(parse_expr(source), dom)
     with pytest.raises(DomainError, match="not finite at"):
         check_conditions(parse_expr(source), dom)
+
+
+NAN = const(Quaternion(math.nan, 0.0, 0.0, 0.0))
+
+
+def test_residual_of_a_nan_is_infinite(product_rect):
+    # max(0.0, nan) is 0.0, so a sup taken with Python's max drops NaN rows
+    assert residual_sup(NAN, Q, product_rect) == math.inf
+
+
+@pytest.mark.parametrize(
+    "rep", [NAN, parse_expr("exp(800*q)*i")], ids=["nan-constant", "overflowing"]
+)
+def test_non_finite_representative_is_refused(rep):
+    # NaN > tol is False, so the unit check let a NaN representative pass
+    dom = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 16.0)
+    with pytest.raises(ConditionFailed) as err:
+        log_star(const(1.0), dom, BranchSpec(0, 2), rep=rep)
+    assert err.value.condition == "representative"
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +380,46 @@ def test_no_witness_when_continuation_stalls(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# branch rules
+
+_SLICE_16 = BasicDomainSpec(rects=[(-1.2, 1.2, 0.0, 1.0)], kind="slice", h=1.0 / 16.0)
+_PRODUCT_16 = BasicDomainSpec(rects=[(0.5, 1.5, 0.3, 1.0)], kind="product", h=1.0 / 16.0)
+_FOLD_DISC = BasicDomainSpec(discs=[(0.0, 1.0, 0.3)], kind="product", h=0.3 / 32.0)
+_ALPHA = Quaternion(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0), 0.0, 0.0)
+_SCALAR = Q * Q + const(2.0)
+_ANGLE = (Q * Q + const(2.0)) * const(_ALPHA)  # in the class of i
+# (g, domain, rep, the case or the failed condition for (m, n) = (0, 0),
+# (0, 1), (0, 2), (1, 0), ..., (2, 2))
+_S, _N, _A, _F = "scalar", "null-vector", "angle", "fold"
+_REP, _PER, _PAR = "representative", "periods", "parity"
+BRANCH_TABLE = {
+    "scalar-slice": (_SCALAR, _SLICE_16, None, [_S, _REP, _REP, _PER, _REP, _REP, _PER, _REP, _REP]),
+    "scalar-product": (_SCALAR, _PRODUCT_16, None, [_S, _REP, _REP, _S, _REP, _REP, _S, _REP, _REP]),
+    "null-vector": (Q + PSI, _PRODUCT_16, None, [_N, _PER, _PER, _N, _PER, _PER, _N, _PER, _PER]),
+    "null-vector-rep": (Q + PSI, _PRODUCT_16, CI, [_REP] * 9),
+    "angle-slice": (_ANGLE, _SLICE_16, None, [_A, _PAR, _A, _PER, _PER, _PER, _PER, _PER, _PER]),
+    "angle-slice-rep": (_ANGLE, _SLICE_16, CI, [_A, _PAR, _A, _PER, _PER, _PER, _PER, _PER, _PER]),
+    "angle-product": (_ANGLE, _PRODUCT_16, None, [_A, _PAR, _A, _PAR, _A, _PAR, _A, _PAR, _A]),
+    "angle-product-rep": (_ANGLE, _PRODUCT_16, CI, [_A, _PAR, _A, _PAR, _A, _PAR, _A, _PAR, _A]),
+    "fold": (isolated_example(), _FOLD_DISC, None, [_F, _PER, _PER, _F, _PER, _PER, _F, _PER, _PER]),
+    "fold-rep": (isolated_example(), _FOLD_DISC, CI, [_REP] * 9),
+}
+
+
+@pytest.mark.parametrize("name", list(BRANCH_TABLE))
+def test_branch_rules_follow_the_table(name):
+    g, dom, rep, want = BRANCH_TABLE[name]
+    got = []
+    for m in range(3):
+        for n in range(3):
+            try:
+                got.append(log_star(g, dom, (m, n), rep=rep).case)
+            except ConditionFailed as err:
+                got.append(err.condition)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
 # invariants and reporting
 
 
@@ -388,6 +447,32 @@ def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
     monkeypatch.setattr(expr_module, "_run", counting)
     assert log_star(g, dom).case == route
     assert len(computed) == 1
+
+
+@pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
+def test_verification_evaluates_f_once_on_the_grid(route, wl, monkeypatch):
+    # the residual and the class check read one node stem of f
+    rng = random.Random(3)
+    if route == "scalar":
+        g, dom = parse_expr(wl.scalar_source(rng)[0]), wl.grid("slice", 32, rects=[wl.SLICE_RECT])
+    elif route == "angle":
+        g, dom = exp_star(parse_expr(wl.angle_source(rng))), wl.grid("slice", 32, rects=[wl.SLICE_RECT])
+    elif route == "null-vector":
+        g, dom = parse_expr(wl.null_vector_source(rng)), wl.grid("product", 32, rects=[wl.PRODUCT_RECT])
+    else:
+        g, dom = parse_expr(wl.fold_source(rng)), wl.grid("product", 32, discs=[wl.BALL_DISC])
+    run = expr_module._run
+    computed = []
+
+    def recording(program, z):
+        if z.size == dom.n_nodes:
+            computed.append(program.computed)
+        return run(program, z)
+
+    monkeypatch.setattr(expr_module, "_run", recording)
+    res = log_star(g, dom)
+    assert res.case == route
+    assert sum(id(res.f) in nodes for nodes in computed) == 1
 
 
 @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold", "exp"])
