@@ -224,17 +224,11 @@ def _bisect(start, end, walk: Walk):
 # logarithm lift
 
 
-def lift_log(
-    u,
-    domain: BasicDomainSpec,
-    base_node: int | None = None,
-    base_value: complex | None = None,
-    name: str = "log",
-) -> LiftedScalarField:
+def lift_log(u, domain: BasicDomainSpec, name: str = "log") -> LiftedScalarField:
     """Continuous logarithm of a nonvanishing scalar function over the grid.
 
-    ``u`` maps complex arrays to complex arrays.  The base value defaults to
-    the principal logarithm at a real-axis node (slice domains) or an interior
+    ``u`` maps complex arrays to complex arrays.  The base value is the
+    principal logarithm at a real-axis node (slice domains) or an interior
     node (product domains).
 
     Node values are Log u + 2 pi i k.  Each edge of the domain's breadth-first
@@ -247,13 +241,8 @@ def lift_log(
     if not np.all(np.isfinite(t_nodes)) or np.min(np.abs(t_nodes)) < 1e-300:
         raise Vanishing(f"{name}: target vanishes or is not finite on the grid")
 
-    if base_node is None:
-        reals = domain.real_nodes
-        base_node = int(reals[reals.size // 2]) if reals.size else domain.interior_node()
-    if base_value is None:
-        base_value = complex(np.log(t_nodes[base_node]))
-    else:
-        base_value = complex(_snap_log(complex(base_value), t_nodes[base_node]))
+    reals = domain.real_nodes
+    base_node = int(reals[reals.size // 2]) if reals.size else domain.interior_node()
 
     def stalled(za, zb, tb, depth):
         return LiftStep(f"{name}: step too large between {za} and {zb} at depth {depth}")
@@ -276,10 +265,10 @@ def lift_log(
         reached[bad] = v.imag
         turn[bad] = v.imag - arg[par]
         max_depth = int(depths.max())
-    k = np.full(domain.n_nodes, _sheet_step(base_value.imag, arg[base_node]))
+    k = np.zeros(domain.n_nodes, dtype=np.int64)
     _compose(tree, k, _sheet_step(reached, arg[children]))
     values = _on_sheet(log_t, k)
-    values[base_node] = base_value  # as given, down to the sign of a zero part
+    values[base_node] = log_t[base_node]  # principal, down to the sign of a zero part
     max_step = float(np.abs(turn).max()) if turn.size else 0.0
     return LiftedScalarField(
         domain, values, "log", base_node, max_depth, max_step, bad.size, name, walk
@@ -320,13 +309,7 @@ def _on_sheet(principal, k):
 # angle lift through the circle u^2 + v^2 = 1
 
 
-def lift_angle(
-    uv,
-    domain: BasicDomainSpec,
-    base_node: int | None = None,
-    base_value: complex | None = None,
-    name: str = "angle",
-) -> LiftedScalarField:
+def lift_angle(uv, domain: BasicDomainSpec, name: str = "angle") -> LiftedScalarField:
     """Continuous angle phi with (cos, sin)(phi) = (u, v) over the grid.
 
     The circle embeds in the punctured plane through w = u + iv, so the angle
@@ -337,8 +320,7 @@ def lift_angle(
         u_vals, v_vals = uv(zs)
         return np.asarray(u_vals, dtype=complex) + 1j * np.asarray(v_vals, dtype=complex)
 
-    log_base = None if base_value is None else 1j * complex(base_value)
-    fld = lift_log(w, domain, base_node=base_node, base_value=log_base, name=name)
+    fld = lift_log(w, domain, name=name)
     return replace(fld, values=-1j * fld.values, kind="angle")
 
 

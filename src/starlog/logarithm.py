@@ -17,8 +17,10 @@ The scalar and null-vector cases share one route, since g_v^s = 0 in both.
 Each call pins g to the grid nodes by :func:`expr.node_stem`, which
 evaluates its stem G there once: the node checks read G, and so does every
 tree built from the pinned g when it is evaluated at the nodes.  A g not
-finite at a node is a DomainError.  The result f is pinned the same way for
-verification, so that the residual and the class check read one stem of f.
+finite at a node is a DomainError.  The trees that a call reads at the
+nodes more than once (g_v^s, the factor quotient, the unit w and the class
+ratio rho of g_v = rho w) are pinned where they are built, and so is the
+result f, so that the residual and the class check read one stem of f.
 
 Branches are indexed by a pair of integers (m, n): m counts scalar half-turns
 exp(i pi m) and n counts vectorial half-turns around a spherical unit.
@@ -51,6 +53,7 @@ from .errors import (
 from .expr import (
     UNIT,
     GridFieldExpr,
+    NodeStem,
     ScalarApply,
     SliceExpr,
     const,
@@ -212,22 +215,11 @@ def _node_stem(g: SliceExpr, domain: BasicDomainSpec):
     return g, G, sym, lo, hi
 
 
-def _sp_ratio(num: SliceExpr, den: SliceExpr, zs) -> np.ndarray:
-    """Slice-preserving ratio rho with num = rho * den, via least squares.
-
-    Exact when the two expressions are linearly dependent over the
-    slice-preserving functions, which the callers have already established.
-    """
-    cn = eval_stem_many(num, zs)[:, 1:]
-    cd = eval_stem_many(den, zs)[:, 1:]
-    weight = (np.abs(cd) ** 2).sum(axis=1)
-    return (cn * np.conj(cd)).sum(axis=1) / weight
-
-
-def _check_unit(w: SliceExpr, domain: BasicDomainSpec) -> None:
-    """A class representative must square to -1: scalar part 0, w^s = 1, all finite."""
+def _check_unit(w: NodeStem) -> None:
+    """A class representative, pinned to the nodes, must square to -1: scalar
+    part 0, w^s = 1, all finite."""
+    W = w.stem
     with np.errstate(over="ignore", invalid="ignore"):  # a value not finite fails below
-        W = eval_stem_many(w, domain.node_z)
         defect = float(np.abs(qsym(W) - 1.0).max())  # the arithmetic of Symm
     scal = sup_parts(W[:, 0])
     if not (scal <= _UNIT_TOL and defect <= _UNIT_TOL):
@@ -355,31 +347,38 @@ def _scalar_route(g, G, domain, branch, nilpotent: bool):
 
 
 def _angle_route(g, domain, branch, report, rep):
-    """No obstructing zeros: f_v = (phi + n pi) w with phi a circle lift."""
+    """No obstructing zeros: f_v = (phi + n pi) w with phi a circle lift.
+
+    The unit w is pinned to the nodes, and so is the class ratio rho of
+    g_v = rho w, read off the star product: w * w = -w^s = -1, so -(g_v *
+    w)_0 = rho w^s = rho.  A scalar g (g_v = 0) keeps rho = +0: -(0 * w)_0
+    is -0.0, and Log(-1 - 0i) = -i pi would move the phase base by 2 pi.
+    """
     gv = vect_part(g)
     diag: dict = {}
-    w = rep
+    w = None if rep is None else node_stem(rep, domain)
+    rho = const(0.0)
     if report.kind != "zero":
         coeffs, w_tilde = factor_minimal(gv, report, domain)
         diag["factor_degree"] = len(coeffs) - 1
         w_norm, _sigma = normalize(w_tilde, domain)  # certifies w^s = 1
-        if rep is None:
+        if w is None:
             w = w_norm
-        elif not linearly_dependent(rep, w_norm, domain):
+        elif not linearly_dependent(w, w_norm, domain):
             raise ConditionFailed(
                 "representative",
                 "the given representative is not in the class of g",
             )
+        rho = node_stem(-scalar_part(gv * w), domain)
     if rep is not None:
-        _check_unit(rep, domain)
+        _check_unit(w)
 
     sym_lift, h = _sym_log(g, domain)
     F0 = partial(stem_complex, scalar_part(g))
 
     def uv(zs):
         hz = h(zs)
-        rho = _sp_ratio(gv, w, zs) if report.kind != "zero" else np.zeros_like(hz)
-        return F0(zs) / hz, rho / hz
+        return F0(zs) / hz, stem_complex(rho, zs) / hz
 
     phase = lift_angle(uv, domain, name="phase")
     u_nodes, v_nodes = uv(domain.node_z)
@@ -554,7 +553,7 @@ def log_star(
     residual = residual_sup(f_nodes, g, domain)
     if residual > RESIDUAL_ACCEPT:
         raise ResidualRejected(residual, RESIDUAL_ACCEPT)
-    if not linearly_dependent(vect_part(f_nodes), vect_part(g), domain):
+    if not linearly_dependent(f_nodes, g, domain):
         raise ClassificationError("the result left the congruence class of g")
     diag.update(min_abs_g=lo, scale=hi, class_preserved=True)
     return LogResult(f, case, branch, residual, report, diag)

@@ -54,7 +54,7 @@ from .expr import (
     sup_parts,
 )
 from .lifts import lift_log
-from .quaternion import Quaternion
+from .quaternion import Quaternion, qsym
 
 logger = logging.getLogger(__name__)
 
@@ -602,8 +602,11 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassReport:
     """Describe the vectorial part of ``g``: identically zero, null
     symmetrization, or a zero set split into real, spherical and isolated kinds.
+    g and g_v^s are pinned to the nodes, so the zero search reads the node
+    values of g_v^s that the classification computed.
 
-    Raises DomainError where g or g_v^s is not finite at a grid node.
+    Raises DomainError where g or g_v^s is not finite at a grid node, and
+    ClassificationError where a zero of g_v^s is no zero of g_v.
     """
     g = node_stem(g, domain)
     gv, C = vect_part(g), g.stem
@@ -616,9 +619,8 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
     if vect_scale <= ZERO_REL * (1.0 + full_scale):
         return VectorialClassReport("zero", [], vect_scale, 0.0)
 
-    sym = symmetrization(gv)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        sym_vals = stem_complex(sym, domain.node_z)
+    sym = node_stem(symmetrization(gv), domain)  # the zero search reads it at the nodes
+    sym_vals = sym.stem[:, 0]
     _require_finite(sym_vals, "g_v^s")
     sym_scale = float(np.abs(sym_vals).max())
     if sym_scale <= 1e-12 * (1.0 + vect_scale * vect_scale):  # inf, not OverflowError
@@ -649,6 +651,8 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
         else:
             qa = Quaternion(0.0, float(av[0]), float(av[1]), float(av[2]))
             qb = Quaternion(0.0, float(bv[0]), float(bv[1]), float(bv[2]))
+            if not abs(qb):  # the value A + I B = A is not 0 for any unit I
+                raise ClassificationError(f"g_v has no zero on the sphere of {sz.z}")
             axis = -(qa * qb.inverse())
             if abs(axis.w) > 1e-6 or abs(abs(axis) - 1.0) > 1e-6:
                 raise ClassificationError(
@@ -678,6 +682,8 @@ def factor_minimal(gv: SliceExpr, report: VectorialClassReport, domain: BasicDom
     Returns (coefficients highest degree first, quotient expression).  The
     quotient is exact at grid nodes away from the factored zeros and patched
     by circle means near them; the product is verified against the input.
+    A quotient comes back pinned to the nodes (:func:`expr.node_stem`), so
+    that its patch rings run there once.
     """
     roots: list[complex] = []
     patch: list[complex] = []
@@ -695,10 +701,11 @@ def factor_minimal(gv: SliceExpr, report: VectorialClassReport, domain: BasicDom
         raise FactorResidual("polynomial factor coefficients are not real")
     coeffs = coeffs.real
     quotient = QuotientBySP(gv, tuple(coeffs), tuple(patch), PATCH_CELLS * domain.h)
+    quotient = node_stem(quotient, domain)
 
     lam = np.polyval(coeffs, domain.node_z)
     want = eval_stem_many(gv, domain.node_z)[:, 1:]
-    got = eval_stem_many(quotient, domain.node_z)[:, 1:] * lam[:, None]
+    got = quotient.stem[:, 1:] * lam[:, None]
     err = np.abs(got - want).max()
     if err > 1e-9 * (1.0 + report.vect_scale):
         raise FactorResidual(f"factored product deviates by {err:.3e}")
@@ -709,7 +716,8 @@ def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec):
     """Scale a vectorial function to unit symmetrization.
 
     Requires the symmetrization of ``w_tilde`` to be zero-free on the domain.
-    Returns (normalized expression, log field of the symmetrization).
+    Returns (normalized expression, log field of the symmetrization); the
+    normalized expression is pinned to the nodes (:func:`expr.node_stem`).
     """
     ws = symmetrization(w_tilde)
 
@@ -718,10 +726,9 @@ def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec):
 
     log_field = lift_log(F, domain, name="vector normalizer")
     inv_length = ScalarApply("exp", const(-0.5) * GridFieldExpr(log_field, "vector normalizer"))
-    w = StarMul(w_tilde, inv_length)
+    w = node_stem(StarMul(w_tilde, inv_length), domain)
 
-    unit_vals = stem_complex(symmetrization(w), domain.node_z)
-    err = np.abs(unit_vals - 1.0).max()
+    err = np.abs(qsym(w.stem) - 1.0).max()  # the arithmetic of Symm
     if err > 1e-10:
         raise FactorResidual(f"normalized vector has symmetrization 1 + O({err:.3e})")
     return w, log_field
@@ -730,11 +737,13 @@ def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec):
 def linearly_dependent(
     e1: SliceExpr, e2: SliceExpr, domain: BasicDomainSpec, tol: float = 1e-9
 ) -> bool:
-    """Whether two vectorial functions are pointwise proportional on the domain.
+    """Whether the vectorial parts of two functions are pointwise
+    proportional on the domain.
 
     Proportionality of the holomorphic component triples is tested through
     their two-by-two minors on the grid, so a varying slice-preserving ratio
-    still counts as dependent.
+    still counts as dependent.  Only the vector columns of the stems are
+    read, so a scalar part makes no difference.
     """
     c1 = eval_stem_many(e1, domain.node_z)[:, 1:]
     c2 = eval_stem_many(e2, domain.node_z)[:, 1:]

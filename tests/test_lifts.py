@@ -450,14 +450,13 @@ def test_log_lift_crosses_the_principal_cut(product_rect):
     assert err.max() <= 1e-13
 
 
-def test_log_lift_base_value_selects_the_branch(product_rect):
-    base = product_rect.interior_node()
-    zb = product_rect.node_z[base]
-    shifted = np.log(zb * zb) + 4j * np.pi
-    fld = lift_log(lambda z: z * z, product_rect, base_node=base, base_value=shifted)
-    assert fld.values[base] == pytest.approx(shifted, abs=1e-12)
-    err = np.abs(np.exp(fld.values) - product_rect.node_z ** 2)
-    assert err.max() <= 1e-12 * np.abs(product_rect.node_z ** 2).max()
+def test_log_lift_base_value_is_the_principal_log(slice_rect):
+    # conj(z^2 + 2) is real with imaginary part -0.0 on the axis, where the base lies
+    fld = lift_log(lambda z: np.conj(z * z + 2.0), slice_rect)
+    base = fld.base_node
+    principal = np.log(np.conj(slice_rect.node_z[base] ** 2 + 2.0))
+    assert fld.values[base] == principal
+    assert np.signbit(fld.values[base].imag) and np.signbit(principal.imag)
 
 
 def test_log_lift_rejects_a_grid_zero(slice_rect):
@@ -489,18 +488,6 @@ def test_angle_lift_recovers_the_phase(product_rect):
     k = round(turns[0].real)
     assert np.abs(turns - k).max() <= 1e-12
     assert fld.kind == "angle"
-
-
-def test_angle_lift_with_pinned_base(product_rect):
-    z0 = 0.5 + 0.3j
-    base = product_rect.nearest_node(z0)
-    fld = lift_angle(
-        lambda z: (np.cos(z), np.sin(z)),
-        product_rect,
-        base_node=base,
-        base_value=product_rect.node_z[base],
-    )
-    assert np.abs(fld.values - product_rect.node_z).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

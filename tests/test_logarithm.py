@@ -8,9 +8,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starlog import expr as expr_module
 from starlog import logarithm
+from starlog import vectorial as vectorial_module
 from starlog.domain import BasicDomainSpec
 from starlog.errors import (
     BranchPointHit,
@@ -18,10 +20,21 @@ from starlog.errors import (
     DomainError,
     LiftStep,
     NoGlobalLogWitness,
+    ResidualRejected,
     StarlogError,
     Vanishing,
 )
-from starlog.expr import Q, UNIT, ScalarApply, StarSeries, const, eval_many, stem_complex
+from starlog.expr import (
+    Q,
+    UNIT,
+    NodeStem,
+    ScalarApply,
+    StarSeries,
+    const,
+    eval_many,
+    eval_stem_many,
+    stem_complex,
+)
 from starlog.logarithm import BranchSpec, check_conditions, log_star, residual_sup
 from starlog.parse import parse_expr
 from starlog.quaternion import VERIFY_UNITS, Quaternion
@@ -241,6 +254,18 @@ def test_angle_wrong_representative_rejected(product_rect):
     assert err.value.condition == "representative"
 
 
+@pytest.mark.parametrize("rect", ["slice", "product"])
+def test_either_sign_of_the_representative_gives_one_f(rect, slice_rect, product_rect):
+    # a rep in the class of g: its class ratio is read off g_v * rep, and its
+    # phase turns with its sign, so f_v = phi rep is the same for +-j
+    dom = slice_rect if rect == "slice" else product_rect
+    g = exp_star((const(0.5) + const(0.2) * Q * Q) * CJ)
+    stems = [
+        eval_stem_many(log_star(g, dom, rep=rep).f, dom.node_z) for rep in (CJ, const(-1.0) * CJ)
+    ]
+    assert np.abs(stems[0] - stems[1]).max() <= 1e-14
+
+
 def test_negative_trace_rescued_by_representative(slice_rect):
     g = const(-1.0) * (Q * Q + const(2.0))
     res = log_star(g, slice_rect, rep=CI)
@@ -423,6 +448,25 @@ def test_branch_rules_follow_the_table(name):
 # invariants and reporting
 
 
+def _node_runs(monkeypatch, dom) -> list:
+    """The ``computed`` maps of the programs run at the nodes of ``dom`` from
+    now on, in run order."""
+    run = expr_module._run
+    computed = []
+
+    def recording(program, z):
+        if z.size == dom.n_nodes:
+            computed.append(program.computed)
+        return run(program, z)
+
+    monkeypatch.setattr(expr_module, "_run", recording)
+    return computed
+
+
+def _unpinned(tree):
+    return tree.g if isinstance(tree, NodeStem) else tree
+
+
 @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
 def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
     # the benchmark families at small grids; bisection midpoints, contours
@@ -461,18 +505,50 @@ def test_verification_evaluates_f_once_on_the_grid(route, wl, monkeypatch):
         g, dom = parse_expr(wl.null_vector_source(rng)), wl.grid("product", 32, rects=[wl.PRODUCT_RECT])
     else:
         g, dom = parse_expr(wl.fold_source(rng)), wl.grid("product", 32, discs=[wl.BALL_DISC])
-    run = expr_module._run
-    computed = []
-
-    def recording(program, z):
-        if z.size == dom.n_nodes:
-            computed.append(program.computed)
-        return run(program, z)
-
-    monkeypatch.setattr(expr_module, "_run", recording)
+    computed = _node_runs(monkeypatch, dom)
     res = log_star(g, dom)
     assert res.case == route
     assert sum(id(res.f) in nodes for nodes in computed) == 1
+
+
+def test_angle_route_evaluates_w_once_on_the_grid(wl, monkeypatch):
+    # the unit w is pinned where normalize builds it: its w^s check, the class
+    # ratio, the lift validity and f read that one stem
+    g = exp_star(parse_expr(wl.angle_source(random.Random(3))))
+    dom = wl.grid("slice", 32, rects=[wl.SLICE_RECT])
+    normalize, units = logarithm.normalize, []
+
+    def capturing(*args):
+        w, sigma = normalize(*args)
+        units.append(_unpinned(w))
+        return w, sigma
+
+    monkeypatch.setattr(logarithm, "normalize", capturing)
+    computed = _node_runs(monkeypatch, dom)
+    assert log_star(g, dom).case == "angle"
+    (w,) = units
+    assert sum(id(w) in nodes for nodes in computed) == 1
+
+
+@pytest.mark.parametrize("route", ["angle", "fold"])
+def test_classification_evaluates_g_v_sym_once_on_the_grid(route, wl, monkeypatch):
+    # the zero search reads the node values of g_v^s that the classification pinned
+    rng = random.Random(3)
+    if route == "angle":
+        g, dom = exp_star(parse_expr(wl.angle_source(rng))), wl.grid("slice", 32, rects=[wl.SLICE_RECT])
+    else:
+        g, dom = parse_expr(wl.fold_source(rng)), wl.grid("product", 32, discs=[wl.BALL_DISC])
+    find_zeros_sp, searched = vectorial_module.find_zeros_sp, []
+
+    def capturing(F, domain):
+        searched.append(_unpinned(F))
+        return find_zeros_sp(F, domain)
+
+    monkeypatch.setattr(vectorial_module, "find_zeros_sp", capturing)
+    computed = _node_runs(monkeypatch, dom)
+    vectorial_module.classify_vectorial(g, dom)
+    (sym,) = searched
+    assert sum(id(sym) in nodes for nodes in computed) == 1
 
 
 @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold", "exp"])
@@ -564,3 +640,51 @@ def test_check_conditions_isolated_example():
     s = check_conditions(isolated_example(), dom)
     assert s.cond_positive_trace is False
     assert s.cond_slit_avoided is False
+
+
+# ---------------------------------------------------------------------------
+# round trips: log_star(exp_star(f)) verifies or raises a typed error
+
+ROUND_TRIP_DOMAINS = (
+    BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1 / 16),
+    BasicDomainSpec(rects=[(0.5, 1.5, 0.3, 1.0)], kind="product", h=1 / 16),
+    BasicDomainSpec(discs=[(0.0, 1.0, 0.4)], kind="product", h=1 / 32),
+    BasicDomainSpec(discs=[(0.0, 0.0, 0.9)], kind="slice", h=1 / 16),
+)
+_COEFFICIENT = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 4)
+
+
+def polynomial(coeffs):
+    """sum_k q^k c_k for quaternion coefficients c_0, c_1, ... as 4-tuples."""
+    f = const(Quaternion(*coeffs[0]))
+    for k, c in enumerate(coeffs[1:], 1):
+        f = f + Q**k * const(Quaternion(*c))
+    return f
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, len(ROUND_TRIP_DOMAINS) - 1), st.lists(_COEFFICIENT, min_size=1, max_size=4))
+def test_round_trip_verifies_or_is_refused(which, coeffs):
+    # a polynomial exponent of degree <= 3 with coefficients in [-1, 1]
+    try:
+        res = log_star(exp_star(polynomial(coeffs)), ROUND_TRIP_DOMAINS[which])
+    except StarlogError:
+        return
+    assert res.residual <= logarithm.RESIDUAL_ACCEPT
+    assert res.diagnostics["class_preserved"] is True
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ResidualRejected,
+    reason="|g_0|^2 / |g^s| reaches 2.7e4 on this rect, as g^s = g_0^2 + g_v^s cancels; "
+    "u = g_0 / sqrt(g^s) is then about 165, and the absolute LIFT_VALIDITY_TOL on u and "
+    "v fails at 2.2e-9 though the lift is right (the same g verifies on (0.5, 1, 0.3, 0.6))",
+)
+def test_round_trip_with_a_cancelling_symmetrization_verifies():
+    # a shrunk draw of the round-trip property
+    i = (0.0, 0.867, 0.0, 0.0)
+    f = polynomial([i, i, (0.187, 0.0, 0.0, 0.0), i])
+    res = log_star(exp_star(f), ROUND_TRIP_DOMAINS[1])
+    assert res.case == "angle"
+    assert res.residual <= logarithm.RESIDUAL_ACCEPT

@@ -14,6 +14,7 @@ from starlog.algebra import symmetrization, vect_part
 from starlog.domain import BasicDomainSpec
 from starlog.errors import (
     BoundaryZero,
+    ClassificationError,
     DomainError,
     SlicePreservingRequired,
     StarlogError,
@@ -555,6 +556,16 @@ def test_mixed_common_and_isolated_zeros():
     real = next(zc for zc in report.zeros if zc.kind == "real")
     assert real.z == pytest.approx(0.0, abs=1e-10)
     assert [zc.kind for zc in report.residual_zeros()] == ["isolated"]
+
+
+def test_merged_pair_of_isolated_zeros_is_refused():
+    # a shrunk draw of the round-trip property: the zeros of g_v^s at
+    # (1 + q + q^2) = +-i eps (q + q^2) lie 1.2e-7 apart, so they come back as
+    # one double zero at e^(2 pi i / 3), where the stem of g_v is A = -eps i,
+    # B = 0: no unit I makes A + I B vanish
+    g = (const(1.0) + Q + Q * Q) * CK + (Q + Q * Q) * const(Quaternion(0.0, 1e-7, 0.0, 0.0))
+    with pytest.raises(ClassificationError, match="has no zero on the sphere"):
+        classify_vectorial(g, SLICE_16)
 
 
 def test_report_serializes(slice_rect):
