@@ -34,12 +34,12 @@ class Rect:
     y0: float
     y1: float
 
-    def contains(self, x, y, tol: float = _EDGE_TOL):
+    def contains(self, x, y):
         return (
-            (x >= self.x0 - tol)
-            & (x <= self.x1 + tol)
-            & (y >= self.y0 - tol)
-            & (y <= self.y1 + tol)
+            (x >= self.x0 - _EDGE_TOL)
+            & (x <= self.x1 + _EDGE_TOL)
+            & (y >= self.y0 - _EDGE_TOL)
+            & (y <= self.y1 + _EDGE_TOL)
         )
 
     def signed_dist(self, x, y):
@@ -63,8 +63,8 @@ class Disc:
     cy: float
     r: float
 
-    def contains(self, x, y, tol: float = _EDGE_TOL):
-        return np.hypot(x - self.cx, y - self.cy) <= self.r + tol
+    def contains(self, x, y):
+        return np.hypot(x - self.cx, y - self.cy) <= self.r + _EDGE_TOL
 
     def signed_dist(self, x, y):
         return self.r - np.hypot(x - self.cx, y - self.cy)
@@ -222,18 +222,18 @@ class BasicDomainSpec:
 
     # -- membership ---------------------------------------------------
 
-    def contains(self, x, y, tol: float = _EDGE_TOL):
+    def contains(self, x, y):
         """Union membership on the leaf (y >= 0 enforced)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
         for s in self.shapes:
-            inside |= s.contains(x, y, tol)
-        return inside & (y >= -tol)
+            inside |= s.contains(x, y)
+        return inside & (y >= -_EDGE_TOL)
 
-    def contains_z(self, z, tol: float = _EDGE_TOL):
+    def contains_z(self, z):
         z = np.asarray(z, dtype=complex)
-        return self.contains(z.real, z.imag, tol)
+        return self.contains(z.real, z.imag)
 
     def boundary_dist(self, z):
         """Lower bound for the distance to the leaf boundary (axis excluded on slice domains)."""

@@ -10,26 +10,27 @@ which the evaluator applies globally: batches are normalized to the upper half
 plane and conjugated back afterwards, so contours may dip below the axis.
 
 A tree is compiled once, on its first evaluation, into a program kept on its
-root: a post-order list of steps over numbered slots, one per distinct node.
-A step is a function of its inputs' stems, so the steps of a program that a
-subtree's root already keeps are spliced in, renumbered: a tree derived from
-a compiled g (g_v^s, g_0, exp_*(f)) compiles its own nodes only, a node that
-two kept programs compute gets one slot, and every run is one loop, apart
-from the nested runs of a quotient's rings and of a node stem off its nodes.
-A subtree that reads no points (no q, I, lifted field, quotient or node
-stem) and holds no star series is folded at compile time into one (1, 4)
-row by the same step functions, so folding changes no bit; the row
-broadcasts against the stems it meets, and a tree that ends in one row
-(constants alone, or a star series of a constant) is widened to every point
-when its run ends.  A step that meets a floating-point error is not folded,
-so each evaluation meets it under its own ``np.errstate``.  Slice-preserving flags and star-product
-kernels are fixed at compile time, and each slot is freed after its last
-consumer.  Stems are column-major: each component is one contiguous column.
+root: a post-order list of steps, each naming by id the node it computes and
+the nodes it reads, one per distinct node.  A step is a function of its
+inputs' stems, so the steps of a program that a subtree's root already keeps
+are taken over unchanged: a tree derived from a compiled g (g_v^s, g_0,
+exp_*(f)) compiles its own nodes only, a node that two kept programs compute
+gets one step, and every run is one loop, apart from the nested runs of a
+quotient's rings and of a node stem off its nodes.  A subtree that reads no
+points (no q, I, lifted field, quotient or node stem) and holds no star
+series is folded at compile time into one (1, 4) row by the same step
+functions, so folding changes no bit; the row broadcasts against the stems
+it meets, and a tree that ends in one row (constants alone, or a star series
+of a constant) is widened to every point when its run ends.  A step that
+meets a floating-point error is not folded, so each evaluation meets it under
+its own ``np.errstate``.  Slice-preserving flags and star-product kernels are
+fixed at compile time, and each stem is dropped after its last reader.  Stems
+are column-major: each component is one contiguous column.
 
 A :class:`NodeStem` pins an expression g to a domain's grid nodes:
 :func:`node_stem` evaluates g there once, a run at the node array reads that
 stem, and a run at other points evaluates g by one nested run of g's own
-program.  The node is a leaf, so compiling neither folds nor splices g.
+program.  The node is a leaf: compiling neither folds g nor takes its steps.
 
 Nodes carry a structural slice-preserving flag (real stem components, exact
 zeros in the vector part); scalar branch functions may only be applied to
@@ -315,15 +316,14 @@ _FOLD_Z = np.zeros(1, dtype=complex)
 
 
 class _Program(NamedTuple):
-    """``slots`` holds the folded rows and None for the other slots.  A step
-    (run, out, ins, dead) fills slot ``out`` with ``run(z, *stems)`` of the
-    ``ins`` slots and frees the ``dead`` slots.  ``computed`` maps the id of
-    the node each step computes to its slot, in step order."""
+    """``rows`` maps the id of each folded node to its (1, 4) row.  A step
+    (run, out, ins, dead) sets the stem of node ``out`` to ``run(z, *stems)``
+    of the nodes ``ins`` and then drops the stems of the ``dead`` nodes.
+    ``result`` is the id of the root."""
 
-    slots: list
+    rows: dict
     steps: tuple
     result: int
-    computed: dict
 
 
 def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
@@ -350,13 +350,13 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
 
 def _run(program: _Program, z: np.ndarray) -> np.ndarray:
     """The stem of a compiled tree at the points z (upper half plane)."""
-    slots = program.slots.copy()
-    stem = slots.__getitem__
+    stems = dict(program.rows)
+    stem = stems.__getitem__
     for run, out, ins, dead in program.steps:
-        slots[out] = run(z, *map(stem, ins))
-        for i in dead:
-            slots[i] = None
-    return slots[program.result]
+        stems[out] = run(z, *map(stem, ins))
+        for node in dead:
+            del stems[node]
+    return stems[program.result]
 
 
 def _program(root: SliceExpr) -> _Program:
@@ -376,84 +376,61 @@ def _children(node: SliceExpr) -> tuple:
 
 
 def _compile(root: SliceExpr) -> _Program:
-    """Number the nodes of ``root`` in post order and fold the constant ones.
+    """List the steps of ``root`` in post order and fold the constant nodes.
 
-    A node shared within the tree gets one slot, and a node below the root
-    that keeps a program is not visited: that program is spliced in.  A node
-    outside ``_VARYING`` whose inputs are all folded runs its step once,
-    here, on one (1, 4) row, and the row becomes a constant slot: the same
-    step functions fold and run, so folding changes no bit of the result.  A
-    step that meets any floating-point error is not folded, so that each run
-    meets the error under its caller's ``np.errstate``.
+    A node shared within the tree gets one step, and a node below the root
+    that keeps a program is not visited: that program's steps are taken over
+    unchanged, less those of nodes this program has already, and its rows
+    merged in.  Its ids stay valid here, since its root keeps every node it
+    names alive.  A node outside ``_VARYING`` whose inputs are all folded
+    runs its step once, here, on one (1, 4) row, which becomes the node's
+    row: the same step functions fold and run, so folding changes no bit of
+    the result.  A step that meets any floating-point error is not folded,
+    so that each run meets the error under its caller's ``np.errstate``.
     """
-    slots, steps, slot_of, computed = [], [], {}, {}
+    rows, steps = {}, {}  # steps: node id -> (run, ins), in step order
     stack = [(root, False)]
     while stack:
         node, ready = stack.pop()
-        if id(node) in slot_of:
+        if id(node) in steps or id(node) in rows:
             continue
         sub = None if ready or node is root else getattr(node, "_program", None)
         if sub is not None:
-            slot_of[id(node)] = _splice(sub, slots, steps, slot_of, computed)
+            rows.update(sub.rows)
+            for run, out, ins, _ in sub.steps:
+                steps.setdefault(out, (run, ins))
             continue
         kids = _children(node)
         if not ready:
             stack.append((node, True))
             stack.extend((kid, False) for kid in reversed(kids))
             continue
-        ins = tuple(slot_of[id(kid)] for kid in kids)
-        run = _step(node)
-        slot_of[id(node)] = len(slots)
-        slots.append(None if isinstance(node, _VARYING) else _fold(run, slots, ins))
-        if slots[-1] is None:
-            computed[id(node)] = len(slots) - 1
-            steps.append((run, len(slots) - 1, ins))
-    return _assemble(_Program(slots, steps, slot_of[id(root)], computed))
+        run, ins = _step(node), tuple(map(id, kids))
+        row = None if isinstance(node, _VARYING) else _fold(run, rows, ins)
+        if row is None:
+            steps[id(node)] = run, ins
+        else:
+            rows[id(node)] = row
+    return _assemble(rows, steps, id(root))
 
 
-def _splice(sub: _Program, slots: list, steps: list, slot_of: dict, computed: dict) -> int:
-    """Append the steps of ``sub``, renumbered, to those of a program being
-    compiled, and return the slot of its result.  A step whose node the
-    program computes already is dropped for that node's slot, and a folded
-    row gets a slot when a step reads it.
-    """
-    renumbered = {}
-
-    def slot(i: int) -> int:
-        if i not in renumbered:  # a folded row
-            renumbered[i] = len(slots)
-            slots.append(sub.slots[i])
-        return renumbered[i]
-
-    for (run, out, ins, _), node in zip(sub.steps, sub.computed):
-        if node not in slot_of:
-            ins = tuple(map(slot, ins))
-            slot_of[node] = computed[node] = len(slots)
-            slots.append(None)
-            steps.append((run, len(slots) - 1, ins))
-        renumbered[out] = slot_of[node]
-    return slot(sub.result)
-
-
-def _assemble(program: _Program) -> _Program:
-    """``program`` with each step given the slots it reads last, apart from
-    folded rows, to free after it."""
-    slots, read, steps = program.slots, {program.result}, []
-    for run, out, ins in reversed(program.steps):
-        dead = tuple(sorted({i for i in ins if i not in read and slots[i] is None}))
-        steps.append((run, out, ins, dead))
+def _assemble(rows: dict, steps: dict, result: int) -> _Program:
+    """The program of ``steps`` with each step given the nodes it reads last,
+    apart from folded rows, to drop after it."""
+    read, assembled = {result, *rows}, []
+    for out, (run, ins) in reversed(steps.items()):
+        assembled.append((run, out, ins, tuple({node for node in ins if node not in read})))
         read.update(ins)
-    return program._replace(steps=tuple(reversed(steps)))
+    return _Program(rows, tuple(reversed(assembled)), result)
 
 
-def _fold(run, slots: list, ins: tuple) -> np.ndarray | None:
+def _fold(run, rows: dict, ins: tuple) -> np.ndarray | None:
     """The row of a step whose inputs are all folded, or None."""
-    rows = [slots[i] for i in ins]
-    if any(row is None for row in rows):
+    if not all(node in rows for node in ins):
         return None
     try:
         with np.errstate(all="raise"):
-            row = run(_FOLD_Z, *rows)
+            row = run(_FOLD_Z, *(rows[node] for node in ins))
     except FloatingPointError:
         return None
     row.flags.writeable = False  # every run shares it
@@ -464,7 +441,7 @@ def _step(node: SliceExpr):
     """``run(z, *stems)`` computing ``node`` from its children's stems.
 
     It holds the node's fields, not the node, so that a program kept on its
-    root makes no reference cycle, and no slot, so that programs share it.
+    root makes no reference cycle.
     Branch functions and lifted fields are looked up at run time, so that
     wrappers installed later see the calls.
     """
@@ -524,7 +501,7 @@ def node_stem(g: SliceExpr, domain) -> NodeStem:
         stem = eval_stem_many(g, domain.node_z)
     stem.flags.writeable = False  # handed to every run at the nodes
     node = NodeStem(g, domain, stem)
-    _program(node)  # kept, so that every tree holding the node splices its one step
+    _program(node)  # kept, so that every tree holding the node takes over its one step
     return node
 
 

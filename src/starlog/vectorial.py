@@ -5,15 +5,16 @@ zeros are located by the argument principle.  The search lattice is the
 domain's grid framed by one more line a cell past it (closer where F is not
 defined that far); a winding count around it gives the zeros less poles
 inside, and one pass over the values at the lattice points places them,
-whatever the count.  A cell whose corner values turn by less than pi/4 along every
-edge holds no zero.  The other cells form clusters, each counted on its own
-rectangle and read off moment circles inside it, about the lattice minima
-and maxima of |F|: the Fourier coefficients of log F on a circle give the
-power sums of the zeros and poles inside (Delves and Lyness, Math. Comp. 21,
-1967), certified by the cluster's count and first power sum.  A cluster
-whose circles fail is searched the same way on a lattice four times finer.
-Zeros come back in the depth-first order of a quadrant subdivision of the
-domain's bounding box (lower left, lower right, upper left, upper right).
+unless the count is 0 and F has no pole or cut.  A cell whose corner
+values turn by less than pi/4 along every edge holds no zero.  The other
+cells form clusters, each counted on its own rectangle and read off moment
+circles inside it, about the lattice minima and maxima of |F|: the Fourier
+coefficients of log F on a circle give the power sums of the zeros and
+poles inside (Delves and Lyness, Math. Comp. 21, 1967), certified by the
+cluster's count and first power sum.  A cluster whose circles fail is
+searched the same way on a lattice four times finer.  Zeros come back in
+the depth-first order of a quadrant subdivision of the domain's bounding
+box (lower left, lower right, upper left, upper right).
 
 Zeros of the symmetrized vectorial part split into three kinds.  At a real
 point or along a whole sphere every component vanishes and a real-coefficient
@@ -43,10 +44,12 @@ from .errors import (
 )
 from .expr import (
     GridFieldExpr,
+    NodeStem,
     QuotientBySP,
     ScalarApply,
     SliceExpr,
     StarMul,
+    _children,
     const,
     eval_stem_many,
     node_stem,
@@ -486,6 +489,21 @@ def _lattice_zeros(F, bx, by, W, total: int, ftol: float):
     return zeros
 
 
+def _has_pole_or_cut(expr: SliceExpr) -> bool:
+    """Whether a node of ``expr``, or of a node stem's g in it, is a quotient
+    or a reciprocal, log or sqrt: a pole could cancel a zero in a winding
+    count, and a cut that the contour crosses could break it with no error."""
+    seen, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, QuotientBySP) or getattr(node, "fn", None) in ("recip", "log", "sqrt"):
+            return True
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend([node.g] if isinstance(node, NodeStem) else _children(node))
+    return False
+
+
 def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     """Zeros of a slice-preserving function over the domain, as upper stem points.
 
@@ -493,7 +511,8 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     zeros less poles, and _lattice_zeros places them from the values on it.
     Its frame starts a whole cell past the grid and moves closer (_PADS)
     while the count fails, the counts of the clusters do not add up to it, a
-    cluster cannot be read or F is not defined all over the box.  Zeros
+    cluster cannot be read or F is not defined all over the box.  A count
+    of 0 ends the search when F has no pole or cut (_has_pole_or_cut).  Zeros
     within _MERGE_TOL of each other come back as one, in the depth-first
     quadrant order of the domain's bounding box (lower left, lower right,
     upper left, upper right).
@@ -527,6 +546,8 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
             # of multiplicity, so zeros of multiplicity up to 5 turn it by less
             # than 2 pi - 1.5, and a step that aliases shows as one of 1.5 or more
             (total,), _ = _windings(F, [(bx[0], bx[-1], by[0], by[-1])], ftol, step=step)
+            if total == 0 and not _has_pole_or_cut(expr):
+                return []
             if total is not None:
                 W = _lattice(F, bx, by, domain, node_vals)
                 found = _lattice_zeros(F, bx, by, W, total, ftol)

@@ -37,6 +37,12 @@ def sp_vectors_vanish():
     return check
 
 
+@pytest.fixture
+def computed_by():
+    """The ids of the nodes that a compiled program's steps compute, in step order."""
+    return lambda program: [out for _, out, _, _ in program.steps]
+
+
 @pytest.fixture(scope="module")
 def wl():
     """The benchmark's input families, from perfbench/workloads.py."""

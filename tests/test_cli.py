@@ -96,7 +96,7 @@ def test_classify_reports_isolated_zero(domains, capsys):
     assert "isolated" in out
 
 
-def test_classify_evaluates_g_once_on_the_grid(domains, monkeypatch, capsys):
+def test_classify_evaluates_g_once_on_the_grid(domains, monkeypatch, capsys, computed_by):
     # check_conditions and classify_vectorial share one stem of g at the nodes
     trees, computed = [], []
     parse, run = cli.parse_expr, expr_module._run
@@ -107,7 +107,7 @@ def test_classify_evaluates_g_once_on_the_grid(domains, monkeypatch, capsys):
         return trees[-1]
 
     def counting(program, z):
-        if id(trees[0]) in program.computed and z.size == n_nodes:
+        if id(trees[0]) in computed_by(program) and z.size == n_nodes:
             computed.append(z.size)
         return run(program, z)
 

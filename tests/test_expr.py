@@ -372,13 +372,13 @@ class TestNodeStem:
                 assert np.array_equal(got, eval_stem_many(build(g), zs))
                 assert np.array_equal(got, recursive_stem(tree, zs))
 
-    def test_a_run_at_the_nodes_reads_the_stem(self, wl, monkeypatch):
+    def test_a_run_at_the_nodes_reads_the_stem(self, wl, monkeypatch, computed_by):
         dom = wl.grid("product", 8, rects=[wl.PRODUCT_RECT])
         g = star_mul(VarQ(), const(I_UNIT))
         run, computed = expr_module._run, []
 
         def counting(program, z):
-            if id(g) in program.computed:
+            if id(g) in computed_by(program):
                 computed.append(z.size)
             return run(program, z)
 
@@ -825,7 +825,19 @@ class TestProgram:
             for points in (zs, zs.conj()):
                 assert np.array_equal(eval_stem_many(gvs, points), recursive_stem(gvs, points))
 
-    def test_fold_input_folds_its_constants(self, wl, built):
+    def test_a_kept_program_keeps_its_steps_in_a_tree_that_holds_it(self, wl):
+        # the steps of g's program name the nodes they compute and read, so a
+        # tree over g takes them over unchanged, after the steps of its own
+        # nodes visited first
+        g = parse_expr(wl.fold_source(random.Random(1)))
+        kept = [step[:3] for step in expr_module._program(g).steps]
+        tree = star_mul(VarQ(), const(I_UNIT)) + symmetrization(vect_part(g))
+        taken = [step[:3] for step in expr_module._program(tree).steps]
+        assert [step for step in taken if step in kept] == kept
+        zs = np.array([0.3 + 0.5j, 1.1 + 0.2j, -0.4 - 0.7j])
+        assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
+
+    def test_fold_input_folds_its_constants(self, wl, built, computed_by):
         # c p (-1 + q^2 i + sqrt2 q j + k) conj(p): 52 nodes, 42 of them in
         # constant subtrees (the rotated vectors and the scale c)
         source = wl.fold_source(random.Random(1))
@@ -834,16 +846,16 @@ class TestProgram:
         assert len(built) == 54
         g = parse_expr(source)
         assert steps(g) == 10
-        # once g keeps its program, g_v^s splices g's 10 steps and builds
+        # once g keeps its program, g_v^s takes over g's 10 steps and builds
         # Symm and VectPart only
         built.clear()
         gvs = expr_module._program(symmetrization(vect_part(g)))
         assert len(gvs.steps) == 12 and len(built) == 2
-        assert expr_module._program(g).computed.keys() <= gvs.computed.keys()
+        assert set(computed_by(expr_module._program(g))) <= set(computed_by(gvs))
         assert steps(const(2.0) * const(I_UNIT) + 1) == 0
 
     @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
-    def test_trees_over_a_compiled_g_run_its_program(self, route, wl, built):
+    def test_trees_over_a_compiled_g_run_its_program(self, route, wl, built, computed_by):
         rng = random.Random(9)
         if route == "scalar":
             g, dom = parse_expr(wl.scalar_source(rng)[0]), wl.grid("slice", 24, rects=[wl.SLICE_RECT])
@@ -868,11 +880,12 @@ class TestProgram:
             built.clear()
             program = expr_module._program(tree)
             # only the nodes outside g and gv are built, each once; g's
-            # steps are spliced in and computed once
+            # steps are taken over and computed once
             own = {id(node) for node in tree_nodes(tree)} - kept
             assert sorted(map(id, built)) == sorted(own), tree
-            assert expr_module._program(g).computed.keys() <= program.computed.keys()
-            assert len(program.steps) == len(program.computed)
+            computed = computed_by(program)
+            assert set(computed_by(expr_module._program(g))) <= set(computed)
+            assert len(computed) == len(set(computed))
             assert np.array_equal(eval_stem_many(tree, off), recursive_stem(tree, off))
             assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
         pinned = node_stem(g, dom)
@@ -884,7 +897,7 @@ class TestProgram:
         ]
         for tree in pinned_trees:  # g from the node's stem, not from g's program
             program = expr_module._program(tree)
-            assert id(pinned) in program.computed and id(g) not in program.computed
+            assert id(pinned) in computed_by(program) and id(g) not in computed_by(program)
             for points in (zs, off):
                 assert np.array_equal(eval_stem_many(tree, points), recursive_stem(tree, points))
 

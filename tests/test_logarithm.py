@@ -448,15 +448,15 @@ def test_branch_rules_follow_the_table(name):
 # invariants and reporting
 
 
-def _node_runs(monkeypatch, dom) -> list:
-    """The ``computed`` maps of the programs run at the nodes of ``dom`` from
-    now on, in run order."""
+def _node_runs(monkeypatch, dom, computed_by) -> list:
+    """The ids of the nodes computed by each program run at the nodes of
+    ``dom`` from now on, in run order."""
     run = expr_module._run
     computed = []
 
     def recording(program, z):
         if z.size == dom.n_nodes:
-            computed.append(program.computed)
+            computed.append(computed_by(program))
         return run(program, z)
 
     monkeypatch.setattr(expr_module, "_run", recording)
@@ -468,7 +468,7 @@ def _unpinned(tree):
 
 
 @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
-def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
+def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch, computed_by):
     # the benchmark families at small grids; bisection midpoints, contours
     # and off-node samples are other batches and are not counted
     rng = random.Random(3)
@@ -484,7 +484,7 @@ def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
     computed = []
 
     def counting(program, z):
-        if id(g) in program.computed and z.size == dom.n_nodes:
+        if id(g) in computed_by(program) and z.size == dom.n_nodes:
             computed.append(z.size)
         return run(program, z)
 
@@ -494,7 +494,7 @@ def test_log_star_evaluates_g_once_on_the_grid(route, wl, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
-def test_verification_evaluates_f_once_on_the_grid(route, wl, monkeypatch):
+def test_verification_evaluates_f_once_on_the_grid(route, wl, monkeypatch, computed_by):
     # the residual and the class check read one node stem of f
     rng = random.Random(3)
     if route == "scalar":
@@ -505,13 +505,13 @@ def test_verification_evaluates_f_once_on_the_grid(route, wl, monkeypatch):
         g, dom = parse_expr(wl.null_vector_source(rng)), wl.grid("product", 32, rects=[wl.PRODUCT_RECT])
     else:
         g, dom = parse_expr(wl.fold_source(rng)), wl.grid("product", 32, discs=[wl.BALL_DISC])
-    computed = _node_runs(monkeypatch, dom)
+    computed = _node_runs(monkeypatch, dom, computed_by)
     res = log_star(g, dom)
     assert res.case == route
     assert sum(id(res.f) in nodes for nodes in computed) == 1
 
 
-def test_angle_route_evaluates_w_once_on_the_grid(wl, monkeypatch):
+def test_angle_route_evaluates_w_once_on_the_grid(wl, monkeypatch, computed_by):
     # the unit w is pinned where normalize builds it: its w^s check, the class
     # ratio, the lift validity and f read that one stem
     g = exp_star(parse_expr(wl.angle_source(random.Random(3))))
@@ -524,14 +524,14 @@ def test_angle_route_evaluates_w_once_on_the_grid(wl, monkeypatch):
         return w, sigma
 
     monkeypatch.setattr(logarithm, "normalize", capturing)
-    computed = _node_runs(monkeypatch, dom)
+    computed = _node_runs(monkeypatch, dom, computed_by)
     assert log_star(g, dom).case == "angle"
     (w,) = units
     assert sum(id(w) in nodes for nodes in computed) == 1
 
 
 @pytest.mark.parametrize("route", ["angle", "fold"])
-def test_classification_evaluates_g_v_sym_once_on_the_grid(route, wl, monkeypatch):
+def test_classification_evaluates_g_v_sym_once_on_the_grid(route, wl, monkeypatch, computed_by):
     # the zero search reads the node values of g_v^s that the classification pinned
     rng = random.Random(3)
     if route == "angle":
@@ -545,7 +545,7 @@ def test_classification_evaluates_g_v_sym_once_on_the_grid(route, wl, monkeypatc
         return find_zeros_sp(F, domain)
 
     monkeypatch.setattr(vectorial_module, "find_zeros_sp", capturing)
-    computed = _node_runs(monkeypatch, dom)
+    computed = _node_runs(monkeypatch, dom, computed_by)
     vectorial_module.classify_vectorial(g, dom)
     (sym,) = searched
     assert sum(id(sym) in nodes for nodes in computed) == 1

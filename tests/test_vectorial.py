@@ -20,7 +20,7 @@ from starlog.errors import (
     StarlogError,
     Vanishing,
 )
-from starlog.expr import Q, UNIT, Const, ScalarApply, const, eval_stem_many, stem_complex
+from starlog.expr import Q, UNIT, Const, ScalarApply, const, eval_stem_many, node_stem, stem_complex
 from starlog.parse import parse_expr
 from starlog.quaternion import Quaternion
 from starlog.vectorial import (
@@ -282,6 +282,39 @@ def test_search_box_stays_where_the_function_is_defined(source, rect, kind, z):
     assert abs(stem_complex(sym, np.array([zero.z]))[0]) <= 1e-12
 
 
+def _lattice_passes(monkeypatch) -> list:
+    """One entry for each lattice pass of the zero search from now on."""
+    lattice, passes = vectorial._lattice, []
+
+    def counted(*args):
+        passes.append(1)
+        return lattice(*args)
+
+    monkeypatch.setattr(vectorial, "_lattice", counted)
+    return passes
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["tree", "node-stem"])
+def test_a_count_of_zero_ends_the_search_when_f_has_no_pole_or_cut(pinned, monkeypatch):
+    # the zeros 2.5 and -1 lie past the search box, which counts 0, and no
+    # node of F is a quotient, a reciprocal, a log or a sqrt
+    F = _with_zeros([2.5 + 0j, -1.0 + 0j])
+    passes = _lattice_passes(monkeypatch)
+    assert find_zeros_sp(node_stem(F, PRODUCT_16) if pinned else F, PRODUCT_16) == []
+    assert passes == []
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["tree", "node-stem"])
+@pytest.mark.parametrize("fn", ["log", "sqrt"])
+def test_a_count_of_zero_keeps_the_lattice_pass_when_f_has_a_cut(fn, pinned, monkeypatch):
+    # log z and sqrt z have no zero in the box, which counts 0, but their cut
+    # could break the count where the contour crosses it: the pass still runs
+    F = ScalarApply(fn, Q + const(0.5))
+    passes = _lattice_passes(monkeypatch)
+    assert find_zeros_sp(node_stem(F, PRODUCT_16) if pinned else F, PRODUCT_16) == []
+    assert len(passes) == 1
+
+
 def test_node_pass_keeps_the_boundary_band():
     # a zero BOUNDARY_MARGIN / 2 inside the rim is ambiguous
     p = _with_zeros([_polar(0.5 - 0.5 * vectorial.BOUNDARY_MARGIN)])
@@ -478,12 +511,12 @@ def test_scalar_function_classifies_as_zero(slice_rect):
 
 
 @pytest.mark.parametrize("source", ["q^2*j + 2", "-1 + q^2*i + 1.4142135623730951*q*j + k"])
-def test_classify_evaluates_g_once_on_the_grid(source, product_rect, monkeypatch):
+def test_classify_evaluates_g_once_on_the_grid(source, product_rect, monkeypatch, computed_by):
     # g_v^s at the nodes and the zero finder's node pass read the stem of g
     g, run, computed = parse_expr(source), expr_module._run, []
 
     def counting(program, z):
-        if id(g) in program.computed and z.size == product_rect.n_nodes:
+        if id(g) in computed_by(program) and z.size == product_rect.n_nodes:
             computed.append(z.size)
         return run(program, z)
 
