@@ -73,8 +73,8 @@ class ClassificationError(StarlogError):
 class ConditionFailed(StarlogError):
     """A sufficient condition for a star-logarithm does not hold on the grid.
 
-    ``condition`` names the failed test: "cond1", "realimage", "counterex",
-    "parity", "periods", "representative".
+    ``condition`` names the failed test: "cond1", "parity", "periods",
+    "representative".
     """
 
     def __init__(self, condition: str, message: str = ""):

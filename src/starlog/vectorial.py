@@ -13,8 +13,7 @@ coefficients of log F on a circle give the power sums of the zeros and
 poles inside (Delves and Lyness, Math. Comp. 21, 1967), certified by the
 cluster's count and first power sum.  A cluster whose circles fail is
 searched the same way on a lattice four times finer.  Zeros come back in
-the depth-first order of a quadrant subdivision of the domain's bounding
-box (lower left, lower right, upper left, upper right).
+ascending real part, then ascending imaginary part.
 
 Zeros of the symmetrized vectorial part split into three kinds.  At a real
 point or along a whole sphere every component vanishes and a real-coefficient
@@ -64,12 +63,12 @@ logger = logging.getLogger(__name__)
 ZERO_REL = 1e-10  # identically-zero threshold, relative to the function scale
 BOUNDARY_MARGIN = 1e-8  # zeros this close to the domain boundary are ambiguous
 PATCH_CELLS = 4  # removable-singularity patch radius, in grid cells
+DEPENDENT_REL = 1e-9  # largest minor of proportional vector parts, relative to their scales
 
 _WIND_START = 32  # least boundary samples per rectangle edge, doubled on demand
 _WIND_CAP = 1 << 14
 _PADS = (1.0, 0.25, 1 / 16, 1 / 64)  # search box pads past the domain's grid, in cells
 _REFINE_POINTS = 1 << 16  # most points of a refined lattice
-_CUT_RATIOS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
 _MERGE_TOL = 3e-6  # zeros this close together come back as one
 _MOMENT_N = 64  # samples per moment circle
 _MOMENT_TOL = 1e-10  # error bound of a moment read, relative to 1 + |z|
@@ -358,39 +357,6 @@ def _clusters(bad: np.ndarray) -> list:
     return []
 
 
-def _depth_first(found: list, rect) -> list:
-    """The (z, multiplicity) pairs ``found`` in the depth-first order of a
-    quadrant subdivision of ``rect``: lower left, lower right, upper left,
-    upper right.
-
-    Each cell is cut at the first ratio of _CUT_RATIOS whose cut lines pass
-    no zero of odd multiplicity closer than 2**-15 of the cell's side; a zero
-    that near a cut goes to its lower or left side.  A cell holding one zero,
-    or no larger than _MERGE_TOL, is a leaf.
-    """
-    out: list = []
-
-    def visit(part, rect):
-        x0, x1, y0, y1 = rect
-        side = max(x1 - x0, y1 - y0)
-        if len(part) < 2 or side <= _MERGE_TOL:
-            out.extend(part)
-            return
-        near = 2.0**-15 * side
-        odd = [z for z, m in part if m % 2]
-        for r in _CUT_RATIOS:
-            xm, ym = x0 + r * (x1 - x0), y0 + r * (y1 - y0)
-            if all(min(abs(z.real - xm), abs(z.imag - ym)) > near for z in odd):
-                break
-        sides = [(z.real - xm > near, z.imag - ym > near) for z, _ in part]
-        quads = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
-        for j, quad in enumerate(quads):
-            visit([zm for zm, s in zip(part, sides) if s == (bool(j & 1), bool(j & 2))], quad)
-
-    visit(found, rect)
-    return out
-
-
 def _minima(mags: np.ndarray) -> np.ndarray:
     """Where ``mags`` lies under its eight neighbours, the first of a tie in
     row order; a value that is not finite is no minimum."""
@@ -513,9 +479,9 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     while the count fails, the counts of the clusters do not add up to it, a
     cluster cannot be read or F is not defined all over the box.  A count
     of 0 ends the search when F has no pole or cut (_has_pole_or_cut).  Zeros
-    within _MERGE_TOL of each other come back as one, in the depth-first
-    quadrant order of the domain's bounding box (lower left, lower right,
-    upper left, upper right).
+    come back in ascending real part, rounded to a multiple of _MERGE_TOL,
+    then ascending imaginary part, and those within _MERGE_TOL of each other
+    come back as one.
 
     Raises Vanishing when the function is identically zero, BoundaryZero when
     a zero falls inside the ambiguity band around the domain boundary, and
@@ -560,11 +526,10 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
     else:
         raise NoConvergence(failure)
 
-    low = -domain.ymax if domain.kind == "slice" else domain.ymin
-    found = _depth_first(found, (domain.xmin, domain.xmax, low, domain.ymax))
-
     merged: list[tuple[complex, int]] = []
-    for z, m in found:
+    # rounded, the real parts of a real zero and a zero above it, read a
+    # rounding error apart, tie, and the imaginary parts order them
+    for z, m in sorted(found, key=lambda zm: (round(zm[0].real / _MERGE_TOL), zm[0].imag)):
         for idx, (zp, mp) in enumerate(merged):
             if abs(z - zp) <= _MERGE_TOL * (1.0 + abs(z)):
                 merged[idx] = ((zp * mp + z * m) / (mp + m), mp + m)
@@ -667,7 +632,11 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
                 ClassifiedZero(sz.z, sz.multiplicity, "real", order, Quaternion.coerce(sz.z.real))
             )
         elif sup_parts(c[1:]) <= point_tol:
+            # a spherical zero has every component vanishing; order 0 is a
+            # merged pair of isolated zeros, whose directions are lost
             order = _component_order(gv, live, sz.z, ftol)
+            if not order:
+                raise ClassificationError(f"g_v has no zero on the sphere of {sz.z}")
             classified.append(ClassifiedZero(sz.z, sz.multiplicity, "spherical", order, None))
         else:
             qa = Quaternion(0.0, float(av[0]), float(av[1]), float(av[2]))
@@ -755,9 +724,7 @@ def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec):
     return w, log_field
 
 
-def linearly_dependent(
-    e1: SliceExpr, e2: SliceExpr, domain: BasicDomainSpec, tol: float = 1e-9
-) -> bool:
+def linearly_dependent(e1: SliceExpr, e2: SliceExpr, domain: BasicDomainSpec) -> bool:
     """Whether the vectorial parts of two functions are pointwise
     proportional on the domain.
 
@@ -776,4 +743,4 @@ def linearly_dependent(
     for a, b in ((0, 1), (0, 2), (1, 2)):
         minor = c1[:, a] * c2[:, b] - c1[:, b] * c2[:, a]
         worst = max(worst, float(np.abs(minor).max()))
-    return worst <= tol * s1 * s2
+    return worst <= DEPENDENT_REL * s1 * s2

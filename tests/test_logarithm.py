@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from starlog import vectorial as vectorial_module
 from starlog.domain import BasicDomainSpec
 from starlog.errors import (
     BranchPointHit,
+    ClassificationError,
     ConditionFailed,
     DomainError,
     LiftStep,
@@ -39,6 +41,7 @@ from starlog.logarithm import BranchSpec, check_conditions, log_star, residual_s
 from starlog.parse import parse_expr
 from starlog.quaternion import VERIFY_UNITS, Quaternion
 from starlog.starexp import exp_star
+from starlog.vectorial import classify_vectorial
 
 CI = const(Quaternion(0.0, 1.0, 0.0, 0.0))
 CJ = const(Quaternion(0.0, 0.0, 1.0, 0.0))
@@ -357,6 +360,38 @@ def test_fold_branch_family_and_rejections():
     assert err.value.condition == "representative"
 
 
+def _blob(s, r):
+    """z^2 i + sqrt(2) z j + k with z = (q - s) / r: its vectorial part vanishes
+    at one point of the sphere through s + r i (see isolated_example)."""
+    z = (Q - const(s)) * const(1.0 / r)
+    return (z * z) * CI + z * const(Quaternion(0.0, 0.0, math.sqrt(2.0), 0.0)) + CK
+
+
+_TWO_SPHERES = BasicDomainSpec(rects=[(-1.2, 1.2, 0.4, 1.6)], kind="product", h=1 / 32)
+
+
+@pytest.mark.parametrize(
+    "c0, error", [(2.0, None), (3.0, None), (0.5, BranchPointHit), (1.0, LiftStep)]
+)
+def test_fold_route_does_not_depend_on_the_order_of_the_zeros(c0, error):
+    # either isolated zero may pin the square-root sign and seed the mu lift
+    g = const(c0) + _blob(0.5, 0.75) * _blob(-0.5, 1.25)
+    report = classify_vectorial(g, _TWO_SPHERES)
+    assert [zc.kind for zc in report.zeros] == ["isolated", "isolated"]
+    assert abs(report.zeros[0].z - (-0.3805 + 1.106j)) < 1e-3
+    assert abs(report.zeros[1].z - (0.3805 + 0.7525j)) < 1e-3
+    reports = [report, dataclasses.replace(report, zeros=report.zeros[::-1])]
+    if error is not None:
+        for each in reports:
+            with pytest.raises(error):
+                logarithm._fold_route(g, _TWO_SPHERES, each)
+        return
+    (f1, d1), (f2, d2) = [logarithm._fold_route(g, _TWO_SPHERES, each) for each in reports]
+    assert d1["sqrt_sign"] == d2["sqrt_sign"]
+    nodes = _TWO_SPHERES.node_z
+    assert np.array_equal(eval_stem_many(f1, nodes), eval_stem_many(f2, nodes))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="g^s = 1 + (q^2 + 1)^2 vanishes at q = +-0.455 + 1.099i, 0.034 inside the disc "
@@ -672,6 +707,15 @@ def test_round_trip_verifies_or_is_refused(which, coeffs):
         return
     assert res.residual <= logarithm.RESIDUAL_ACCEPT
     assert res.diagnostics["class_preserved"] is True
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+def test_round_trip_through_a_merged_pair_of_isolated_zeros_is_refused(eps):
+    # g_v^s has two isolated zeros 2 eps / sqrt(3) apart near e^(2 pi i / 3),
+    # which come back as one zero where no component of g_v vanishes
+    f = (const(1.0) + Q + Q * Q) * CK + (Q + Q * Q) * const(Quaternion(0.0, eps, 0.0, 0.0))
+    with pytest.raises(ClassificationError, match="has no zero on the sphere"):
+        log_star(exp_star(f), ROUND_TRIP_DOMAINS[0])
 
 
 @pytest.mark.xfail(

@@ -88,10 +88,7 @@ def test_mixed_zero_list(slice_rect):
     ]
 
 
-def test_zeros_come_in_depth_first_order(product_rect):
-    # one simple zero in each quadrant of the domain's bounding box, listed
-    # lower left, lower right, upper left, upper right; 0.7+0.8i sits on the
-    # cut at ratio 0.5, so the box is cut at 0.53
+def test_zeros_come_in_ascending_real_then_imaginary_part(product_rect):
     roots = [0.7 + 0.8j, 1.4 + 0.35j, 0.6 + 1.1j, 1.2 + 1.2j]
     p = const(1.0)
     for r in reversed(roots):
@@ -99,8 +96,18 @@ def test_zeros_come_in_depth_first_order(product_rect):
     zeros = find_zeros_sp(p, product_rect)
     assert [z.multiplicity for z in zeros] == [1, 1, 1, 1]
     ref = np.roots(np.poly(roots + [r.conjugate() for r in roots]).real)
-    for sz, r in zip(zeros, roots):
+    for sz, r in zip(zeros, [0.6 + 1.1j, 0.7 + 0.8j, 1.2 + 1.2j, 1.4 + 0.35j]):
         assert abs(sz.z - ref[np.argmin(np.abs(ref - r))]) <= 1e-10
+
+
+@pytest.mark.parametrize("x", [0.1, 0.25])
+def test_real_zero_comes_before_the_zero_above_it(slice_rect, x):
+    # at x = 0.1 the upper zero is read with a real part one rounding error
+    # below that of the real zero
+    p = (Q - const(x)) * (Q * Q - const(2.0 * x) * Q + const(x * x + 0.25))
+    real, upper = find_zeros_sp(p, slice_rect)
+    assert real.z.imag == 0.0 and abs(real.z.real - x) <= 1e-10
+    assert abs(upper.z - complex(x, 0.5)) <= 1e-10
 
 
 def test_zero_finder_batches_its_stem_calls(monkeypatch):
@@ -591,12 +598,15 @@ def test_mixed_common_and_isolated_zeros():
     assert [zc.kind for zc in report.residual_zeros()] == ["isolated"]
 
 
-def test_merged_pair_of_isolated_zeros_is_refused():
+@pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
+def test_merged_pair_of_isolated_zeros_is_refused(eps):
     # a shrunk draw of the round-trip property: the zeros of g_v^s at
-    # (1 + q + q^2) = +-i eps (q + q^2) lie 1.2e-7 apart, so they come back as
-    # one double zero at e^(2 pi i / 3), where the stem of g_v is A = -eps i,
-    # B = 0: no unit I makes A + I B vanish
-    g = (const(1.0) + Q + Q * Q) * CK + (Q + Q * Q) * const(Quaternion(0.0, 1e-7, 0.0, 0.0))
+    # (1 + q + q^2) = +-i eps (q + q^2) lie 2 eps / sqrt(3) apart, so they
+    # come back as one double zero at e^(2 pi i / 3), where the stem of g_v
+    # is A = -eps i, B = 0: no unit I makes A + I B vanish; at eps = 1e-9 the
+    # stem falls under the point tolerance, but no component vanishes there,
+    # so the zero is no sphere either
+    g = (const(1.0) + Q + Q * Q) * CK + (Q + Q * Q) * const(Quaternion(0.0, eps, 0.0, 0.0))
     with pytest.raises(ClassificationError, match="has no zero on the sphere"):
         classify_vectorial(g, SLICE_16)
 
