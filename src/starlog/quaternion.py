@@ -135,7 +135,7 @@ def exp_q(q: Quaternion) -> Quaternion:
     return Quaternion(s * math.cos(t), f * q.x, f * q.y, f * q.z)
 
 
-# default slice units for cross-slice verification
+# slice units sampled where values are wanted per slice (the CLI's --grid-out)
 VERIFY_UNITS = (
     I_UNIT,
     Quaternion(0.0, 1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0),

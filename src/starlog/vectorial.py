@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,12 +106,17 @@ class ClassifiedZero:
 
 @dataclass
 class VectorialClassReport:
-    """Structure of the vectorial part over a domain."""
+    """Structure of the vectorial part over a domain.
+
+    ``sym`` is g_v^s pinned to the nodes, as the zero search read it, and
+    None for the classes that run no zero search; it is not serialized.
+    """
 
     kind: str  # "zero" | "null-symmetrization" | "no-zeros" | "discrete-zeros"
     zeros: list
     vect_scale: float
     sym_scale: float
+    sym: NodeStem | None = field(default=None, repr=False, compare=False)
 
     def factor_zeros(self) -> list:
         return [zc for zc in self.zeros if zc.kind != "isolated"]
@@ -656,7 +661,7 @@ def classify_vectorial(g: SliceExpr, domain: BasicDomainSpec) -> VectorialClassR
                 )
             classified.append(ClassifiedZero(sz.z, sz.multiplicity, "isolated", 0, loc))
 
-    report = VectorialClassReport("no-zeros", classified, vect_scale, sym_scale)
+    report = VectorialClassReport("no-zeros", classified, vect_scale, sym_scale, sym)
     if report.residual_zeros():
         report.kind = "discrete-zeros"
     return report
@@ -702,14 +707,17 @@ def factor_minimal(gv: SliceExpr, report: VectorialClassReport, domain: BasicDom
     return coeffs, quotient
 
 
-def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec):
+def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec, ws: SliceExpr | None = None):
     """Scale a vectorial function to unit symmetrization.
 
     Requires the symmetrization of ``w_tilde`` to be zero-free on the domain.
+    ``ws`` is that symmetrization where the caller holds it, such as the
+    g_v^s that :func:`classify_vectorial` pinned, so that the lift reads it.
     Returns (normalized expression, log field of the symmetrization); the
     normalized expression is pinned to the nodes (:func:`expr.node_stem`).
     """
-    ws = symmetrization(w_tilde)
+    if ws is None:
+        ws = symmetrization(w_tilde)
 
     def F(zs):
         return stem_complex(ws, np.asarray(zs, dtype=complex))

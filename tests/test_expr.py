@@ -54,6 +54,8 @@ from starlog.expr import (
     evaluate,
     is_slice_preserving,
     node_stem,
+    slice_range,
+    slice_values,
     stem_complex,
 )
 from starlog.logarithm import log_star
@@ -67,6 +69,7 @@ from starlog.quaternion import (
     qconj,
     qmul,
     qsym,
+    VERIFY_UNITS,
     split,
 )
 from starlog.starexp import exp_star
@@ -620,6 +623,94 @@ class TestSlicePreservingFlag:
         q = Quaternion(0.5, 0.5, 0, 0)
         want = 2 * q - q * q * q + I_UNIT
         assert abs(evaluate(f, q) - want) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# slice ranges
+
+
+def normal_stem(n, rng):
+    return np.asfortranarray(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
+
+
+def abs_on_slices(C, units):
+    """|A + J B| for every row of C (columns) and every unit J (rows)."""
+    J = np.zeros((len(units), 1, 4), dtype=complex)
+    J[:, 0, 1:] = units
+    return np.linalg.norm(C.real[None] + qmul(J, C.imag[None]).real, axis=-1)
+
+
+def extremal_units(C):
+    """The units J = -+v/|v|, v = vec(A conj(B)), where |A + J B| is least and
+    greatest, row by row."""
+    A, B = C.real, C.imag
+    v = B[:, :1] * A[:, 1:] - A[:, :1] * B[:, 1:] - np.cross(A[:, 1:], B[:, 1:])
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestSliceRange:
+    def test_bounds_are_reached_at_the_extremal_units(self):
+        C = normal_stem(200, np.random.default_rng(1))
+        lo, hi = slice_range(C)
+        J = extremal_units(C)
+        for k in range(C.shape[0]):
+            least, most = abs_on_slices(C[k : k + 1], np.array([-J[k], J[k]]))[:, 0]
+            assert lo[k] ** 2 == pytest.approx(least**2, rel=1e-14)
+            assert hi[k] ** 2 == pytest.approx(most**2, rel=1e-14)
+
+    def test_every_slice_falls_inside_the_bounds(self):
+        rng = np.random.default_rng(2)
+        C = normal_stem(40, rng)
+        C[0] = C[0].real  # a slice-preserving row: one value on every slice
+        units = rng.normal(size=(4000, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        mags = abs_on_slices(C, units)
+        lo, hi = slice_range(C)
+        assert (mags >= lo * (1.0 - 1e-14)).all()
+        assert (mags <= hi * (1.0 + 1e-14)).all()
+        # the three check units read a range inside the closed form
+        three = np.stack([np.linalg.norm(slice_values(C, u), axis=1) for u in VERIFY_UNITS])
+        assert (three.min(axis=0) >= lo * (1.0 - 1e-14)).all()
+        assert (three.max(axis=0) <= hi * (1.0 + 1e-14)).all()
+
+    def test_every_memory_layout_reads_the_same(self):
+        C = normal_stem(50, np.random.default_rng(3))
+        want = slice_range(C)
+        for layout in (np.ascontiguousarray(C), np.asfortranarray(C), C[::-1][::-1]):
+            got = slice_range(layout)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        row = np.array([[1.0, 0.5j, -0.25, 2.0 + 1.0j]])
+        lo, hi = slice_range(row)
+        assert lo.shape == hi.shape == (1,)
+        wide = slice_range(np.repeat(row, 7, axis=0))
+        assert np.array_equal(wide[0], np.repeat(lo, 7))
+        assert np.array_equal(wide[1], np.repeat(hi, 7))
+
+    def test_a_row_with_no_vector_product_has_one_magnitude(self):
+        # vec(A conj(B)) = 0 where B is a real multiple of A, or where A and B
+        # are both real (a slice-preserving row)
+        A = np.array([[0.3, -1.2, 0.7, 2.0], [1.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        B = np.array([[0.6, -2.4, 1.4, 4.0], [-0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        lo, hi = slice_range(A + 1j * B)
+        np.testing.assert_allclose(lo, hi, rtol=1e-15)
+        size = np.hypot(np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1))
+        np.testing.assert_allclose(hi, size, rtol=1e-15)
+        assert lo[2] == hi[2] == 0.0  # the zero row, with no warning
+
+    def test_a_row_too_large_to_square_reads_an_upper_bound_of_inf(self):
+        lo, hi = slice_range(np.array([[1e200, 0.0, 1e200j, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+        assert hi[0] == np.inf and lo[0] == 0.0  # lo is a lower bound, hi not finite
+        assert lo[1] == hi[1] == 1.0
+
+    def test_a_nearly_vanishing_row_keeps_its_accuracy(self):
+        # A = j + eps, B = k: g^s = eps^2 and hi = 1 + sqrt(1 + eps^2), so the
+        # least |A + J B| is eps^2 / hi; s - 2|v| would lose it to rounding
+        for eps in (1e-3, 1e-5, 1e-7):
+            C = np.array([[eps, 0.0, 1.0, 1j]])
+            lo, hi = slice_range(C)
+            least = eps * eps / (1.0 + math.sqrt(1.0 + eps * eps))
+            assert abs(lo[0] - least) <= 4 * np.finfo(float).eps
+            assert hi[0] == pytest.approx(1.0 + math.sqrt(1.0 + eps * eps), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from starlog.errors import (
     DomainError,
     LiftStep,
     NoGlobalLogWitness,
-    ResidualRejected,
     StarlogError,
     Vanishing,
 )
@@ -35,9 +34,16 @@ from starlog.expr import (
     const,
     eval_many,
     eval_stem_many,
+    slice_values,
     stem_complex,
 )
-from starlog.logarithm import BranchSpec, check_conditions, log_star, residual_sup
+from starlog.logarithm import (
+    BranchSpec,
+    check_conditions,
+    log_star,
+    residual_sup,
+    stem_distance,
+)
 from starlog.parse import parse_expr
 from starlog.quaternion import VERIFY_UNITS, Quaternion
 from starlog.starexp import exp_star
@@ -160,6 +166,79 @@ NAN = const(Quaternion(math.nan, 0.0, 0.0, 0.0))
 def test_residual_of_a_nan_is_infinite(product_rect):
     # max(0.0, nan) is 0.0, so a sup taken with Python's max drops NaN rows
     assert residual_sup(NAN, Q, product_rect) == math.inf
+
+
+def three_unit_distance(E, G):
+    """sup |E - G| / (1 + |G|) on the three check units alone: a lower bound
+    of the distance over every slice."""
+    worst = 0.0
+    for unit in VERIFY_UNITS:
+        ev, gv = slice_values(E, unit), slice_values(G, unit)
+        num = np.linalg.norm(ev - gv, axis=1)
+        worst = max(worst, float((num / (1.0 + np.linalg.norm(gv, axis=1))).max()))
+    return worst
+
+
+def parity_draws(wl, seed):
+    """(route, g, domain) of the benchmark ops of one seed, drawn as
+    ``build_routes`` and ``build_fold`` draw them."""
+    rng = random.Random(seed)
+    slice_dom = wl.grid("slice", 128, rects=[wl.SLICE_RECT])
+    scalar = parse_expr(wl.scalar_source(rng)[0])
+    angle = exp_star(parse_expr(wl.angle_source(rng)))
+    null = parse_expr(wl.null_vector_source(rng))
+    fold = parse_expr(wl.fold_source(random.Random(seed)))
+    return [
+        ("scalar", scalar, slice_dom),
+        ("angle", angle, slice_dom),
+        ("null-vector", null, wl.grid("product", 128, rects=[wl.PRODUCT_RECT])),
+        ("fold", fold, wl.grid("product", 64, discs=[wl.BALL_DISC])),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_residual_bounds_the_three_unit_residual(seed, wl):
+    rng = np.random.default_rng(seed)
+    for route, g, dom in parity_draws(wl, seed):
+        res = log_star(g, dom)
+        assert res.case == route
+        E = eval_stem_many(exp_star(res.f), dom.node_z)
+        G = eval_stem_many(g, dom.node_z)
+        assert res.residual == stem_distance(E, G)
+        # at a verified result both read rounding, and the three units also
+        # round J B before the difference: one ulp of 1 + |G| apart at most
+        assert res.residual >= three_unit_distance(E, G) - np.finfo(float).eps
+        # a difference well above rounding reads at least as large
+        D = 1e-9 * (rng.normal(size=E.shape) + 1j * rng.normal(size=E.shape))
+        assert stem_distance(E + D, G) >= three_unit_distance(E + D, G)
+
+
+def test_residual_reads_the_slice_that_the_check_units_miss():
+    # E - G = A + J B vanishes on the slice of J0 = (i + j + k) / sqrt(3) and
+    # is greatest, 2|B|, at -J0, which no check unit comes near
+    J0 = Quaternion(0.0, 1.0, 1.0, 1.0) * (1.0 / math.sqrt(3.0))
+    B = Quaternion(0.3e-9, -0.1e-9, 0.2e-9, 0.5e-9)
+    A = -(J0 * B)
+    D = (A.to_array() + 1j * B.to_array())[None, :]
+    G = np.zeros((1, 4), dtype=complex)
+    assert stem_distance(D, G) == pytest.approx(2.0 * abs(B), rel=1e-14)
+    assert three_unit_distance(D, G) < 0.75 * stem_distance(D, G)
+
+
+@pytest.mark.parametrize(
+    "E",
+    [
+        np.array([[1.0, math.inf, 0.0, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0, complex(0.0, math.nan), 0.0]]),
+        np.array([[1e308, 0.0, 0.0, 0.0]], dtype=complex),  # E - G overflows
+    ],
+    ids=["inf", "nan", "overflowing-difference"],
+)
+def test_residual_of_a_non_finite_stem_is_infinite(E):
+    G = np.array([[-1e308, 0.0, 0.0, 0.0]], dtype=complex)
+    assert stem_distance(E, G) == math.inf
+    if not np.isfinite(E).all():
+        assert stem_distance(G, E) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -718,15 +797,10 @@ def test_round_trip_through_a_merged_pair_of_isolated_zeros_is_refused(eps):
         log_star(exp_star(f), ROUND_TRIP_DOMAINS[0])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ResidualRejected,
-    reason="|g_0|^2 / |g^s| reaches 2.7e4 on this rect, as g^s = g_0^2 + g_v^s cancels; "
-    "u = g_0 / sqrt(g^s) is then about 165, and the absolute LIFT_VALIDITY_TOL on u and "
-    "v fails at 2.2e-9 though the lift is right (the same g verifies on (0.5, 1, 0.3, 0.6))",
-)
 def test_round_trip_with_a_cancelling_symmetrization_verifies():
-    # a shrunk draw of the round-trip property
+    # a shrunk draw of the round-trip property: |g_0|^2 / |g^s| reaches 2.7e4
+    # on this rect, as g^s = g_0^2 + g_v^s cancels, and u = g_0 / sqrt(g^s)
+    # about 165; the lift validity is relative to 1 + |u| + |v|, so it passes
     i = (0.0, 0.867, 0.0, 0.0)
     f = polynomial([i, i, (0.187, 0.0, 0.0, 0.0), i])
     res = log_star(exp_star(f), ROUND_TRIP_DOMAINS[1])
