@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import symmetrization, vect_part
-from .domain import BasicDomainSpec
+from .domain import BasicDomainSpec, regions
 from .errors import (
     BoundaryZero,
     BranchDomainViolation,
@@ -319,23 +319,6 @@ def _unsafe_cells(W, ftol: float) -> np.ndarray:
     return ~(okx[:-1] & okx[1:] & oky[:, :-1] & oky[:, 1:])
 
 
-def _components(mask: np.ndarray) -> np.ndarray:
-    """Labels of the 8-connected components of ``mask`` (-1 outside it)."""
-    ny, nx = mask.shape
-    lab = np.where(mask, np.arange(mask.size).reshape(mask.shape), -1)
-    while True:
-        p = np.pad(lab, 1, constant_values=-1)
-        new = lab.copy()
-        for dj in range(3):
-            for di in range(3):
-                np.maximum(new, p[dj : dj + ny, di : di + nx], out=new)
-        new[~mask] = -1
-        new[mask] = new.flat[new[mask]]  # a label is a cell of the component: take its label
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
-
-
 def _clusters(bad: np.ndarray) -> list:
     """Inclusive cell ranges (j0, j1, i0, i1) covering the cells of ``bad``:
     bounding boxes of its 8-connected groups, merged until no two touch.
@@ -343,7 +326,7 @@ def _clusters(bad: np.ndarray) -> list:
     Boxes that do not touch, padded by half a cell, do not overlap.
     """
     while bad.any():
-        lab = _components(bad)
+        lab = regions(bad, True)
         jj, ii = np.nonzero(bad)
         ids, inv = np.unique(lab[bad], return_inverse=True)
         j0, i0 = np.full(ids.size, bad.shape[0]), np.full(ids.size, bad.shape[1])

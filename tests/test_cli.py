@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -32,6 +33,8 @@ def domains(tmp_path_factory):
         "product": BasicDomainSpec(rects=[(0.5, 1.5, 0.3, 1.0)], kind="product"),
         "disc": BasicDomainSpec(discs=[(0.0, 1.0, 0.3)], kind="product"),
         "ball": BasicDomainSpec(discs=[(0.0, 0.0, 1.1)], kind="slice"),
+        # holds i, where the fold round trip's g_v^s has its double zero
+        "fold-disc": BasicDomainSpec(discs=[(0.0, 1.0, 0.4)], kind="product"),
     }
     for name, spec in specs.items():
         path = root / f"{name}.json"
@@ -96,6 +99,14 @@ def test_classify_reports_isolated_zero(domains, capsys):
     assert "isolated" in out
 
 
+def test_classify_on_a_slice_domain_reports_the_real_trace(domains, capsys):
+    assert main(["classify", "exp(0.5*q^2 + 1.0)", "--domain", domains["slice"]]) == 0
+    out = capsys.readouterr().out
+    assert "vectorial class: zero" in out
+    assert "positive trace: True" in out
+    assert "root trace avoids the slit: True" in out
+
+
 def test_classify_evaluates_g_once_on_the_grid(domains, monkeypatch, capsys, computed_by):
     # check_conditions and classify_vectorial share one stem of g at the nodes
     trees, computed = [], []
@@ -144,6 +155,22 @@ def test_log_star_null_vector(domains, tmp_path, capsys):
     assert sorted(rows[0]) == ["check", "grid", "residual", "seconds", "slices", "status"]
     assert rows[0]["status"] == "pass"
     assert rows[0]["residual"] < 1e-8
+
+
+def test_log_star_grid_csv(domains, tmp_path, capsys):
+    # one row per node and check unit, holding the logarithm's value there
+    out_csv = tmp_path / "log.csv"
+    code = main(["log-star", "q*i + 1", "--domain", domains["slice"], "--grid-out", str(out_csv)])
+    assert code == 0
+    spec = BasicDomainSpec.load(domains["slice"])
+    assert f"wrote {3 * spec.n_nodes} samples to {out_csv}" in capsys.readouterr().out
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_HEADER
+    assert len(rows) == 1 + 3 * spec.n_nodes
+    first = [float(v) for v in rows[1]]  # log(1 + x i) at x = -1.2 on the slice of i
+    assert first[:5] == [-1.2, 0.0, 1.0, 0.0, 0.0]
+    assert first[5:] == pytest.approx([0.5 * math.log(1.0 + 1.44), math.atan(-1.2), 0.0, 0.0])
 
 
 def test_log_star_with_representative(domains, capsys):
@@ -310,6 +337,18 @@ def test_verify_log_suite_product(domains, capsys):
     assert "[PASS] log-roundtrip[null-vector]" in out
     assert "[PASS] log-branch-shift[m=1]" in out
     assert "[PASS] log-reject[parity]" in out
+
+
+def test_verify_log_suite_runs_the_fold_round_trip(domains, tmp_path):
+    # the fold row runs only on a product domain that holds i
+    report = tmp_path / "log.json"
+    assert main(["verify", "--suite", "log", "--domain", domains["fold-disc"],
+                 "--json", str(report)]) == 0
+    rows = {r["check"]: r for r in json.loads(report.read_text())}
+    fold = rows["log-roundtrip[fold]"]
+    assert fold["status"] == "pass"
+    assert fold["residual"] < 1e-12
+    assert all(r["status"] == "pass" for r in rows.values())
 
 
 def test_verify_row_seconds_add_up_to_at_most_the_run(domains, tmp_path):

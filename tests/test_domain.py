@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from starlog import domain as domain_module
-from starlog.domain import BFS_TREES_KEPT, MAX_NODES, BasicDomainSpec, validate_domain
+from starlog.domain import BFS_TREES_KEPT, MAX_NODES, BasicDomainSpec, regions, validate_domain
 from starlog.errors import DomainError, LiftStep, NotBasic
 from starlog.logarithm import check_conditions, log_star
 from starlog.parse import parse_expr
@@ -80,6 +82,68 @@ def test_hole_rejected():
     assert not report.ok and report.n_holes == 1
 
 
+def test_diagonal_gaps_split_the_leaf_and_close_holes():
+    # the leaf and its complement are both 4-connected: two squares that meet
+    # at a corner are two components, and a ring whose corner cell is missing
+    # still closes its hole, since the hole reaches that cell only diagonally
+    corner = BasicDomainSpec(rects=[(0.0, 1.0, 1.0, 2.0), (2.0, 3.0, 3.0, 4.0)], kind="product", h=1.0)
+    report = corner.validate(strict=False)
+    assert (report.n_components, report.n_holes) == (2, 0)
+    assert report.message == "leaf splits into 2 grid components"
+    ring = BasicDomainSpec(
+        rects=[(0.0, 4.0, 1.0, 1.0), (0.0, 0.0, 1.0, 5.0), (0.0, 3.0, 5.0, 5.0), (4.0, 4.0, 1.0, 4.0)],
+        kind="product",
+        h=1.0,
+    )
+    assert not ring.mask[-1, -1] and ring.mask.sum() == 15
+    report = ring.validate(strict=False)
+    assert (report.n_components, report.n_holes) == (1, 1)
+    assert report.message == "leaf has 1 hole(s); slice components not simply connected"
+
+
+def _bfs_regions(mask, diagonal):
+    """The regions of mask as lists of flat indices, by breadth-first search."""
+    steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    if diagonal:
+        steps += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    ny, nx = mask.shape
+    seen = ~mask
+    found = []
+    for start in zip(*np.nonzero(mask)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, cells = [start], []
+        while queue:
+            j, i = queue.pop()
+            cells.append(j * nx + i)
+            for dj, di in steps:
+                nj, ni = j + dj, i + di
+                if 0 <= nj < ny and 0 <= ni < nx and not seen[nj, ni]:
+                    seen[nj, ni] = True
+                    queue.append((nj, ni))
+        found.append(cells)
+    return found
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=16)), st.booleans())
+@example(np.array([[True, False], [False, True]]), False)
+@example(np.array([[True, False], [False, True]]), True)
+@example(np.array([[False, True, False], [True, False, True], [False, True, False]]), False)
+def test_regions_partition_the_mask_as_a_plain_search_does(mask, diagonal):
+    # each region's cells carry one label, the region's largest flat index,
+    # and the cells off the mask carry -1
+    lab = regions(mask, diagonal)
+    assert lab.shape == mask.shape and lab.dtype == np.int64
+    assert (lab[~mask] == -1).all()
+    flat = lab.ravel()
+    found = _bfs_regions(mask, diagonal)
+    assert sum(map(len, found)) == mask.sum()
+    for cells in found:
+        assert (flat[cells] == max(cells)).all()
+
+
 def test_product_touching_axis_rejected():
     d = BasicDomainSpec(rects=[(0.0, 1.0, 0.0, 1.0)], kind="product")
     with pytest.raises(NotBasic, match="axis"):
@@ -139,6 +203,21 @@ def test_boundary_dist():
     assert d.boundary_dist(2.0 + 0.5j) < 0
 
 
+def test_boundary_dist_mirrors_the_shapes_off_the_axis():
+    # a slice domain's leaf is doubled by reflection: a shape that stays off
+    # the axis counts twice, as itself and as its mirror image, and the
+    # distance is the largest over all the shapes
+    d = BasicDomainSpec(
+        rects=[(-1.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.5, 1.0)],
+        discs=[(0.0, 1.5, 0.4)],
+        kind="slice",
+    )
+    z = np.array([0.0 + 1.6j, 0.0 - 1.6j, 2.5 + 0.75j, 2.5 - 0.75j, 0.0 + 0.9j, 0.0 + 1.2j])
+    assert d.boundary_dist(z) == pytest.approx([0.3, 0.3, 0.25, 0.25, 0.1, 0.1])
+    # between the rect and the disc, and between the rect and its mirror
+    assert d.boundary_dist(0.0 + 1.05j) < 0 and d.boundary_dist(2.5 + 0.25j) < 0
+
+
 def test_nearest_and_interior_node():
     d = BasicDomainSpec(rects=[(0.3, 1.5, 0.35, 1.2)], kind="product")
     z = d.node_z[d.nearest_node(0.9 + 0.7j)]
@@ -168,13 +247,13 @@ def test_validation_floods_once_per_domain(monkeypatch):
     d = BasicDomainSpec(rects=[(-1.0, 1.0, 0.0, 1.0)], kind="slice", h=1.0 / 16.0)
     report = d.validate()
     floods = []
-    flood = domain_module._flood
+    regions = domain_module.regions
 
-    def counting(mask, seeds):
+    def counting(mask, diagonal):
         floods.append(mask.shape)
-        return flood(mask, seeds)
+        return regions(mask, diagonal)
 
-    monkeypatch.setattr(domain_module, "_flood", counting)
+    monkeypatch.setattr(domain_module, "regions", counting)
     g = parse_expr("exp(0.5*q^2 + 1.0)")
     log_star(g, d)
     log_star(g, d)

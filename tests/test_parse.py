@@ -122,6 +122,13 @@ def test_syntax_errors_carry_position():
     assert err.value.pos == MAX_NESTING
 
 
+@pytest.mark.parametrize("text, pos", [("q q", 2), ("q)", 1), ("1 2", 2)])
+def test_trailing_input_is_a_syntax_error(text, pos):
+    with pytest.raises(ExprSyntaxError, match="trailing input") as err:
+        parse_expr(text)
+    assert err.value.pos == pos
+
+
 def test_deep_chains_stop_at_max_depth():
     with pytest.raises(ExprSyntaxError, match="deeper than"):
         parse_expr("*".join(["q"] * 3000))
