@@ -67,6 +67,8 @@ REAL_AXIS_TOL = 1e-10
 SP_GRID_TOL = 1e-10
 SERIES_TOL = 1e-15
 MAX_SERIES_TERMS = 200
+# a star series whose partial-sum bounds stay below this has finite squares
+_FINITE_NORM = 1e150
 PATCH_POINTS = 32
 
 
@@ -668,35 +670,80 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return x.real * x.real + x.imag * x.imag
 
 
+def _peak_norms(a: np.ndarray, b: np.ndarray, w: np.ndarray, work: np.ndarray):
+    """N(a, b) = sqrt(max |a|^2 + |b|^2 w), the norm the series stop test
+    reads, and max |b|, over the points; ``work`` is a (2, 2n) float buffer."""
+    sq, n = work[0], a.size
+    a2, b2 = work[1, :n], work[1, n:]
+    np.square(b.view(float), out=sq)
+    np.add(sq[0::2], sq[1::2], out=b2)  # _abs2(b)
+    b_peak = b2.max()
+    np.square(a.view(float), out=sq)
+    np.add(sq[0::2], sq[1::2], out=a2)
+    a2 += np.multiply(b2, w, out=b2)
+    return np.sqrt(a2.max()), np.sqrt(b_peak)
+
+
 def _star_series(kind: str, max_terms: int, F: np.ndarray) -> np.ndarray:
     """Sum the exp, cos or sin series in star powers of F = f0 + f_v.
 
     The i of the stem is central, so f_v*f_v = -s with s = f_v1^2 + f_v2^2 +
     f_v3^2, and every term is a + b*f_v with complex columns a and b.  A step
     multiplies the term by c + d*f_v, which is F for exp and F*F = (f0^2 - s)
-    + 2*f0*f_v for cos and sin, and divides it by its factorial ratio.  The
-    stop test reads |a + b*f_v|^2 = |a|^2 + |b|^2*|f_v|^2; a term or partial
-    sum whose squared norm is not finite raises :class:`NoConvergence`.
+    + 2*f0*f_v for cos and sin, and divides it by its factorial ratio, in
+    place in two pairs of buffers.
+
+    The stop test reads the term norm N(a, b) = sqrt(max |a|^2 + |b|^2*|f_v|^2)
+    on every term, and stops at the first term with N(a, b) <= SERIES_TOL *
+    (1 + N(ta, tb)), ta + tb*f_v being the partial sum.  A term or partial
+    sum whose norm is not finite raises :class:`NoConvergence`.  At a point N
+    is a weighted Euclidean norm, so the sum B of the term norms bounds
+    N(ta, tb), and the sum of the max |b| bounds |tb|.  N(ta, tb) is computed
+    only on a term with N(a, b) <= SERIES_TOL * (1 + 2B), which rounding
+    cannot push past the stop test, or while B or the |tb| bound is too large
+    to prove the squares of the partial sum finite.  So every sum returned
+    and every raise, on the same term, is the one that computing N(ta, tb) on
+    every term gives.
     """
     f0, fv = F[:, 0], F[:, 1:]
-    one, zero = np.ones_like(f0), np.zeros_like(f0)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         s = fv[:, 0] * fv[:, 0] + fv[:, 1] * fv[:, 1] + fv[:, 2] * fv[:, 2]
         w = _abs2(fv[:, 0]) + _abs2(fv[:, 1]) + _abs2(fv[:, 2])
-        if kind == "exp":
-            c, d, a, b = f0, 1.0, one, zero
+        exp = kind == "exp"
+        if exp:  # d = 1: a*d and d*s are a and s
+            c, ds = f0, s
         else:
             c, d = f0 * f0 - s, 2.0 * f0
-            a, b = (one, zero) if kind == "cos" else (f0, one)
-        ds, odd = d * s, kind == "sin"
-        ta, tb = a.copy(), b.copy()
+            ds = d * s
+        odd = kind == "sin"
+        ta = f0.copy() if odd else np.ones_like(f0)
+        tb = np.ones_like(f0) if odd else np.zeros_like(f0)
+        a, b, na, nb = ta.copy(), tb.copy(), np.empty_like(ta), np.empty_like(ta)
+        work = np.empty((2, 2 * ta.size))
+        bound, b_bound = _peak_norms(ta, tb, w, work)  # of term 0, the partial sum
         for m in range(1, max_terms):
-            r = 1.0 / (m if kind == "exp" else -(2 * m - 1 + odd) * (2 * m + odd))
-            a, b = (a * c - b * ds) * r, (a * d + b * c) * r
+            r = 1.0 / (m if exp else -(2 * m - 1 + odd) * (2 * m + odd))
+            np.multiply(a, c, out=na)
+            na -= np.multiply(b, ds, out=nb)
+            na *= r
+            np.multiply(b, c, out=nb)
+            nb += a if exp else np.multiply(a, d, out=b)  # b is spent
+            nb *= r
+            a, na, b, nb = na, a, nb, b
             ta += a
             tb += b
-            term = np.sqrt((_abs2(a) + _abs2(b) * w).max())
-            total = np.sqrt((_abs2(ta) + _abs2(tb) * w).max())
+            term, b_peak = _peak_norms(a, b, w, work)
+            bound += term
+            b_bound += b_peak
+            # N(ta, tb) <= bound, and twice it leaves room for rounding; a
+            # term that is not finite fails every comparison and reads on
+            if (
+                term > SERIES_TOL * (1.0 + 2.0 * bound)
+                and bound < _FINITE_NORM
+                and b_bound < _FINITE_NORM
+            ):
+                continue
+            total = _peak_norms(ta, tb, w, work)[0]
             if not (np.isfinite(term) and np.isfinite(total)):
                 raise NoConvergence(f"{kind} star series has a term that is not finite")
             if term <= SERIES_TOL * (1.0 + total):

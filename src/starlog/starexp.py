@@ -12,6 +12,7 @@ nor nu.
 from __future__ import annotations
 
 from .expr import (
+    MAX_SERIES_TERMS,
     Add,
     Component,
     ScalarApply,
@@ -37,7 +38,7 @@ def exp_star(f) -> SliceExpr:
     return StarMul(ScalarApply("exp", f0), structure)
 
 
-def exp_star_series(f, q, max_terms: int = 200) -> Quaternion:
+def exp_star_series(f, q, max_terms: int = MAX_SERIES_TERMS) -> Quaternion:
     """Star-power series of the exponential evaluated at one point."""
     return evaluate(StarSeries("exp", as_expr(f), max_terms), q)
 

@@ -564,6 +564,110 @@ class TestSeriesKernel:
         assert calls == []
 
 
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
+
+
+def series_oracle(kind, max_terms, F):
+    """The star-series loop that reads the partial-sum norm on every term,
+    kept as it stood before that read was gated: every stem and raise of
+    ``expr._star_series`` must match it bit for bit."""
+    f0, fv = F[:, 0], F[:, 1:]
+    one, zero = np.ones_like(f0), np.zeros_like(f0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        s = fv[:, 0] * fv[:, 0] + fv[:, 1] * fv[:, 1] + fv[:, 2] * fv[:, 2]
+        w = _abs2(fv[:, 0]) + _abs2(fv[:, 1]) + _abs2(fv[:, 2])
+        if kind == "exp":
+            c, d, a, b = f0, 1.0, one, zero
+        else:
+            c, d = f0 * f0 - s, 2.0 * f0
+            a, b = (one, zero) if kind == "cos" else (f0, one)
+        ds, odd = d * s, kind == "sin"
+        ta, tb = a.copy(), b.copy()
+        for m in range(1, max_terms):
+            r = 1.0 / (m if kind == "exp" else -(2 * m - 1 + odd) * (2 * m + odd))
+            a, b = (a * c - b * ds) * r, (a * d + b * c) * r
+            ta += a
+            tb += b
+            term = np.sqrt((_abs2(a) + _abs2(b) * w).max())
+            total = np.sqrt((_abs2(ta) + _abs2(tb) * w).max())
+            if not (np.isfinite(term) and np.isfinite(total)):
+                raise NoConvergence(f"{kind} star series has a term that is not finite")
+            if term <= SERIES_TOL * (1.0 + total):
+                break
+        else:
+            raise NoConvergence(f"{kind} star series did not converge")
+    out = np.empty(F.shape, complex, order="F")
+    out[:, 0] = ta
+    np.multiply(tb[:, None], fv, out=out[:, 1:])
+    return out
+
+
+# a generator of their own, so that the draws of the other tests stay put
+_rng = np.random.default_rng(5)
+SERIES_POINTS = _rng.uniform(-1.0, 1.0, 60) + 1j * _rng.uniform(0.05, 1.0, 60)
+
+
+def series_outcome(series, kind, F, max_terms=MAX_SERIES_TERMS):
+    """The stem's bytes and strides, or the NoConvergence message."""
+    try:
+        out = series(kind, max_terms, F)
+    except NoConvergence as err:
+        return str(err)
+    return out.tobytes(), out.strides
+
+
+class TestSeriesOracle:
+    @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 30.0, 355.0])
+    @pytest.mark.parametrize("f", SERIES_ARGS, ids=range(len(SERIES_ARGS)))
+    def test_matches_the_oracle_bit_for_bit(self, kind, scale, f):
+        F = eval_stem_many(const(scale) * f, SERIES_POINTS)
+        want = series_outcome(series_oracle, kind, F)
+        assert series_outcome(expr_module._star_series, kind, F) == want
+
+    @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
+    @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "imaginary"])
+    def test_matches_the_oracle_near_overflow(self, kind, unit):
+        # constant f0 in [-362, -350]: cos and sin of f0 = x*i sum positive
+        # terms, so the partial sum's square overflows terms before any
+        # term's does; the raise must come on the same term
+        outcomes = set()
+        for x in np.arange(-362.0, -349.9, 0.5):
+            F = np.zeros((1, 4), complex, order="F")
+            F[0, 0] = x * unit
+            want = series_outcome(series_oracle, kind, F)
+            assert series_outcome(expr_module._star_series, kind, F) == want, x
+            outcomes.add(want if isinstance(want, str) else "converged")
+        assert len(outcomes) >= (1 if kind == "exp" else 2)
+
+    @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
+    def test_matches_the_oracle_where_w_is_tiny(self, kind):
+        # where w = |f_v|^2 is near 0, the term norms bound nothing of |tb|
+        for eps in (0.0, 1e-300, 1e-160, 1e-8):
+            for x in (-356.0, -200.0, -30.0):
+                F = np.zeros((3, 4), complex, order="F")
+                F[:, 0] = x * np.array([1j, 0.5j, 0.01])
+                F[:, 1] = eps
+                want = series_outcome(series_oracle, kind, F)
+                assert series_outcome(expr_module._star_series, kind, F) == want, (eps, x)
+
+    def test_partial_sum_norm_is_read_only_near_the_stop(self, monkeypatch):
+        # the first call reads the partial sum of term 0; later reads pass
+        # the same array, every other call a term
+        F = eval_stem_many(SERIES_ARGS[0], SERIES_POINTS)
+        norms, calls = expr_module._peak_norms, []
+
+        def counting(a, *args):
+            calls.append(a)
+            return norms(a, *args)
+
+        monkeypatch.setattr(expr_module, "_peak_norms", counting)
+        expr_module._star_series("exp", MAX_SERIES_TERMS, F)
+        reads = sum(a is calls[0] for a in calls)
+        assert len(calls) - reads >= 10 and reads <= 3
+
+
 class TestEmptyBatch:
     @pytest.mark.parametrize("kind", ["exp", "cos", "sin"])
     def test_series_at_no_points(self, kind):
