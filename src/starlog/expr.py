@@ -31,6 +31,8 @@ A :class:`NodeStem` pins an expression g to a domain's grid nodes:
 :func:`node_stem` evaluates g there once, a run at the node array reads that
 stem, and a run at other points evaluates g by one nested run of g's own
 program.  The node is a leaf: compiling neither folds g nor takes its steps.
+The library's own readers take :func:`_stem_at`, which hands out a node
+stem read at its nodes as is; only the public entry points copy it.
 
 Nodes carry a structural slice-preserving flag (real stem components, exact
 zeros in the vector part); scalar branch functions may only be applied to
@@ -333,7 +335,9 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
 
     Column l holds the l-th quaternion component, so C = A + iB with A and B
     the real stem halves ``C.real`` and ``C.imag``.  C is column-major, so
-    each column is contiguous.
+    each column is contiguous.  C is the caller's own, writeable array: a
+    node stem read at its nodes, or a folded row, is copied (the library's
+    own readers take :func:`_stem_at`, which does not copy).
     """
     flat = np.asarray(zs, dtype=complex).ravel()
     if not flat.size:  # no point to evaluate and no series term to sum
@@ -341,13 +345,40 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
     zhat = flat.real + 0j  # x + 0.0 and |y|, with no 0 * inf where y is infinite
     zhat.imag = np.abs(flat.imag)
     C = _run(_program(expr), zhat)
-    # a constant tree or a star series of a constant ends in one row, and a
-    # folded row or a node stem, both read-only, is shared by every run, so
-    # it is copied even at one point
-    if C.shape[0] != flat.size or not C.flags.writeable:
-        C = np.broadcast_to(C, (flat.size, 4)).copy(order="F")
+    # a constant tree or a star series of a constant ends in one row, widened
+    # here to every point
+    if C.shape[0] != flat.size:
+        C = np.broadcast_to(C, (flat.size, 4))
+    C = _own(C)
     lower = flat.imag < 0
     return np.where(lower[:, None], C.conj(), C) if lower.any() else C
+
+
+def _stem_at(expr: SliceExpr, zs) -> np.ndarray:
+    """The stem of ``expr`` at the points zs, for a reader that does not
+    write to it: a node stem read at its own nodes hands out its read-only
+    stem as is, and any other tree is evaluated by :func:`eval_stem_many`.
+    The library reads every pinned stem through this path, so that none is
+    copied; only the public entry points copy, each what it returns.
+    """
+    if isinstance(expr, NodeStem) and expr.domain.at_nodes(zs):
+        return expr.stem
+    return eval_stem_many(expr, zs)
+
+
+def _leaf_at(expr: SliceExpr, zs) -> np.ndarray:
+    """Leaf form a + ib of a slice-preserving expression, read by
+    :func:`_stem_at`: a column of a pinned stem is not copied."""
+    if not expr.slice_preserving:
+        raise SlicePreservingRequired("leaf form exists only for slice-preserving expressions")
+    return _stem_at(expr, zs)[:, 0]
+
+
+def _own(C: np.ndarray) -> np.ndarray:
+    """C where it is writeable, else a column-major copy of it: a read-only
+    array (a folded or widened row, or a node stem) is shared by every run,
+    and a public entry point hands out the caller's own array."""
+    return C if C.flags.writeable else C.copy(order="F")
 
 
 def _run(program: _Program, z: np.ndarray) -> np.ndarray:
@@ -585,10 +616,10 @@ def eval_many(expr: SliceExpr, zs, unit: Quaternion) -> np.ndarray:
 
 
 def stem_complex(expr: SliceExpr, zs) -> np.ndarray:
-    """Leaf form a + ib of a slice-preserving expression over a batch."""
-    if not expr.slice_preserving:
-        raise SlicePreservingRequired("leaf form exists only for slice-preserving expressions")
-    return eval_stem_many(expr, zs)[:, 0]
+    """Leaf form a + ib of a slice-preserving expression over a batch, as
+    the caller's own, writeable array: a column of a node stem read at its
+    nodes is copied, that column alone."""
+    return _own(_leaf_at(expr, zs))
 
 
 def is_slice_preserving(expr: SliceExpr, domain=None) -> bool:

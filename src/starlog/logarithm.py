@@ -21,6 +21,8 @@ finite at a node is a DomainError.  The trees that a call reads at the
 nodes more than once (g_v^s, the factor quotient, the unit w and the class
 ratio rho of g_v = rho w) are pinned where they are built, and so is the
 result f, so that the residual and the class check read one stem of f.
+Pinned stems are read in place (:func:`expr._stem_at`), and the residual
+takes the least |g| over the slices that the node check computed.
 
 Branches are indexed by a pair of integers (m, n): m counts scalar half-turns
 exp(i pi m) and n counts vectorial half-turns around a spherical unit.
@@ -56,11 +58,12 @@ from .expr import (
     NodeStem,
     ScalarApply,
     SliceExpr,
+    _leaf_at,
+    _stem_at,
     const,
     eval_stem_many,
     node_stem,
     slice_range,
-    stem_complex,
     sup_parts,
 )
 from .lifts import lift_angle, lift_log, lift_mu
@@ -189,10 +192,11 @@ class LogResult:
 def _node_stem(g: SliceExpr, domain: BasicDomainSpec):
     """Pin g to the grid nodes and check it there.
 
-    Returns (g pinned, G, min |g|, max |g|): the stem at the nodes and the
-    range of |g| over every slice (:func:`expr.slice_range`).  Raises
-    DomainError where g, g^s or |g| is not finite at a node, and Vanishing
-    where |g| on some slice comes near zero.
+    Returns (g pinned, G, least, min |g|, max |g|): the stem at the nodes,
+    the least |g| over every slice at each node (:func:`expr.slice_range`),
+    which the residual reads, and the range of |g| over the nodes and every
+    slice.  Raises DomainError where g, g^s or |g| is not finite at a node,
+    and Vanishing where |g| on some slice comes near zero.
     """
     g = node_stem(g, domain)
     G = g.stem
@@ -209,7 +213,7 @@ def _node_stem(g: SliceExpr, domain: BasicDomainSpec):
         raise Vanishing(
             f"|g| reaches {lo:.3e} on some slice at the grid nodes (scale {hi:.3e})"
         )
-    return g, G, lo, hi
+    return g, G, least, lo, hi
 
 
 def _check_unit(w: NodeStem) -> None:
@@ -280,7 +284,7 @@ def check_conditions(g: SliceExpr, domain: BasicDomainSpec) -> ConditionSummary:
     The phase is slice preserving, so every slice sees the same distance to
     the slit; the grid test covers all of them.
     """
-    g, G, lo, hi = _node_stem(g, domain)
+    g, G, _, lo, hi = _node_stem(g, domain)
     cond1, details = _positive_trace(G, domain)
     realimage: bool | None = None
     if domain.kind == "slice":
@@ -307,7 +311,7 @@ def check_conditions(g: SliceExpr, domain: BasicDomainSpec) -> ConditionSummary:
 
 def _sym_log(g: SliceExpr, domain: BasicDomainSpec):
     """The continuous logarithm L of g^s over the grid, and zs -> exp(L / 2)."""
-    sym_lift = lift_log(partial(stem_complex, symmetrization(g)), domain, name="sym-log")
+    sym_lift = lift_log(partial(_leaf_at, symmetrization(g)), domain, name="sym-log")
     return sym_lift, lambda zs: np.exp(0.5 * sym_lift.sample(zs))
 
 
@@ -337,7 +341,7 @@ def _scalar_route(g, G, domain, branch, nilpotent: bool):
             raise Vanishing(f"the scalar part reaches {lo:.3e}; its square is g^s")
     g0 = scalar_part(g)
     sign = -1.0 if branch.m % 2 else 1.0
-    fld = lift_log(lambda zs: sign * stem_complex(g0, zs), domain, name="log")
+    fld = lift_log(lambda zs: sign * _leaf_at(g0, zs), domain, name="log")
     diag["lift"] = fld.as_json()
     f: SliceExpr = GridFieldExpr(fld, "log")
     if nilpotent:
@@ -376,11 +380,11 @@ def _angle_route(g, domain, branch, report, rep):
         _check_unit(w)
 
     sym_lift, h = _sym_log(g, domain)
-    F0 = partial(stem_complex, scalar_part(g))
+    F0 = partial(_leaf_at, scalar_part(g))
 
     def uv(zs):
         hz = h(zs)
-        return F0(zs) / hz, stem_complex(rho, zs) / hz
+        return F0(zs) / hz, _leaf_at(rho, zs) / hz
 
     phase = lift_angle(uv, domain, name="phase")
     u_nodes, v_nodes = uv(domain.node_z)
@@ -410,7 +414,7 @@ def _fold_route(g, domain, report):
     is reported as ``sqrt_sign``; :func:`log_star` adds the pi I it implies.
     """
     sym_lift, h = _sym_log(g, domain)
-    F0 = partial(stem_complex, scalar_part(g))
+    F0 = partial(_leaf_at, scalar_part(g))
 
     zero_pts = np.array([zc.z for zc in report.zeros], dtype=complex)
     t_sphere = F0(zero_pts) / h(zero_pts)
@@ -436,10 +440,11 @@ def _fold_route(g, domain, report):
             f"(conflict at {z_bad}); no logarithm exists on this domain"
         )
 
-    def t_fn(zs):
-        return F0(zs) / (s_h * h(zs))
+    t_nodes = F0(domain.node_z) / (s_h * h(domain.node_z))
 
-    t_nodes = t_fn(domain.node_z)
+    def t_fn(zs):  # the fold lift reads t at the nodes computed once, above
+        return t_nodes if domain.at_nodes(zs) else F0(zs) / (s_h * h(zs))
+
     stray = np.abs(t_nodes - 1.0) <= _SLIT_TOL
     if stray.any():
         dist = np.abs(domain.node_z[stray, None] - zero_pts[None, :]).min(axis=1)
@@ -494,27 +499,32 @@ def _fold_route(g, domain, report):
 # entry point
 
 
-def stem_distance(E: np.ndarray, G: np.ndarray) -> float:
+def stem_distance(E: np.ndarray, G: np.ndarray, least: np.ndarray | None = None) -> float:
     """Distance of two stems over every slice: the sup over rows of the
     greatest |E - G| over all slices, divided by 1 + the least |G| over all
     slices (:func:`expr.slice_range`); inf where either stem is not finite.
-    It bounds |E - G| / (1 + |G|) on every slice from above.
+    It bounds |E - G| / (1 + |G|) on every slice from above.  ``least`` is
+    that least |G| per row where the caller holds it, as ``slice_range(G)[0]``.
     """
     if not (np.isfinite(E).all() and np.isfinite(G).all()):
         return math.inf
-    least = slice_range(G)[0]
+    if least is None:
+        least = slice_range(G)[0]
     with np.errstate(over="ignore"):  # a difference that overflows reads inf
         most = slice_range(E - G)[1]
     worst = float((most / (1.0 + least)).max())
     return math.inf if math.isnan(worst) else worst  # nan: a difference that overflows
 
 
-def residual_sup(f: SliceExpr, g: SliceExpr, domain: BasicDomainSpec) -> float:
+def residual_sup(
+    f: SliceExpr, g: SliceExpr, domain: BasicDomainSpec, least: np.ndarray | None = None
+) -> float:
     """sup |exp_star(f) - g| / (1 + |g|) over the grid nodes and every slice,
-    as :func:`stem_distance` reads it."""
+    as :func:`stem_distance` reads it.  A g pinned to ``domain`` is read in
+    place, and ``least`` is the least |g| over every slice at each node where
+    the caller holds it, as :func:`log_star` does."""
     E = eval_stem_many(exp_star(f), domain.node_z)
-    G = eval_stem_many(g, domain.node_z)
-    return stem_distance(E, G)
+    return stem_distance(E, _stem_at(g, domain.node_z), least)
 
 
 def log_star(
@@ -535,7 +545,7 @@ def log_star(
         branch = BranchSpec(*branch)
     domain.validate(strict=True)
 
-    g, G, lo, hi = _node_stem(g, domain)
+    g, G, least, lo, hi = _node_stem(g, domain)
     report = classify_vectorial(g, domain)
     case = _CASES.get(report.kind, "fold")
     if case == "scalar" and rep is not None:
@@ -555,7 +565,7 @@ def log_star(
         f = f + const(turns * math.pi) * UNIT
 
     f_nodes = node_stem(f, domain)  # one stem of f for both checks below
-    residual = residual_sup(f_nodes, g, domain)
+    residual = residual_sup(f_nodes, g, domain, least)
     if residual > RESIDUAL_ACCEPT:
         raise ResidualRejected(residual, RESIDUAL_ACCEPT)
     if not linearly_dependent(f_nodes, g, domain):

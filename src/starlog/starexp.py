@@ -29,8 +29,11 @@ from .quaternion import Quaternion
 
 
 def exp_star(f) -> SliceExpr:
-    """Closed-form star exponential exp(f0) (mu(fv^s) + nu(fv^s) fv)."""
+    """Closed-form star exponential exp(f0) (mu(fv^s) + nu(fv^s) fv); for a
+    slice-preserving f, whose fv is exactly zero, the slicewise exp."""
     f = as_expr(f)
+    if f.slice_preserving:
+        return ScalarApply("exp", f)
     f0 = Component(f, 0)
     fv = VectPart(f)
     fvs = Symm(fv)

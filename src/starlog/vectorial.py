@@ -49,6 +49,8 @@ from .expr import (
     SliceExpr,
     StarMul,
     _children,
+    _leaf_at,
+    _stem_at,
     const,
     eval_stem_many,
     node_stem,
@@ -483,7 +485,7 @@ def find_zeros_sp(expr: SliceExpr, domain: BasicDomainSpec) -> list[SphereZero]:
         with np.errstate(all="ignore"):  # a value that is not finite fails its count
             return stem_complex(expr, np.asarray(zs, dtype=complex))
 
-    node_vals = stem_complex(expr, domain.node_z)
+    node_vals = _leaf_at(expr, domain.node_z)  # in place where expr is pinned
     scale = float(np.abs(node_vals).max())
     if scale <= 1e-300:
         raise Vanishing("cannot locate zeros of the zero function")
@@ -703,7 +705,7 @@ def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec, ws: SliceExpr | None 
         ws = symmetrization(w_tilde)
 
     def F(zs):
-        return stem_complex(ws, np.asarray(zs, dtype=complex))
+        return _leaf_at(ws, np.asarray(zs, dtype=complex))
 
     log_field = lift_log(F, domain, name="vector normalizer")
     inv_length = ScalarApply("exp", const(-0.5) * GridFieldExpr(log_field, "vector normalizer"))
@@ -722,10 +724,11 @@ def linearly_dependent(e1: SliceExpr, e2: SliceExpr, domain: BasicDomainSpec) ->
     Proportionality of the holomorphic component triples is tested through
     their two-by-two minors on the grid, so a varying slice-preserving ratio
     still counts as dependent.  Only the vector columns of the stems are
-    read, so a scalar part makes no difference.
+    read, so a scalar part makes no difference; a function pinned to the
+    domain is read in place.
     """
-    c1 = eval_stem_many(e1, domain.node_z)[:, 1:]
-    c2 = eval_stem_many(e2, domain.node_z)[:, 1:]
+    c1 = _stem_at(e1, domain.node_z)[:, 1:]
+    c2 = _stem_at(e2, domain.node_z)[:, 1:]
     s1 = float(np.abs(c1).max())
     s2 = float(np.abs(c2).max())
     if s1 <= 1e-300 or s2 <= 1e-300:

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from starlog.logarithm import (
     residual_sup,
     stem_distance,
 )
+from starlog.algebra import symmetrization
 from starlog.parse import parse_expr
 from starlog.quaternion import VERIFY_UNITS, Quaternion
 from starlog.starexp import exp_star
@@ -806,3 +808,108 @@ def test_round_trip_with_a_cancelling_symmetrization_verifies():
     res = log_star(exp_star(f), ROUND_TRIP_DOMAINS[1])
     assert res.case == "angle"
     assert res.residual <= logarithm.RESIDUAL_ACCEPT
+
+
+# ---------------------------------------------------------------------------
+# pinned stems are read in place
+
+
+def route_draw(wl, route, seed=3):
+    """A benchmark family's g for ``route`` on its grid at 32 divisions."""
+    rng = random.Random(seed)
+    if route == "scalar":
+        return parse_expr(wl.scalar_source(rng)[0]), wl.grid("slice", 32, rects=[wl.SLICE_RECT])
+    if route == "angle":
+        return exp_star(parse_expr(wl.angle_source(rng))), wl.grid("slice", 32, rects=[wl.SLICE_RECT])
+    if route == "null-vector":
+        return parse_expr(wl.null_vector_source(rng)), wl.grid("product", 32, rects=[wl.PRODUCT_RECT])
+    return parse_expr(wl.fold_source(rng)), wl.grid("product", 32, discs=[wl.BALL_DISC])
+
+
+@pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
+def test_log_star_copies_no_pinned_stem(route, wl, monkeypatch):
+    # a read of a pinned stem at its nodes runs no program and copies nothing:
+    # no run returns a read-only node-size stem for eval_stem_many to copy,
+    # and no public entry point copies one
+    g, dom = route_draw(wl, route)
+    run, own = expr_module._run, expr_module._own
+    shared, copied = [], []
+
+    def running(program, z):
+        out = run(program, z)
+        if z.size == dom.n_nodes and not out.flags.writeable:
+            shared.append(out)
+        return out
+
+    def owning(C):
+        if not C.flags.writeable and len(C) == dom.n_nodes and C.strides[0]:
+            copied.append(C)  # a widened row has stride 0 and is not a stem
+        return own(C)
+
+    monkeypatch.setattr(expr_module, "_run", running)
+    monkeypatch.setattr(expr_module, "_own", owning)
+    assert log_star(g, dom).case == route
+    assert shared == [] and copied == []
+    # the counters see a public read of a pin
+    pinned = expr_module.node_stem(g, dom)
+    eval_stem_many(pinned, dom.node_z)
+    stem_complex(logarithm.scalar_part(pinned), dom.node_z)
+    assert len(shared) == 1 and len(copied) == 1
+
+
+@pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
+def test_log_star_takes_the_range_of_g_once(route, wl, monkeypatch):
+    g, dom = route_draw(wl, route)
+    G = eval_stem_many(g, dom.node_z)
+    slice_range, reads = logarithm.slice_range, []
+
+    def counting(C):
+        reads.append(np.array_equal(C, G))
+        return slice_range(C)
+
+    monkeypatch.setattr(logarithm, "slice_range", counting)
+    res = log_star(g, dom)
+    assert res.case == route
+    assert sum(reads) == 1
+    assert res.residual == stem_distance(eval_stem_many(exp_star(res.f), dom.node_z), G)
+
+
+@pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold"])
+def test_readers_give_the_same_values_pinned_or_not(route, wl):
+    g, dom = route_draw(wl, route)
+    f = log_star(g, dom).f
+    zs = dom.node_z
+    pin = partial(expr_module.node_stem, domain=dom)
+    # the residual as the parent computed it, from two evaluated stems
+    G = eval_stem_many(g, zs)
+    want = stem_distance(eval_stem_many(exp_star(f), zs), G)
+    least = expr_module.slice_range(G)[0]
+    for ff, gg in [(f, g), (pin(f), g), (f, pin(g)), (pin(f), pin(g))]:
+        assert residual_sup(ff, gg, dom) == want
+        assert residual_sup(ff, gg, dom, least) == want
+        assert vectorial_module.linearly_dependent(ff, gg, dom) is True
+    # a vector part turned by i is not proportional to g_v where g_v != 0;
+    # times a slice-preserving ratio it is
+    turned, scaled = g * CI, g * (Q + const(2.0))
+    want_turned = route == "scalar"  # g_v = 0 is dependent on anything
+    for a in (turned, pin(turned)):
+        for b in (g, pin(g)):
+            assert vectorial_module.linearly_dependent(a, b, dom) is want_turned
+            assert vectorial_module.linearly_dependent(b, a, dom) is want_turned
+    for a in (scaled, pin(scaled)):
+        for b in (g, pin(g)):
+            assert vectorial_module.linearly_dependent(a, b, dom) is True
+    for tree in (logarithm.scalar_part(g), logarithm.scalar_part(f), symmetrization(g)):
+        want = eval_stem_many(tree, zs)[:, 0]
+        assert stem_complex(tree, zs).tobytes() == want.tobytes()
+        assert stem_complex(pin(tree), zs).tobytes() == want.tobytes()
+
+
+def test_public_reads_of_a_pinned_stem_are_the_callers_own(product_rect):
+    g = expr_module.node_stem(Q * Q + const(2.0), product_rect)
+    zs = product_rect.node_z
+    stem = g.stem.copy()
+    for out in (stem_complex(g, zs), eval_stem_many(g, zs)):
+        assert out.flags.writeable
+        out[...] = 0.0
+    assert np.array_equal(g.stem, stem)

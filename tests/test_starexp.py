@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -7,11 +8,16 @@ import pytest
 from starlog.algebra import scalar_part, star_mul, symmetrization
 from starlog.errors import DomainError, ExprError, NoConvergence
 from starlog.expr import (
+    Add,
+    Component,
     IntPow,
     Q,
     ScalarApply,
+    StarMul,
     StarSeries,
+    Symm,
     UNIT,
+    VectPart,
     as_expr,
     const,
     eval_many,
@@ -27,6 +33,7 @@ from starlog.quaternion import (
     Quaternion,
     VERIFY_UNITS,
 )
+from starlog.parse import parse_expr
 from starlog.starexp import cos_star, exp_star, exp_star_series, real_power, sin_star
 
 RNG = np.random.default_rng(3)
@@ -167,6 +174,43 @@ class TestRealPower:
         g = exp_star(f)
         sq = real_power(g, 2.0, log_of_g=f)
         assert stems_close(sq, star_mul(g, g), sample_points(), 1e-11)
+
+
+def closed_form(f):
+    """exp(f0) (mu(fv^s) + nu(fv^s) fv), the closed-form tree of any f."""
+    fv = VectPart(f)
+    structure = Add(ScalarApply("mu", Symm(fv)), StarMul(ScalarApply("nu", Symm(fv)), fv))
+    return StarMul(ScalarApply("exp", Component(f, 0)), structure)
+
+
+class TestSlicePreservingExp:
+    """exp_* of a slice-preserving f is the slicewise exp: fv is exactly zero,
+    so the closed form's mu and nu terms are 1 and 0 and change no value."""
+
+    def assert_slicewise(self, f, zs):
+        tree = exp_star(f)
+        assert tree == ScalarApply("exp", f)
+        # array_equal also holds where the two differ in the sign of a zero
+        assert np.array_equal(eval_stem_many(tree, zs), eval_stem_many(closed_form(f), zs))
+
+    def test_exp_shapes(self, wl):
+        rng = random.Random(1)
+        zs = wl.grid("product", 24, rects=[wl.PRODUCT_RECT]).node_z
+        sources = [wl.exp_source(rng, shape) for shape in range(len(wl.EXP_SHAPES))]
+        fs = [f for f in map(parse_expr, sources) if f.slice_preserving]
+        assert len(fs) == 2  # a*q and a*q^2 + b
+        for f in fs:
+            self.assert_slicewise(f, zs)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_real_polynomials(self, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-2.0, 2.0, rng.integers(1, 6))
+        f = const(float(coeffs[0]))
+        for k, c in enumerate(coeffs[1:], 1):
+            f = f + IntPow(Q, k) * const(float(c))
+        zs = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
+        self.assert_slicewise(f, zs)
 
 
 class TestSlicePreservingNodes:
