@@ -11,28 +11,28 @@ plane and conjugated back afterwards, so contours may dip below the axis.
 
 A tree is compiled once, on its first evaluation, into a program kept on its
 root: a post-order list of steps, each naming by id the node it computes and
-the nodes it reads, one per distinct node.  A step is a function of its
-inputs' stems, so the steps of a program that a subtree's root already keeps
-are taken over unchanged: a tree derived from a compiled g (g_v^s, g_0,
-exp_*(f)) compiles its own nodes only, a node that two kept programs compute
-gets one step, and every run is one loop, apart from the nested runs of a
-quotient's rings and of a node stem off its nodes.  A subtree that reads no
-points (no q, I, lifted field, quotient or node stem) and holds no star
-series is folded at compile time into one (1, 4) row by the same step
-functions, so folding changes no bit; the row broadcasts against the stems
-it meets, and a tree that ends in one row (constants alone, or a star series
-of a constant) is widened to every point when its run ends.  A step that
-meets a floating-point error is not folded, so each evaluation meets it under
-its own ``np.errstate``.  Slice-preserving flags and star-product kernels are
-fixed at compile time, and each stem is dropped after its last reader.  Stems
-are column-major: each component is one contiguous column.
+the nodes it reads, one per distinct node of the tree.  Every tree compiles
+its own nodes; a tree derived from g (g_v^s, g_0, exp_*(f)) reaches g through
+a node stem, a leaf of one step.  Every run is one loop, apart from the
+nested runs of a quotient's rings and of a node stem off its nodes.  A
+subtree that reads no points (no q, I, lifted field, quotient or node stem)
+and holds no star series is folded at compile time into one (1, 4) row by
+the same step functions, so folding changes no bit; the row broadcasts
+against the stems it meets, and a tree that ends in one row (constants
+alone, or a star series of a constant) is widened to every point when its
+run ends.  A step that meets a floating-point error is not folded, so each
+evaluation meets it under its own ``np.errstate``.  Slice-preserving flags
+and star-product kernels are fixed at compile time, and each stem is dropped
+after its last reader.  Stems are column-major: each component is one
+contiguous column.
 
 A :class:`NodeStem` pins an expression g to a domain's grid nodes:
 :func:`node_stem` evaluates g there once, a run at the node array reads that
 stem, and a run at other points evaluates g by one nested run of g's own
-program.  The node is a leaf: compiling neither folds g nor takes its steps.
-The library's own readers take :func:`_stem_at`, which hands out a node
-stem read at its nodes as is; only the public entry points copy it.
+program.  The node is a leaf: compiling a tree that holds it neither folds
+nor compiles g.  The library's own readers take :func:`_stem_at`, which
+hands out a node stem read at its nodes as is; only the public entry points
+copy it.
 
 Nodes carry a structural slice-preserving flag (real stem components, exact
 zeros in the vector part); scalar branch functions may only be applied to
@@ -268,7 +268,6 @@ class GridFieldExpr(SliceExpr):
     """A slice-preserving function known through a lifted field on a grid."""
 
     fld: object  # lifts.LiftedScalarField
-    name: str = "field"
 
     def __post_init__(self):
         self._set_sp(True)
@@ -411,27 +410,19 @@ def _children(node: SliceExpr) -> tuple:
 def _compile(root: SliceExpr) -> _Program:
     """List the steps of ``root`` in post order and fold the constant nodes.
 
-    A node shared within the tree gets one step, and a node below the root
-    that keeps a program is not visited: that program's steps are taken over
-    unchanged, less those of nodes this program has already, and its rows
-    merged in.  Its ids stay valid here, since its root keeps every node it
-    names alive.  A node outside ``_VARYING`` whose inputs are all folded
-    runs its step once, here, on one (1, 4) row, which becomes the node's
-    row: the same step functions fold and run, so folding changes no bit of
-    the result.  A step that meets any floating-point error is not folded,
-    so that each run meets the error under its caller's ``np.errstate``.
+    A node shared within the tree gets one step, and the program's ids name
+    nodes of this tree alone, which its root keeps alive.  A node outside
+    ``_VARYING`` whose inputs are all folded runs its step once, here, on one
+    (1, 4) row, which becomes the node's row: the same step functions fold
+    and run, so folding changes no bit of the result.  A step that meets any
+    floating-point error is not folded, so that each run meets the error
+    under its caller's ``np.errstate``.
     """
     rows, steps = {}, {}  # steps: node id -> (run, ins), in step order
     stack = [(root, False)]
     while stack:
         node, ready = stack.pop()
         if id(node) in steps or id(node) in rows:
-            continue
-        sub = None if ready or node is root else getattr(node, "_program", None)
-        if sub is not None:
-            rows.update(sub.rows)
-            for run, out, ins, _ in sub.steps:
-                steps.setdefault(out, (run, ins))
             continue
         kids = _children(node)
         if not ready:
@@ -533,9 +524,7 @@ def node_stem(g: SliceExpr, domain) -> NodeStem:
     with np.errstate(over="ignore", invalid="ignore"):
         stem = eval_stem_many(g, domain.node_z)
     stem.flags.writeable = False  # handed to every run at the nodes
-    node = NodeStem(g, domain, stem)
-    _program(node)  # kept, so that every tree holding the node takes over its one step
-    return node
+    return NodeStem(g, domain, stem)
 
 
 def slice_values(C: np.ndarray, unit: Quaternion) -> np.ndarray:

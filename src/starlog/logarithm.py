@@ -343,7 +343,7 @@ def _scalar_route(g, G, domain, branch, nilpotent: bool):
     sign = -1.0 if branch.m % 2 else 1.0
     fld = lift_log(lambda zs: sign * _leaf_at(g0, zs), domain, name="log")
     diag["lift"] = fld.as_json()
-    f: SliceExpr = GridFieldExpr(fld, "log")
+    f: SliceExpr = GridFieldExpr(fld)
     if nilpotent:
         diag["min_scalar"] = lo
         f = f + vect_part(g) * ScalarApply("recip", g0)
@@ -399,8 +399,8 @@ def _angle_route(g, domain, branch, report, rep):
     if validity > LIFT_VALIDITY_TOL:
         raise ResidualRejected(validity, LIFT_VALIDITY_TOL)
 
-    f: SliceExpr = const(0.5) * GridFieldExpr(sym_lift, "sym-log") + (
-        GridFieldExpr(phase, "phase") + const(branch.n * math.pi)
+    f: SliceExpr = const(0.5) * GridFieldExpr(sym_lift) + (
+        GridFieldExpr(phase) + const(branch.n * math.pi)
     ) * w
     return f, diag
 
@@ -487,10 +487,10 @@ def _fold_route(g, domain, report):
         "sym_lift": sym_lift.as_json(),
     }
 
-    half_log = const(0.5) * GridFieldExpr(sym_lift, "sym-log")
+    half_log = const(0.5) * GridFieldExpr(sym_lift)
     fold_recip = ScalarApply(
         "recip",
-        ScalarApply("nu", GridFieldExpr(fold, "fold")) * const(s_h) * ScalarApply("exp", half_log),
+        ScalarApply("nu", GridFieldExpr(fold)) * const(s_h) * ScalarApply("exp", half_log),
     )
     return half_log + vect_part(g) * fold_recip, diag
 
@@ -542,7 +542,12 @@ def log_star(
     construction is rejected.
     """
     if not isinstance(branch, BranchSpec):
-        branch = BranchSpec(*branch)
+        try:
+            branch = BranchSpec(*branch)
+        except TypeError:  # not a sequence, or more than two indices
+            raise ConditionFailed(
+                "periods", f"a branch is a pair of integer indices (m, n), got {branch!r}"
+            ) from None
     domain.validate(strict=True)
 
     g, G, least, lo, hi = _node_stem(g, domain)

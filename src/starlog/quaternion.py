@@ -210,14 +210,14 @@ def parse_quaternion(text: str) -> Quaternion:
     return Quaternion(*comps)
 
 
-def format_quaternion(q: Quaternion, ndigits: int | None = None) -> str:
+def format_quaternion(q: Quaternion) -> str:
     """Render in the same a+bi+cj+dk form that parse_quaternion accepts."""
     parts = []
     for value, axis in zip((q.w, q.x, q.y, q.z), ("", "i", "j", "k")):
         if value == 0.0:
             continue
         mag = abs(value)
-        coeff = repr(round(mag, ndigits)) if ndigits is not None else repr(mag)
+        coeff = repr(mag)
         if axis and mag == 1.0:
             coeff = ""
         term = f"{coeff}{axis}" if axis else coeff

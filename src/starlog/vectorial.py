@@ -708,7 +708,7 @@ def normalize(w_tilde: SliceExpr, domain: BasicDomainSpec, ws: SliceExpr | None 
         return _leaf_at(ws, np.asarray(zs, dtype=complex))
 
     log_field = lift_log(F, domain, name="vector normalizer")
-    inv_length = ScalarApply("exp", const(-0.5) * GridFieldExpr(log_field, "vector normalizer"))
+    inv_length = ScalarApply("exp", const(-0.5) * GridFieldExpr(log_field))
     w = node_stem(StarMul(w_tilde, inv_length), domain)
 
     err = np.abs(qsym(w.stem) - 1.0).max()  # the arithmetic of Symm

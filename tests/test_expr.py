@@ -1022,13 +1022,16 @@ class TestProgram:
 
     def test_a_kept_program_keeps_its_steps_in_a_tree_that_holds_it(self, wl):
         # the steps of g's program name the nodes they compute and read, so a
-        # tree over g takes them over unchanged, after the steps of its own
-        # nodes visited first
+        # tree over g, which compiles g's nodes itself, has the same steps in
+        # the same order, after the steps of its own nodes visited first; g
+        # keeps its own program
         g = parse_expr(wl.fold_source(random.Random(1)))
-        kept = [step[:3] for step in expr_module._program(g).steps]
+        program = expr_module._program(g)
+        kept = [step[1:3] for step in program.steps]
         tree = star_mul(VarQ(), const(I_UNIT)) + symmetrization(vect_part(g))
-        taken = [step[:3] for step in expr_module._program(tree).steps]
+        taken = [step[1:3] for step in expr_module._program(tree).steps]
         assert [step for step in taken if step in kept] == kept
+        assert expr_module._program(g) is program
         zs = np.array([0.3 + 0.5j, 1.1 + 0.2j, -0.4 - 0.7j])
         assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
 
@@ -1041,11 +1044,11 @@ class TestProgram:
         assert len(built) == 54
         g = parse_expr(source)
         assert steps(g) == 10
-        # once g keeps its program, g_v^s takes over g's 10 steps and builds
-        # Symm and VectPart only
+        # g keeping its program changes nothing: g_v^s compiles g's nodes too,
+        # into the same 10 steps
         built.clear()
         gvs = expr_module._program(symmetrization(vect_part(g)))
-        assert len(gvs.steps) == 12 and len(built) == 2
+        assert len(gvs.steps) == 12 and len(built) == 54
         assert set(computed_by(expr_module._program(g))) <= set(computed_by(gvs))
         assert steps(const(2.0) * const(I_UNIT) + 1) == 0
 
@@ -1069,15 +1072,13 @@ class TestProgram:
         gv = vect_part(g)
         eval_stem_many(gv, off)  # compiled first: a program that computes g
         eval_stem_many(g, zs)  # g keeps its own program
-        kept = {id(node) for node in tree_nodes(gv)}
         trees = [symmetrization(gv), scalar_part(g), symmetrization(g), exp_star(g) * gv]
         for tree in trees:
             built.clear()
             program = expr_module._program(tree)
-            # only the nodes outside g and gv are built, each once; g's
-            # steps are taken over and computed once
-            own = {id(node) for node in tree_nodes(tree)} - kept
-            assert sorted(map(id, built)) == sorted(own), tree
+            # every node of the tree is built once, g's among them, and each
+            # step of g's program is computed once
+            assert sorted(map(id, built)) == sorted({id(node) for node in tree_nodes(tree)}), tree
             computed = computed_by(program)
             assert set(computed_by(expr_module._program(g))) <= set(computed)
             assert len(computed) == len(set(computed))
@@ -1095,6 +1096,33 @@ class TestProgram:
             assert id(pinned) in computed_by(program) and id(g) not in computed_by(program)
             for points in (zs, off):
                 assert np.array_equal(eval_stem_many(tree, points), recursive_stem(tree, points))
+
+    def test_a_tree_over_a_pin_compiles_its_own_nodes_whatever_the_size_of_g(self, wl, built):
+        dom = wl.grid("product", 4, rects=[wl.PRODUCT_RECT])
+        zs = dom.node_z
+        off = zs + (0.31 + 0.43j) * dom.h  # off the lattice, and some below the axis
+        off[::3] = off[::3].conj()
+        counts = []
+        for terms in (2, 200):
+            g = const(1.0)
+            for k in range(1, terms + 1):  # 1 + (q c1) i + (q c2) i + ..., not slice preserving
+                g = g + Q * const(1.0 / k) * const(I_UNIT)
+            pinned = node_stem(g, dom)
+            trees = [
+                symmetrization(vect_part(pinned)),
+                scalar_part(pinned),
+                exp_star(pinned) * vect_part(pinned),
+            ]
+            for tree in trees:
+                built.clear()
+                expr_module._program(tree)
+                # one step per node outside g, the leaf among them
+                own = {id(node) for node in tree_nodes(tree)}
+                assert id(pinned) in own and sorted(map(id, built)) == sorted(own), tree
+                counts.append(len(built))
+                for points in (zs, off):
+                    assert np.array_equal(eval_stem_many(tree, points), recursive_stem(tree, points))
+        assert counts[:3] == counts[3:]
 
     def test_runs_do_not_nest_however_many_subtrees_keep_programs(self, monkeypatch):
         exp, depths = SCALAR_FUNCTIONS["exp"], []
@@ -1117,15 +1145,6 @@ class TestProgram:
             got = eval_stem_many(tree, zs)
             assert max(depths) == flat, k  # one _run, whose steps call exp
         assert np.array_equal(got, recursive_stem(tree, zs))
-
-    def test_every_prefix_of_a_chain_compiles_each_node_once(self, built):
-        q, tree, zs = VarQ(), None, np.array([0.3 + 0.5j, -0.2 - 0.7j])
-        for k in range(1, 301):  # Q*c1 + Q*c2 + ..., with a q of its own
-            term = q * const(1.0 / k)
-            tree = term if tree is None else tree + term
-            eval_stem_many(tree, zs)
-        assert len(built) == len({id(node) for node in tree_nodes(tree)}) == 900
-        assert np.array_equal(eval_stem_many(tree, zs), recursive_stem(tree, zs))
 
     def test_a_tree_holding_g_twice_runs_its_steps_once(self, monkeypatch):
         exp, calls = SCALAR_FUNCTIONS["exp"], []

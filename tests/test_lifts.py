@@ -425,7 +425,7 @@ def test_log_lift_exponentiates_back(slice_rect):
 
 def test_square_root_field_squares_back(slice_rect):
     fld = lift_log(lambda z: z * z + 2.0, slice_rect)
-    root = ScalarApply("exp", const(0.5) * GridFieldExpr(fld, "L"))
+    root = ScalarApply("exp", const(0.5) * GridFieldExpr(fld))
     assert root.slice_preserving
     values = stem_complex(root, slice_rect.node_z)
     target = slice_rect.node_z ** 2 + 2.0
@@ -819,7 +819,7 @@ def test_field_report_is_json_friendly(slice_rect):
 
 def test_grid_field_plugs_into_expressions(slice_rect):
     fld = lift_log(lambda z: z * z + 2.0, slice_rect)
-    expr = GridFieldExpr(fld, "L")
+    expr = GridFieldExpr(fld)
     node = slice_rect.node_z[slice_rect.n_nodes // 2]
     val = evaluate(expr, Quaternion(node.real, 0.0, node.imag, 0.0))
     want = np.log(node ** 2 + 2.0)

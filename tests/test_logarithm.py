@@ -136,6 +136,15 @@ def test_branch_index_that_is_not_an_integer_fails_the_periods_condition(index, 
         assert err.value.condition == "periods"
 
 
+@pytest.mark.parametrize(
+    "branch", [(1, 2, 3), "1,2", None, 5], ids=["triple", "text", "none", "int"]
+)
+def test_branch_that_is_not_a_pair_fails_the_periods_condition(branch, slice_rect):
+    with pytest.raises(ConditionFailed) as err:
+        log_star(parse_expr("exp(q)"), slice_rect, branch)
+    assert err.value.condition == "periods"
+
+
 def test_branch_indices_are_stored_as_ints():
     branch = BranchSpec(1.0, np.int64(-2))
     assert type(branch.m) is int and type(branch.n) is int
