@@ -1,13 +1,26 @@
 """Expression trees for slice functions and their stem evaluation.
 
 A node evaluates to its stem over complex leaf points z = x + iy, held as one
-(n, 4) complex array C = A + iB: column l is the l-th quaternion component, A
-and B are ``C.real`` and ``C.imag``, and the slice function value at x + Jy is
+complex array C = A + iB: column l is the l-th quaternion component, A and B
+are ``C.real`` and ``C.imag``, and the slice function value at x + Jy is
 A + J B.  The i of the stem is central, so the star product of two stems is
 the Hamilton product with complex coefficients: ``quaternion.qmul`` applied to
 complex arrays.  Stems obey the reflection symmetry C(conj z) = conj(C(z)),
 which the evaluator applies globally: batches are normalized to the upper half
 plane and conjugated back afterwards, so contours may dip below the axis.
+
+Nodes carry a structural slice-preserving flag (real stem components, exact
+zeros in the vector part); scalar branch functions may only be applied to
+structurally slice-preserving children.  Inside a run the stem of a
+slice-preserving node is its scalar column alone, (n, 1), and every other
+stem is (n, 4): the width follows the flag exactly.  A star product with a
+slice-preserving factor is that column times the other factor, and only a
+product of two other factors runs the full Hamilton product.  Stems are
+widened to (n, 4), with zero vector columns, only where they leave the
+evaluator: what :func:`eval_stem_many` returns and the stem that
+:func:`node_stem` pins.  The exp, cos and sin star series of F = f0 + f_v
+stay in span{1, f_v}, because f_v*f_v = -f_v^s: each term is two complex
+columns a + b*f_v, not a Hamilton product, and one column a where f_v = 0.
 
 A tree is compiled once, on its first evaluation, into a program kept on its
 root: a post-order list of steps, each naming by id the node it computes and
@@ -16,32 +29,24 @@ its own nodes; a tree derived from g (g_v^s, g_0, exp_*(f)) reaches g through
 a node stem, a leaf of one step.  Every run is one loop, apart from the
 nested runs of a quotient's rings and of a node stem off its nodes.  A
 subtree that reads no points (no q, I, lifted field, quotient or node stem)
-and holds no star series is folded at compile time into one (1, 4) row by
-the same step functions, so folding changes no bit; the row broadcasts
-against the stems it meets, and a tree that ends in one row (constants
-alone, or a star series of a constant) is widened to every point when its
-run ends.  A step that meets a floating-point error is not folded, so each
-evaluation meets it under its own ``np.errstate``.  Slice-preserving flags
-and star-product kernels are fixed at compile time, and each stem is dropped
-after its last reader.  Stems are column-major: each component is one
-contiguous column.
+and holds no star series is folded at compile time into one row, (1, 1) or
+(1, 4), by the same step functions, so folding changes no bit; the row
+broadcasts against the stems it meets, and a tree that ends in one row
+(constants alone, or a star series of a constant) is widened to every point
+when its run ends.  A step that meets a floating-point error is not folded,
+so each evaluation meets it under its own ``np.errstate``.  Each step's
+kernel is fixed at compile time by the flags of its children, and each stem
+is dropped after its last reader.  Stems are column-major: each component is
+one contiguous column.
 
 A :class:`NodeStem` pins an expression g to a domain's grid nodes:
 :func:`node_stem` evaluates g there once, a run at the node array reads that
-stem, and a run at other points evaluates g by one nested run of g's own
-program.  The node is a leaf: compiling a tree that holds it neither folds
-nor compiles g.  The library's own readers take :func:`_stem_at`, which
-hands out a node stem read at its nodes as is; only the public entry points
-copy it.
-
-Nodes carry a structural slice-preserving flag (real stem components, exact
-zeros in the vector part); scalar branch functions may only be applied to
-structurally slice-preserving children.  The evaluator relies on those exact
-zeros: a star product with a slice-preserving factor is that factor's scalar
-column times the other factor, and only a product of two other factors runs
-the full Hamilton product.  The exp, cos and sin star series of F = f0 + f_v
-stay in span{1, f_v}, because f_v*f_v = -f_v^s: each term is two complex
-columns a + b*f_v, not a Hamilton product.
+stem (its first column, in place, where g is slice preserving), and a run at
+other points evaluates g by one nested run of g's own program.  The node is
+a leaf: compiling a tree that holds it neither folds nor compiles g.  The
+library's own readers take :func:`_stem_at` and :func:`_leaf_at`, which hand
+out a node stem read at its nodes as is; only the public entry points copy
+it.
 """
 
 from __future__ import annotations
@@ -319,10 +324,10 @@ _FOLD_Z = np.zeros(1, dtype=complex)
 
 
 class _Program(NamedTuple):
-    """``rows`` maps the id of each folded node to its (1, 4) row.  A step
-    (run, out, ins, dead) sets the stem of node ``out`` to ``run(z, *stems)``
-    of the nodes ``ins`` and then drops the stems of the ``dead`` nodes.
-    ``result`` is the id of the root."""
+    """``rows`` maps the id of each folded node to its row, (1, 1) or (1, 4)
+    by the node's flag.  A step (run, out, ins, dead) sets the stem of node
+    ``out`` to ``run(z, *stems)`` of the nodes ``ins`` and then drops the
+    stems of the ``dead`` nodes.  ``result`` is the id of the root."""
 
     rows: dict
     steps: tuple
@@ -334,31 +339,44 @@ def eval_stem_many(expr: SliceExpr, zs) -> np.ndarray:
 
     Column l holds the l-th quaternion component, so C = A + iB with A and B
     the real stem halves ``C.real`` and ``C.imag``.  C is column-major, so
-    each column is contiguous.  C is the caller's own, writeable array: a
-    node stem read at its nodes, or a folded row, is copied (the library's
-    own readers take :func:`_stem_at`, which does not copy).
+    each column is contiguous.  C is the caller's own, writeable array: the
+    scalar column of a slice-preserving tree is widened into a new array, and
+    a node stem read at its nodes, or a folded row, is copied (the library's
+    own readers take :func:`_stem_at` and :func:`_leaf_at`, which do not
+    copy).
     """
+    return _own(_eval(expr, zs))
+
+
+def _eval(expr: SliceExpr, zs) -> np.ndarray:
+    """The stem of ``expr`` at the points zs in the width of a run: one
+    column where ``expr`` is slice preserving, four otherwise.  It may be
+    shared (a node stem, a column of one, or a row broadcast to every
+    point), so the caller must not write to it."""
     flat = np.asarray(zs, dtype=complex).ravel()
     if not flat.size:  # no point to evaluate and no series term to sum
-        return np.zeros((0, 4), dtype=complex)
+        return np.zeros((0, 1 if expr.slice_preserving else 4), dtype=complex)
     zhat = flat.real + 0j  # x + 0.0 and |y|, with no 0 * inf where y is infinite
     zhat.imag = np.abs(flat.imag)
     C = _run(_program(expr), zhat)
     # a constant tree or a star series of a constant ends in one row, widened
     # here to every point
     if C.shape[0] != flat.size:
-        C = np.broadcast_to(C, (flat.size, 4))
-    C = _own(C)
+        C = np.broadcast_to(C, (flat.size, C.shape[1]))
     lower = flat.imag < 0
-    return np.where(lower[:, None], C.conj(), C) if lower.any() else C
+    if lower.any():
+        C = C.copy(order="F")
+        np.conjugate(C, out=C, where=lower[:, None])
+    return C
 
 
 def _stem_at(expr: SliceExpr, zs) -> np.ndarray:
-    """The stem of ``expr`` at the points zs, for a reader that does not
-    write to it: a node stem read at its own nodes hands out its read-only
-    stem as is, and any other tree is evaluated by :func:`eval_stem_many`.
-    The library reads every pinned stem through this path, so that none is
-    copied; only the public entry points copy, each what it returns.
+    """The (n, 4) stem of ``expr`` at the points zs, for a reader that does
+    not write to it: a node stem read at its own nodes hands out its
+    read-only stem as is, and any other tree is evaluated by
+    :func:`eval_stem_many`.  The library reads every pinned stem through
+    this path or :func:`_leaf_at`, so that none is copied; only the public
+    entry points copy, each what it returns.
     """
     if isinstance(expr, NodeStem) and expr.domain.at_nodes(zs):
         return expr.stem
@@ -366,17 +384,23 @@ def _stem_at(expr: SliceExpr, zs) -> np.ndarray:
 
 
 def _leaf_at(expr: SliceExpr, zs) -> np.ndarray:
-    """Leaf form a + ib of a slice-preserving expression, read by
-    :func:`_stem_at`: a column of a pinned stem is not copied."""
+    """Leaf form a + ib of a slice-preserving expression, for a reader that
+    does not write to it: column 0 of a pinned stem, or of the run's own
+    one-column stem, read in place."""
     if not expr.slice_preserving:
         raise SlicePreservingRequired("leaf form exists only for slice-preserving expressions")
-    return _stem_at(expr, zs)[:, 0]
+    if isinstance(expr, NodeStem) and expr.domain.at_nodes(zs):
+        return expr.stem[:, 0]
+    return _eval(expr, zs)[:, 0]
 
 
 def _own(C: np.ndarray) -> np.ndarray:
-    """C where it is writeable, else a column-major copy of it: a read-only
-    array (a folded or widened row, or a node stem) is shared by every run,
-    and a public entry point hands out the caller's own array."""
+    """C as the caller's own, writeable, column-major array.  A read-only
+    array (a folded or widened row, a node stem, or a column of one) is
+    shared by every run, so it is copied; a one-column stem, the width of a
+    slice-preserving run, is widened into a new (n, 4) stem."""
+    if C.ndim == 2 and C.shape[1] == 1:
+        return _widen(C)
     return C if C.flags.writeable else C.copy(order="F")
 
 
@@ -413,10 +437,10 @@ def _compile(root: SliceExpr) -> _Program:
     A node shared within the tree gets one step, and the program's ids name
     nodes of this tree alone, which its root keeps alive.  A node outside
     ``_VARYING`` whose inputs are all folded runs its step once, here, on one
-    (1, 4) row, which becomes the node's row: the same step functions fold
-    and run, so folding changes no bit of the result.  A step that meets any
-    floating-point error is not folded, so that each run meets the error
-    under its caller's ``np.errstate``.
+    row, which becomes the node's (1, 1) or (1, 4) row: the same step
+    functions fold and run, so folding changes no bit of the result.  A step
+    that meets any floating-point error is not folded, so that each run
+    meets the error under its caller's ``np.errstate``.
     """
     rows, steps = {}, {}  # steps: node id -> (run, ins), in step order
     stack = [(root, False)]
@@ -464,36 +488,43 @@ def _fold(run, rows: dict, ins: tuple) -> np.ndarray | None:
 def _step(node: SliceExpr):
     """``run(z, *stems)`` computing ``node`` from its children's stems.
 
-    It holds the node's fields, not the node, so that a program kept on its
-    root makes no reference cycle.
+    The kernel is chosen here by the children's slice-preserving flags, so
+    that a slice-preserving node's stem is one column and every other stem
+    four.  It holds the node's fields, not the node, so that a program kept
+    on its root makes no reference cycle.
     Branch functions and lifted fields are looked up at run time, so that
     wrappers installed later see the calls.
     """
+    sp = tuple(kid.slice_preserving for kid in _children(node))
     if isinstance(node, Const):
-        row = node.value.to_array().astype(complex)[None, :]
+        width = 1 if node.slice_preserving else 4
+        row = node.value.to_array().astype(complex)[None, :width]
         return lambda z: row
     if isinstance(node, VarQ):
         return _scalar
     if isinstance(node, UnitFn):
         return _unit
     if isinstance(node, Add):
-        return lambda z, a, b: a + b
+        return _add_column if sp[0] != sp[1] else lambda z, a, b: a + b
     if isinstance(node, Neg):
         return lambda z, a: -a
     if isinstance(node, StarMul):
-        kernel = _KERNELS[node.left.slice_preserving, node.right.slice_preserving]
+        kernel = _KERNELS[sp]
         return lambda z, a, b: kernel(a, b)
     if isinstance(node, IntPow):
-        return _power(node.n, _KERNELS[(node.child.slice_preserving,) * 2])
+        return _power(node.n, _KERNELS[sp * 2], sp[0])
     if isinstance(node, RegConj):
-        return lambda z, a: qconj(a)
+        return (lambda z, a: a.copy()) if sp[0] else lambda z, a: qconj(a)
     if isinstance(node, Component):
         index = node.index
-        return lambda z, a: _scalar(a[:, index])
+        if sp[0] and index:
+            return _zero_column
+        return lambda z, a: a[:, index : index + 1].copy()
     if isinstance(node, VectPart):
-        return lambda z, a: _vect(a)
+        return _zero_column if sp[0] else lambda z, a: _vect(a)
     if isinstance(node, Symm):
-        return lambda z, a: _scalar(qsym(a))
+        # the arithmetic of qsym on zero vector columns
+        return (lambda z, a: a * a + 0.0) if sp[0] else lambda z, a: _scalar(qsym(a))
     if isinstance(node, ScalarApply):
         fn = node.fn
         return lambda z, a: _scalar(np.asarray(SCALAR_FUNCTIONS[fn](a[:, 0]), dtype=complex))
@@ -506,8 +537,9 @@ def _step(node: SliceExpr):
     if isinstance(node, QuotientBySP):
         return _quotient(node)
     if isinstance(node, NodeStem):
-        g, at_nodes, stem = node.g, node.domain.at_nodes, node.stem
-        return lambda z: stem if at_nodes(z) else eval_stem_many(g, z)
+        g, at_nodes = node.g, node.domain.at_nodes
+        stem = node.stem[:, :1] if node.slice_preserving else node.stem
+        return lambda z: stem if at_nodes(z) else _eval(g, z)
     raise ExprError(f"cannot evaluate node {type(node).__name__}")
 
 
@@ -634,9 +666,15 @@ def is_slice_preserving(expr: SliceExpr, domain=None) -> bool:
 
 
 def _scalar(values: np.ndarray) -> np.ndarray:
-    """Stem with ``values`` as its scalar component and a zero vector part."""
-    out = np.zeros(values.shape + (4,), dtype=complex, order="F")
-    out[..., 0] = values
+    """The one-column stem of a slice-preserving node with leaf values
+    ``values``: a view of them, with no copy."""
+    return values.reshape(-1, 1)
+
+
+def _widen(C: np.ndarray) -> np.ndarray:
+    """A one-column stem as a new (n, 4) stem with zero vector columns."""
+    out = np.zeros((C.shape[0], 4), dtype=complex, order="F")
+    out[:, :1] = C
     return out
 
 
@@ -646,31 +684,48 @@ def _unit(z: np.ndarray) -> np.ndarray:
     return _scalar(np.full(z.size, 1j))
 
 
+def _zero_column(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The stem of a node that is zero where its child is slice preserving:
+    a vector component or the vector part."""
+    return np.zeros((a.shape[0], 1), dtype=complex)
+
+
 def _vect(C: np.ndarray) -> np.ndarray:
     out = C.copy(order="K")
     out[:, 0] = 0.0
     return out
 
 
-def _column_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a*b column by column into one column-major array; stems are (n, 4) or
-    (1, 4) rows, so the product has the larger row count."""
+def _add_column(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b of one (n, 4) stem and one slice-preserving column, in either
+    order: the column adds into column 0 alone, where broadcasting would add
+    it to all four."""
     out = np.empty((max(a.shape[0], b.shape[0]), 4), complex, order="F")
+    out[:] = a if a.shape[1] == 4 else b
+    np.add(a[:, 0], b[:, 0], out=out[:, 0])
+    return out
+
+
+def _column_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*b column by column into one column-major array: one factor is a
+    slice-preserving column, and either may be a folded row, so the product
+    has the other factor's width and the larger row count."""
+    out = np.empty((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])), complex, order="F")
     return np.multiply(a, b, out=out)
 
 
 # the star-product kernel by the slice-preserving flags of (a, b): such a
-# factor has exact zeros in its vector columns, so the product is its scalar
-# column times the other factor, in the same order
+# factor is its scalar column, so the product is that column times the other
+# factor, in the same order, and a product of two columns is one column
 _KERNELS = {
     (False, False): qmul,
-    (True, False): lambda a, b: _column_product(a[:, :1], b),
-    (True, True): lambda a, b: _column_product(a[:, :1], b),
-    (False, True): lambda a, b: _column_product(a, b[:, :1]),
+    (True, False): _column_product,
+    (True, True): np.multiply,
+    (False, True): _column_product,
 }
 
 
-def _power(n: int, kernel):
+def _power(n: int, kernel, slice_preserving: bool):
     """Step of the star power n, by square-and-multiply."""
 
     def run(z, base):
@@ -681,7 +736,10 @@ def _power(n: int, kernel):
             m >>= 1
             if m:
                 base = kernel(base, base)
-        return _scalar(np.ones(z.size)) if out is None else out  # None: the zeroth power
+        if out is None:  # the zeroth power, 1, in the width of the base
+            out = _scalar(np.ones(z.size, dtype=complex))
+            return out if slice_preserving else _widen(out)
+        return out
 
     return run
 
@@ -690,16 +748,19 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return x.real * x.real + x.imag * x.imag
 
 
-def _peak_norms(a: np.ndarray, b: np.ndarray, w: np.ndarray, work: np.ndarray):
+def _peak_norms(a: np.ndarray, b, w, work: np.ndarray):
     """N(a, b) = sqrt(max |a|^2 + |b|^2 w), the norm the series stop test
-    reads, and max |b|, over the points; ``work`` is a (2, 2n) float buffer."""
+    reads, and max |b|, over the points; ``work`` is a (2, 2n) float buffer.
+    b and w are None for a slice-preserving argument, whose f_v is 0."""
     sq, n = work[0], a.size
     a2, b2 = work[1, :n], work[1, n:]
-    np.square(b.view(float), out=sq)
-    np.add(sq[0::2], sq[1::2], out=b2)  # _abs2(b)
-    b_peak = b2.max()
     np.square(a.view(float), out=sq)
-    np.add(sq[0::2], sq[1::2], out=a2)
+    np.add(sq[0::2], sq[1::2], out=a2)  # _abs2(a)
+    if b is None:
+        return np.sqrt(a2.max()), 0.0
+    np.square(b.view(float), out=sq)
+    np.add(sq[0::2], sq[1::2], out=b2)
+    b_peak = b2.max()
     a2 += np.multiply(b2, w, out=b2)
     return np.sqrt(a2.max()), np.sqrt(b_peak)
 
@@ -711,7 +772,8 @@ def _star_series(kind: str, max_terms: int, F: np.ndarray) -> np.ndarray:
     f_v3^2, and every term is a + b*f_v with complex columns a and b.  A step
     multiplies the term by c + d*f_v, which is F for exp and F*F = (f0^2 - s)
     + 2*f0*f_v for cos and sin, and divides it by its factorial ratio, in
-    place in two pairs of buffers.
+    place in two pairs of buffers.  A slice-preserving F is its scalar
+    column: f_v = 0, so no b is kept, and the sum is one column.
 
     The stop test reads the term norm N(a, b) = sqrt(max |a|^2 + |b|^2*|f_v|^2)
     on every term, and stops at the first term with N(a, b) <= SERIES_TOL *
@@ -726,9 +788,10 @@ def _star_series(kind: str, max_terms: int, F: np.ndarray) -> np.ndarray:
     every term gives.
     """
     f0, fv = F[:, 0], F[:, 1:]
+    wide = F.shape[1] == 4
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
-        s = fv[:, 0] * fv[:, 0] + fv[:, 1] * fv[:, 1] + fv[:, 2] * fv[:, 2]
-        w = _abs2(fv[:, 0]) + _abs2(fv[:, 1]) + _abs2(fv[:, 2])
+        s = fv[:, 0] * fv[:, 0] + fv[:, 1] * fv[:, 1] + fv[:, 2] * fv[:, 2] if wide else 0.0
+        w = _abs2(fv[:, 0]) + _abs2(fv[:, 1]) + _abs2(fv[:, 2]) if wide else None
         exp = kind == "exp"
         if exp:  # d = 1: a*d and d*s are a and s
             c, ds = f0, s
@@ -737,21 +800,26 @@ def _star_series(kind: str, max_terms: int, F: np.ndarray) -> np.ndarray:
             ds = d * s
         odd = kind == "sin"
         ta = f0.copy() if odd else np.ones_like(f0)
-        tb = np.ones_like(f0) if odd else np.zeros_like(f0)
-        a, b, na, nb = ta.copy(), tb.copy(), np.empty_like(ta), np.empty_like(ta)
+        a, na = ta.copy(), np.empty_like(ta)
+        tb = b = None
+        if wide:
+            tb = np.ones_like(f0) if odd else np.zeros_like(f0)
+            b, nb = tb.copy(), np.empty_like(ta)
         work = np.empty((2, 2 * ta.size))
         bound, b_bound = _peak_norms(ta, tb, w, work)  # of term 0, the partial sum
         for m in range(1, max_terms):
             r = 1.0 / (m if exp else -(2 * m - 1 + odd) * (2 * m + odd))
             np.multiply(a, c, out=na)
-            na -= np.multiply(b, ds, out=nb)
+            if wide:
+                na -= np.multiply(b, ds, out=nb)
+                np.multiply(b, c, out=nb)
+                nb += a if exp else np.multiply(a, d, out=b)  # b is spent
+                nb *= r
+                b, nb = nb, b
+                tb += b
             na *= r
-            np.multiply(b, c, out=nb)
-            nb += a if exp else np.multiply(a, d, out=b)  # b is spent
-            nb *= r
-            a, na, b, nb = na, a, nb, b
+            a, na = na, a
             ta += a
-            tb += b
             term, b_peak = _peak_norms(a, b, w, work)
             bound += term
             b_bound += b_peak
@@ -770,6 +838,8 @@ def _star_series(kind: str, max_terms: int, F: np.ndarray) -> np.ndarray:
                 break
         else:
             raise NoConvergence(f"{kind} star series did not converge")
+    if not wide:
+        return _scalar(ta)
     out = np.empty(F.shape, complex, order="F")
     out[:, 0] = ta
     np.multiply(tb[:, None], fv, out=out[:, 1:])
@@ -798,8 +868,8 @@ def _quotient(node: QuotientBySP):
             R = 2.0 * radius
             theta = 2.0 * np.pi * (np.arange(PATCH_POINTS) + 0.37) / PATCH_POINTS
             pts = (z[near, None] + R * np.exp(1j * theta)).ravel()
-            ring = eval_stem_many(child, pts) / np.polyval(coeffs, pts)[:, None]
-            out[near] = ring.reshape(-1, PATCH_POINTS, 4).mean(axis=1)
+            ring = _eval(child, pts) / np.polyval(coeffs, pts)[:, None]
+            out[near] = ring.reshape(-1, PATCH_POINTS, ring.shape[1]).mean(axis=1)
         return out
 
     return run

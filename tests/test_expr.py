@@ -470,12 +470,18 @@ class TestSlicePreservingProduct:
         "rows", [(9, 9), (1, 9), (9, 1), (1, 1)], ids=["stems", "a-row", "b-row", "rows"]
     )
     def test_kernel_matches_the_hamilton_product(self, order, sp, rows):
+        # a slice-preserving factor is fed as its scalar column, and the
+        # product must be the Hamilton product of the widened factors
         rng = np.random.default_rng(sum(rows) + 3 * sp[0] + 5 * sp[1])
         a = random_stem(rng, rows[0], order, sp[0])
         b = random_stem(rng, rows[1], order, sp[1])
-        got = expr_module._KERNELS[sp](a, b)
-        assert np.array_equal(got, qmul(a, b))
-        assert all(got[:, l].flags.contiguous for l in range(4))
+        column_a = np.asarray(a[:, :1], order=order) if sp[0] else a
+        column_b = np.asarray(b[:, :1], order=order) if sp[1] else b
+        got = expr_module._KERNELS[sp](column_a, column_b)
+        assert got.shape[1] == (1 if all(sp) else 4)
+        widened = got if got.shape[1] == 4 else scalar_stem(got[:, 0])
+        assert np.array_equal(widened, qmul(a, b))
+        assert all(got[:, l].flags.contiguous for l in range(got.shape[1]))
 
     def test_star_mul_nodes_match_the_hamilton_product(self):
         f = poly_expr([1.0, 0.5, 2.0])  # slice preserving
@@ -821,10 +827,20 @@ class TestSliceRange:
 # compiled programs
 
 
+def scalar_stem(values):
+    """The four-column stem with ``values`` as its scalar component and a
+    zero vector part."""
+    out = np.zeros(values.shape + (4,), dtype=complex, order="F")
+    out[..., 0] = values
+    return out
+
+
 def recursive_eval(expr, z, cache):
     """The recursive evaluator that compiled programs replaced, kept as their
     reference: every call walks the tree again and caches every node's stem
-    until it returns."""
+    until it returns.  Every stem has four columns, slice-preserving ones
+    too, and every star product is the full Hamilton product, so that the
+    reference shares no kernel with the evaluator."""
     key = id(expr)
     if key in cache:
         return cache[key]
@@ -832,45 +848,43 @@ def recursive_eval(expr, z, cache):
     if isinstance(expr, Const):
         out = expr.value.to_array().astype(complex)[None, :]
     elif isinstance(expr, VarQ):
-        out = E._scalar(z)
+        out = scalar_stem(z)
     elif isinstance(expr, UnitFn):
         if (z.imag == 0).any():
             raise UnitFnOnRealAxis("the unit function I has no value on the real axis")
-        out = E._scalar(np.full(z.size, 1j))
+        out = scalar_stem(np.full(z.size, 1j))
     elif isinstance(expr, Add):
         out = recursive_eval(expr.left, z, cache) + recursive_eval(expr.right, z, cache)
     elif isinstance(expr, Neg):
         out = -recursive_eval(expr.child, z, cache)
     elif isinstance(expr, StarMul):
-        kernel = E._KERNELS[expr.left.slice_preserving, expr.right.slice_preserving]
-        out = kernel(recursive_eval(expr.left, z, cache), recursive_eval(expr.right, z, cache))
+        out = qmul(recursive_eval(expr.left, z, cache), recursive_eval(expr.right, z, cache))
     elif isinstance(expr, IntPow):
-        kernel = E._KERNELS[(expr.child.slice_preserving,) * 2]
         base, out, m = recursive_eval(expr.child, z, cache), None, expr.n
         while m:
             if m & 1:
-                out = base if out is None else kernel(out, base)
+                out = base if out is None else qmul(out, base)
             m >>= 1
             if m:
-                base = kernel(base, base)
+                base = qmul(base, base)
         if out is None:
-            out = E._scalar(np.ones(z.size))
+            out = scalar_stem(np.ones(z.size))
     elif isinstance(expr, RegConj):
         out = qconj(recursive_eval(expr.child, z, cache))
     elif isinstance(expr, Component):
-        out = E._scalar(recursive_eval(expr.child, z, cache)[:, expr.index])
+        out = scalar_stem(recursive_eval(expr.child, z, cache)[:, expr.index])
     elif isinstance(expr, VectPart):
         out = recursive_eval(expr.child, z, cache).copy(order="K")
         out[:, 0] = 0.0
     elif isinstance(expr, Symm):
-        out = E._scalar(qsym(recursive_eval(expr.child, z, cache)))
+        out = scalar_stem(qsym(recursive_eval(expr.child, z, cache)))
     elif isinstance(expr, ScalarApply):
         w = SCALAR_FUNCTIONS[expr.fn](recursive_eval(expr.child, z, cache)[:, 0])
-        out = E._scalar(np.asarray(w, dtype=complex))
+        out = scalar_stem(np.asarray(w, dtype=complex))
     elif isinstance(expr, StarSeries):
         out = E._star_series(expr.kind, expr.max_terms, recursive_eval(expr.child, z, cache))
     elif isinstance(expr, GridFieldExpr):
-        out = E._scalar(np.asarray(expr.fld.sample(z), dtype=complex))
+        out = scalar_stem(np.asarray(expr.fld.sample(z), dtype=complex))
     elif isinstance(expr, NodeStem):  # g itself, also at the nodes
         out = recursive_eval(expr.g, z, cache)
     else:  # QuotientBySP
@@ -1209,3 +1223,126 @@ class TestProgram:
         assert repr(pinned) == f"NodeStem(g={tree.right!r})"
         assert tree == twin and hash(tree) == hash(twin)
         assert (hash(tree), repr(tree)) == before == (hash(twin), repr(twin))
+
+
+# ---------------------------------------------------------------------------
+# stem widths
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """Every step output from now on checked against its node's flag: one
+    column exactly where the node is slice preserving, four otherwise.
+    Returns the number of checked outputs of each width, (ones, fours)."""
+    step, counts = expr_module._step, [0, 0]
+
+    def wrapping(node):
+        run, sp, name = step(node), node.slice_preserving, type(node).__name__
+
+        def checked(z, *stems):
+            out = run(z, *stems)
+            assert out.ndim == 2 and out.shape[1] == (1 if sp else 4), (name, sp, out.shape)
+            assert out.dtype == complex and out.shape[0] in (1, z.size), (name, out.shape)
+            counts[0 if sp else 1] += 1
+            return out
+
+        return checked
+
+    monkeypatch.setattr(expr_module, "_step", wrapping)
+    return counts
+
+
+def assert_public(tree, zs):
+    got = eval_stem_many(tree, zs)
+    assert got.shape == (zs.size, 4) and got.flags.f_contiguous and got.flags.writeable, tree
+    assert np.array_equal(got, recursive_stem(tree, zs)), tree
+
+
+def width_test_trees(dom):
+    """Trees whose steps meet every pairing of widths: slice-preserving and
+    other stems added in both orders, with folded (1, 1) and (1, 4) rows; the
+    slice-preserving cases of the component, vector-part, symmetrization,
+    conjugate, negation and star-series steps; a patched quotient of a
+    slice-preserving child; a slice-preserving pin."""
+    q = VarQ()
+    sp, other = q * q + const(0.5), PSI + q * const(K_UNIT)
+    quadratic = poly_expr([1.0, 0.0, 1.0]) * (q + const(2.0))  # divisible by z^2 + 1
+    pinned = node_stem(sp * q, dom)
+    return (
+        [sp + other, other + sp, q + const(J_UNIT), const(J_UNIT) + q]
+        + [const(2.0) + other, other + const(2.0), const(2.0) + const(J_UNIT)]
+        + [Component(sp, 2), Component(sp, 0), Component(other, 2), VectPart(sp)]
+        + [Symm(sp), RegConj(sp), Neg(sp), Neg(other), ScalarApply("exp", sp)]
+        + [StarSeries(kind, sp) for kind in ("exp", "cos", "sin")]
+        + [StarSeries(kind, const(2.0)) for kind in ("exp", "cos", "sin")]
+        + [QuotientBySP(quadratic, (1.0, 0.0, 1.0), (1j,), 0.1)]
+        + [pinned, pinned * other, other * pinned, scalar_part(pinned) + other]
+        + [IntPow(sp, 0), IntPow(other, 0), IntPow(sp, 3), IntPow(other, 3)]
+    )
+
+
+class TestStemWidth:
+    """Inside a run a slice-preserving stem is its scalar column; only what
+    leaves the evaluator is widened to four columns."""
+
+    def test_the_zeroth_power_of_a_vector_keeps_four_columns(self):
+        # the power of a stem that is not slice preserving is flagged like
+        # it, so its 1 is a four-column stem; a one-column 1 would broadcast
+        # into every column of the sum
+        tree = IntPow(Q * const(I_UNIT) + UNIT * Q * const(J_UNIT), 0) + Q * const(J_UNIT)
+        got = eval_stem_many(tree, [0.3 + 0.5j])
+        assert np.array_equal(got, [[1.0, 0.0, 0.3 + 0.5j, 0.0]])
+
+    def test_every_step_has_the_width_of_its_flag(self, wl, widths):
+        dom = wl.grid("product", 8, rects=[wl.PRODUCT_RECT])
+        rng = np.random.default_rng(17)
+        off = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-1.0, 1.0, 40)  # both half planes
+        near = np.array([0.02 + 1.01j, 1j + 0.03, 0.01 - 1.02j])  # quotient patches
+        points = (dom.node_z, dom.node_z.conj(), np.concatenate([off, near]))
+        for tree in program_test_trees() + width_test_trees(dom):
+            for zs in points:
+                assert_public(tree, zs)
+        assert widths[0] and widths[1]
+
+    def test_a_slice_preserving_pin_is_read_in_place_as_a_column(self, wl, widths):
+        dom = wl.grid("product", 8, rects=[wl.PRODUCT_RECT])
+        pinned = node_stem(Q * Q + const(0.5), dom)
+        assert pinned.stem.shape == (dom.n_nodes, 4) and not pinned.stem.flags.writeable
+        (run, *_), = expr_module._program(pinned).steps
+        column = run(dom.node_z)
+        assert column.shape == (dom.n_nodes, 1) and np.shares_memory(column, pinned.stem)
+        assert np.shares_memory(expr_module._leaf_at(pinned, dom.node_z), pinned.stem)
+        leaf = expr_module._leaf_at(pinned * Q, dom.node_z)
+        assert np.array_equal(leaf, pinned.stem[:, 0] * dom.node_z)
+
+    @pytest.mark.parametrize("route", ["scalar", "angle", "null-vector", "fold", "exp"])
+    def test_every_step_has_the_width_of_its_flag_on_the_benchmark_families(
+        self, route, wl, widths
+    ):
+        # log_star's own trees run under the check too
+        rng = random.Random(7)
+        slice_dom = wl.grid("slice", 24, rects=[wl.SLICE_RECT])
+        product_dom = wl.grid("product", 24, rects=[wl.PRODUCT_RECT])
+        if route == "exp":
+            fs = [parse_expr(wl.exp_source(rng, shape)) for shape in range(len(wl.EXP_SHAPES))]
+            trees, dom = [exp_star(f) for f in fs] + [StarSeries("exp", f) for f in fs], product_dom
+        else:
+            if route == "scalar":
+                g, dom = parse_expr(wl.scalar_source(rng)[0]), slice_dom
+            elif route == "angle":
+                g, dom = exp_star(parse_expr(wl.angle_source(rng))), slice_dom
+            elif route == "null-vector":
+                g, dom = parse_expr(wl.null_vector_source(rng)), product_dom
+            else:
+                g = parse_expr(wl.fold_source(rng))
+                dom = wl.grid("product", 24, discs=[wl.BALL_DISC])
+            res = log_star(g, dom)
+            assert res.case == route
+            pinned = node_stem(g, dom)
+            trees = [g, symmetrization(vect_part(g)), res.f, exp_star(res.f)]
+            trees += [symmetrization(vect_part(pinned)), scalar_part(pinned)]
+            trees.append(symmetrization(pinned))
+        for tree in trees:
+            for zs in (dom.node_z, dom.node_z[::7].conj()):
+                assert_public(tree, zs)
+        assert widths[0] and (widths[1] or route == "scalar")  # the scalar g is slice preserving
