@@ -1,12 +1,18 @@
 """Branches of scalar inverse functions: logarithms, mu, nu and arc cosines.
 
 mu and nu are the entire functions with mu(z^2) = cos z and nu(z^2) = sin z / z,
-evaluated in closed form as cos(sqrt z) and sin(sqrt z) / sqrt z.  Branch
-indices follow the half-strip decomposition of the cosine: branch k inverts
-cos on the strip with real part between k*pi and (k+1)*pi, where it is the
-principal arc cosine moved by a reflection and a shift, so the k-th inverse of
-mu is single valued on the plane slit along (-inf,-1] (and also along [1,inf)
-for k outside {0,-1}).
+evaluated in closed form as cos(r) and sin(r) / r at the principal root
+r = sqrt z.  Branch indices follow the half-strip decomposition of the cosine:
+branch k inverts cos on the strip with real part between k*pi and (k+1)*pi,
+where it is the principal arc cosine moved by a reflection and a shift, so the
+k-th inverse of mu is single valued on the plane slit along (-inf,-1] (and also
+along [1,inf) for k outside {0,-1}).
+
+The kernels on complex arrays are built from real ufuncs, several times faster
+than numpy's complex log, sqrt, cos and sin: :func:`principal_log` is log|z| +
+i atan2(y, x), and :func:`cos_sin` gives cos p, sin p, cosh q and sinh q of
+r = p + iq, from which mu, nu and the angle check of the angle route form
+cos r and sin r.  Each writes into arrays it allocates once.
 
 The module also hosts the registry of scalar functions that expression nodes
 may apply to slice-preserving children.
@@ -21,23 +27,93 @@ import numpy as np
 from .errors import BranchDomainViolation, NoConvergence, RealInput
 from .quaternion import Quaternion, split
 
+# the least t that _root takes: t**2 (about 3e-301) is a normal float, and
+# where |z| is below it, mu and nu are 1 to within |z| either way
+_ROOT_FLOOR = 2.0**-500
+
+
+def principal_log(z):
+    """Principal logarithm log|z| + i atan2(y, x) of z = x + iy, from real ufuncs.
+
+    The signed zeros of C99 hold on the cut: Log(-1 -+ 0i) = -+ i pi.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    np.abs(z, out=out.real)
+    np.log(out.real, out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out if out.shape else complex(out)
+
+
+def _root(z):
+    """The principal square root p + iq of complex z = x + iy, in a new array.
+
+    t = sqrt(|x|/2 + |z|/2) is p where x >= 0 and |q| where x < 0, and the
+    other part is y / 2t.  |x| and |z| are halved before they are added,
+    as their sum overflows from |z| near the largest float.  t is raised to
+    ``_ROOT_FLOOR``, so that y / 2t is finite at z = 0, where the root is
+    that floor.
+    """
+    x, y = z.real, z.imag
+    r = np.empty_like(z)
+    t, s = r.real, r.imag
+    np.abs(z, out=t)
+    t *= 0.5
+    np.abs(x, out=s)
+    s *= 0.5
+    t += s
+    np.sqrt(t, out=t)
+    np.maximum(t, _ROOT_FLOOR, out=t)
+    np.divide(y, t, out=s)
+    s *= 0.5
+    neg = x < 0.0
+    q = np.copysign(t, s)  # the sign of y, signed zeros included
+    np.abs(s, out=t, where=neg)
+    np.copyto(s, q, where=neg)
+    return r
+
+
+def cos_sin(r, out=None):
+    """cos p + i sin p and cosh q + i sinh q of r = p + iq, from real ufuncs.
+
+    cos r = cos p cosh q - i sin p sinh q and sin r = sin p cosh q + i cos p
+    sinh q.  The hyperbolic pair goes into ``out``, a new array by default;
+    r itself may be passed, as each part of r is read before it is written.
+    """
+    r = np.asarray(r, dtype=complex)
+    trig = np.empty_like(r)
+    np.cos(r.real, out=trig.real)
+    np.sin(r.real, out=trig.imag)
+    hyp = np.empty_like(r) if out is None else out
+    np.cosh(r.imag, out=hyp.real)
+    np.sinh(r.imag, out=hyp.imag)
+    return trig, hyp
+
 
 def mu(z):
-    """Entire function with mu(z^2) = cos z, computed as cos(sqrt z).
+    """Entire function with mu(z^2) = cos z: cos r at the principal root r of z.
 
     cos is even, so either square root of z gives the same value.
     """
-    out = np.cos(np.sqrt(np.asarray(z, dtype=complex)))
+    r = _root(np.asarray(z, dtype=complex))
+    trig, out = cos_sin(r, out=r)
+    out.real *= trig.real
+    out.imag *= trig.imag
+    np.negative(out.imag, out=out.imag)
     return out if out.shape else complex(out)
 
 
 def nu(z):
-    """Entire function with nu(z^2) = sin z / z, computed as sin(r)/r, r = sqrt z.
+    """Entire function with nu(z^2) = sin z / z: sin r / r at the principal root r.
 
-    sin(r)/r is even in r, so either square root works; nu(0) = 1 exactly.
+    sin(r)/r is even in r, so either square root works.  nu(0) = 1 exactly:
+    at z = 0 the root is the floor t of :func:`_root`, and sin t = t.
     """
-    r = np.sqrt(np.asarray(z, dtype=complex))
-    out = np.divide(np.sin(r), r, out=np.ones_like(r), where=r != 0)
+    r = _root(np.asarray(z, dtype=complex))
+    trig, out = cos_sin(r)
+    out.real *= trig.imag
+    out.imag *= trig.real
+    np.divide(out, r, out=out)
     return out if out.shape else complex(out)
 
 
@@ -105,13 +181,12 @@ def log_branch(w, k: int = 0):
     if k == 0:
         if ((real_vals & (w.real <= 0))).any():
             raise BranchDomainViolation("log undefined on (-inf,0] for branch 0")
-        out = np.log(w)
-        return out if out.shape else complex(out)
-    if real_vals.any():
+    elif real_vals.any():
         raise BranchDomainViolation(f"log branch {k} undefined at real values")
-    theta_hat = np.abs(np.angle(w))  # in (0, pi)
-    shift = theta_hat + k * math.pi if k % 2 == 0 else theta_hat - (k + 1) * math.pi
-    out = np.log(np.abs(w)) + 1j * np.sign(w.imag) * shift
+    out = np.asarray(principal_log(w))
+    if k:  # theta_hat = |Arg w| in (0, pi) moves by the shift, and sign(Im w) carries over
+        shift = k * math.pi if k % 2 == 0 else -(k + 1) * math.pi
+        out.imag += np.sign(w.imag) * shift
     return out if out.shape else complex(out)
 
 

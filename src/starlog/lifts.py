@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .branches import principal_log
 from .domain import MAX_NODES, BasicDomainSpec
 from .errors import BranchPointHit, LiftStep, OutsideDomain, Vanishing
 
@@ -224,20 +225,23 @@ def _bisect(start, end, walk: Walk):
 # logarithm lift
 
 
-def lift_log(u, domain: BasicDomainSpec, name: str = "log") -> LiftedScalarField:
+def lift_log(u, domain: BasicDomainSpec, name: str = "log", nodes=None) -> LiftedScalarField:
     """Continuous logarithm of a nonvanishing scalar function over the grid.
 
-    ``u`` maps complex arrays to complex arrays.  The base value is the
+    ``u`` maps complex arrays to complex arrays.  ``nodes`` holds u at the
+    grid nodes where the caller has it; u is then called off the nodes only,
+    and the field keeps no reference to the array.  The base value is the
     principal logarithm at a real-axis node (slice domains) or an interior
     node (product domains).
 
-    Node values are Log u + 2 pi i k.  Each edge of the domain's breadth-first
+    Node values are Log u + 2 pi i k, with Log the real-ufunc kernel
+    :func:`branches.principal_log`.  Each edge of the domain's breadth-first
     tree changes the sheet label k by an integer: the principal step from its
     parent where that turns by less than the safety angle, else the walk of
     :func:`_bisect` from Log u at the parent, one batch in breadth-first
     order.  :func:`_compose` then sums the labels from the base.
     """
-    t_nodes = np.asarray(u(domain.node_z), dtype=complex)
+    t_nodes = np.asarray(u(domain.node_z) if nodes is None else nodes, dtype=complex)
     if not np.all(np.isfinite(t_nodes)) or np.min(np.abs(t_nodes)) < 1e-300:
         raise Vanishing(f"{name}: target vanishes or is not finite on the grid")
 
@@ -251,7 +255,7 @@ def lift_log(u, domain: BasicDomainSpec, name: str = "log") -> LiftedScalarField
         return Vanishing(f"{name}: target vanishes near {za}..{zb}")
 
     walk = Walk(u, _log_step, stalled, vanished)
-    log_t = np.log(t_nodes)
+    log_t = principal_log(t_nodes)
     arg = log_t.imag
     tree = parents, children, _ = domain.bfs_tree(base_node)
     turn = _turn(t_nodes[parents], t_nodes[children])
@@ -290,7 +294,7 @@ def _log_step(v, ta, tb):
 
 def _snap_log(v, t):
     """Snap continued values v onto Log(t) + 2 pi i k."""
-    principal = np.log(t)
+    principal = principal_log(t)
     return _on_sheet(principal, _sheet_step(v.imag, principal.imag))
 
 
@@ -309,18 +313,19 @@ def _on_sheet(principal, k):
 # angle lift through the circle u^2 + v^2 = 1
 
 
-def lift_angle(uv, domain: BasicDomainSpec, name: str = "angle") -> LiftedScalarField:
+def lift_angle(uv, domain: BasicDomainSpec, name: str = "angle", nodes=None) -> LiftedScalarField:
     """Continuous angle phi with (cos, sin)(phi) = (u, v) over the grid.
 
     The circle embeds in the punctured plane through w = u + iv, so the angle
-    is -i times a continuous logarithm of w.
+    is -i times a continuous logarithm of w.  ``nodes`` holds (u, v) at the
+    grid nodes where the caller has them, as for :func:`lift_log`.
     """
 
-    def w(zs):
-        u_vals, v_vals = uv(zs)
+    def w(u_vals, v_vals):
         return np.asarray(u_vals, dtype=complex) + 1j * np.asarray(v_vals, dtype=complex)
 
-    fld = lift_log(w, domain, name=name)
+    w_nodes = None if nodes is None else w(*nodes)
+    fld = lift_log(lambda zs: w(*uv(zs)), domain, name=name, nodes=w_nodes)
     return replace(fld, values=-1j * fld.values, kind="angle")
 
 

@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import scalar_part, symmetrization, vect_part
-from .branches import mu, nu
+from .branches import cos_sin, mu, nu
 from .domain import BasicDomainSpec
 from .errors import (
     BranchPointHit,
@@ -386,11 +386,14 @@ def _angle_route(g, domain, branch, report, rep):
         hz = h(zs)
         return F0(zs) / hz, _leaf_at(rho, zs) / hz
 
-    phase = lift_angle(uv, domain, name="phase")
-    u_nodes, v_nodes = uv(domain.node_z)
+    u_nodes, v_nodes = uv(domain.node_z)  # once, for the lift and its check
+    phase = lift_angle(uv, domain, name="phase", nodes=(u_nodes, v_nodes))
+    # |cos phi - u| and |sin phi - v|, with cos phi = cos p cosh q - i sin p
+    # sinh q and sin phi = sin p cosh q + i cos p sinh q for phi = p + iq
+    trig, hyp = cos_sin(phase.values)
+    cos_err = np.hypot(trig.real * hyp.real - u_nodes.real, trig.imag * hyp.imag + u_nodes.imag)
+    sin_err = np.hypot(trig.imag * hyp.real - v_nodes.real, trig.real * hyp.imag - v_nodes.imag)
     # relative to the circle data, which grow as g^s = g_0^2 + g_v^s cancels
-    cos_err = np.abs(np.cos(phase.values) - u_nodes)
-    sin_err = np.abs(np.sin(phase.values) - v_nodes)
     size = 1.0 + np.abs(u_nodes) + np.abs(v_nodes)
     validity = float((np.maximum(cos_err, sin_err) / size).max())
     diag["lift_validity"] = validity
